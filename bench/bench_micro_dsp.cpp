@@ -2,9 +2,9 @@
 // filtering, the full DDC, FM0 chip decoding, IQ k-means, and the SPSC
 // ring buffer — the blocks that must sustain 500 kS/s in real time.
 //
-// The BM_*Scalar / BM_*Block pairs measure the two kernel policies on the
+// The BM_*Scalar / BM_*Simd pairs measure the two kernel policies on the
 // same workload; CI compares their real_time from the BENCH_micro_dsp.json
-// sidecar and fails if the block path ever regresses below the scalar one.
+// sidecar and fails if the simd path ever regresses below the scalar one.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -19,7 +19,6 @@
 #include "arachnet/dsp/fft.hpp"
 #include "arachnet/dsp/fir.hpp"
 #include "arachnet/dsp/kernels/fft_plan.hpp"
-#include "arachnet/dsp/kernels/fir_kernels.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
 #include "arachnet/dsp/kernels/nco.hpp"
 #include "arachnet/dsp/psd.hpp"
@@ -145,8 +144,8 @@ reader::FdmaRxChain::Params fdma_bench_params(dsp::KernelPolicy policy) {
   fp.ddc.decimation = 8;
   fp.workers = 1;  // sequential: measure the kernels, not the threading
   fp.kernels = policy;
-  // Pinned to the mixer bank: these benches compare the scalar vs block
-  // kernels, which only the per-channel path exercises per channel.
+  // Pinned to the mixer bank: these benches compare the scalar vs simd
+  // per-channel mixer/LPF kernels, which only that bank runs.
   fp.bank = reader::FdmaRxChain::BankPolicy::kPerChannel;
   for (int k = 0; k < 4; ++k) fp.channels.push_back({3000.0 + 1500.0 * k});
   return fp;
@@ -172,11 +171,6 @@ static void BM_DdcScalar(benchmark::State& state) {
   ddc_policy_bench(state, dsp::KernelPolicy::kScalar);
 }
 BENCHMARK(BM_DdcScalar);
-
-static void BM_DdcBlock(benchmark::State& state) {
-  ddc_policy_bench(state, dsp::KernelPolicy::kBlock);
-}
-BENCHMARK(BM_DdcBlock);
 
 static void BM_DdcSimd(benchmark::State& state) {
   ddc_policy_bench(state, dsp::KernelPolicy::kSimd);
@@ -237,7 +231,6 @@ reader::FdmaRxChain::Params bank_policy_params(
   // rate; up to 16 channels fit the usual 62.5 kS/s bank.
   fp.ddc.decimation = n > 16 ? 4 : 8;
   fp.workers = 1;  // sequential: measure the bank DSP, not the threading
-  fp.kernels = dsp::KernelPolicy::kBlock;
   fp.bank = bank;
   for (double hz : bank_subcarriers(n)) fp.channels.push_back({hz});
   return fp;
@@ -334,17 +327,12 @@ static void BM_FdmaBankScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_FdmaBankScalar);
 
-static void BM_FdmaBankBlock(benchmark::State& state) {
-  fdma_policy_bench(state, dsp::KernelPolicy::kBlock);
-}
-BENCHMARK(BM_FdmaBankBlock);
-
 static void BM_FdmaBankSimd(benchmark::State& state) {
   fdma_policy_bench(state, dsp::KernelPolicy::kSimd);
 }
 BENCHMARK(BM_FdmaBankSimd);
 
-// ------------------------------------------------ three-tier parity
+// ------------------------------------------------- policy parity
 
 namespace {
 
@@ -355,8 +343,8 @@ namespace {
 constexpr double kSimdTimeTol = 256e-6;
 
 // Per-channel packet comparison between two drained captures. Payloads,
-// channels and CRC verdicts must match exactly; timestamps bit-exact when
-// `time_tol` is 0, else within `time_tol` seconds.
+// channels and CRC verdicts must match exactly; timestamps within
+// `time_tol` seconds.
 template <typename P>
 bool tiers_match(const std::vector<P>& ref, const std::vector<P>& got,
                  std::size_t channels, double time_tol) {
@@ -373,10 +361,7 @@ bool tiers_match(const std::vector<P>& ref, const std::vector<P>& got,
       const auto& pa = ref[ia[i]];
       const auto& pb = got[ib[i]];
       if (!(pa.packet == pb.packet)) return false;
-      if (time_tol == 0.0 ? pa.time_s != pb.time_s
-                          : std::abs(pa.time_s - pb.time_s) > time_tol) {
-        return false;
-      }
+      if (std::abs(pa.time_s - pb.time_s) > time_tol) return false;
     }
   }
   return true;
@@ -385,11 +370,11 @@ bool tiers_match(const std::vector<P>& ref, const std::vector<P>& got,
 }  // namespace
 
 static void BM_TierPacketParity(benchmark::State& state) {
-  // Not a timing bench: records packet parity across all three kernel
-  // tiers (plus the simd channelizer bank) at the arg's channel count.
-  // scalar vs block must be bit-exact, including timestamps; the simd
-  // tiers must decode the identical packet set with timestamps inside
-  // kSimdTimeTol. CI fails the run if any parity counter is not 1.
+  // Not a timing bench: records packet parity between the scalar
+  // reference and the simd tier, on the per-channel bank and on the simd
+  // channelizer bank, at the arg's channel count. The simd decodes must
+  // be the identical packet set with timestamps inside kSimdTimeTol. CI
+  // fails the run if any parity counter is not 1.
   const int n = static_cast<int>(state.range(0));
   const auto& wave = bank_capture(n);
   bool channelized = false;
@@ -408,13 +393,11 @@ static void BM_TierPacketParity(benchmark::State& state) {
   };
   using Bank = reader::FdmaRxChain::BankPolicy;
   const auto scalar = run(dsp::KernelPolicy::kScalar, Bank::kPerChannel);
-  const auto block = run(dsp::KernelPolicy::kBlock, Bank::kPerChannel);
   const auto simd = run(dsp::KernelPolicy::kSimd, Bank::kPerChannel);
   const auto simd_chzr =
       run(dsp::KernelPolicy::kSimd, Bank::kChannelizer, &channelized);
   const auto channels = static_cast<std::size_t>(n);
   const bool equal = !scalar.empty() && channelized &&
-                     tiers_match(scalar, block, channels, 0.0) &&
                      tiers_match(scalar, simd, channels, kSimdTimeTol) &&
                      tiers_match(scalar, simd_chzr, channels, kSimdTimeTol);
   for (auto _ : state) {
@@ -423,7 +406,6 @@ static void BM_TierPacketParity(benchmark::State& state) {
   state.counters["parity"] = equal ? 1.0 : 0.0;
   state.counters["channelized"] = channelized ? 1.0 : 0.0;
   state.counters["scalar_packets"] = static_cast<double>(scalar.size());
-  state.counters["block_packets"] = static_cast<double>(block.size());
   state.counters["simd_packets"] = static_cast<double>(simd.size());
   state.counters["simd_channelizer_packets"] =
       static_cast<double>(simd_chzr.size());
@@ -461,22 +443,6 @@ static void BM_TrigOscillator(benchmark::State& state) {
 }
 BENCHMARK(BM_TrigOscillator);
 
-static void BM_FirBlockFilter(benchmark::State& state) {
-  // Folded block kernel on the BM_FirFilter workload (same taps/blocks).
-  const auto taps = static_cast<std::size_t>(state.range(0));
-  dsp::FirBlockFilter<double> lpf{dsp::design_lowpass(5e3, 500e3, taps)};
-  sim::Rng rng{3};
-  std::vector<double> block(8192), out(8192);
-  for (auto& s : block) s = rng.normal();
-  for (auto _ : state) {
-    lpf.process(block.data(), out.data(), block.size());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(block.size()));
-}
-BENCHMARK(BM_FirBlockFilter)->Arg(65)->Arg(129)->Arg(257);
-
 static void BM_FftRealPlan(benchmark::State& state) {
   // Cached-plan real-input transform (the Welch PSD inner loop).
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -494,43 +460,25 @@ static void BM_FftRealPlan(benchmark::State& state) {
 BENCHMARK(BM_FftRealPlan)->Arg(1024)->Arg(4096);
 
 static void BM_PolicyPacketParity(benchmark::State& state) {
-  // Not a timing bench: records packet-level parity across the three
-  // kernel tiers on the BM_FdmaBank* workload, so CI can assert the
-  // speedup comparisons are between paths that decode the same packets.
-  // scalar vs block must be bit-exact including timestamps; simd must
-  // match payload-for-payload with timestamps inside kSimdTimeTol.
-  // parity == 1 means all three decode identical packet sets.
+  // Not a timing bench: records packet-level parity between the two
+  // kernel policies on the BM_FdmaBank* workload, so CI can assert the
+  // speedup comparison is between paths that decode the same packets.
+  // simd must match scalar payload-for-payload with timestamps inside
+  // kSimdTimeTol; parity == 1 means both decode identical packet sets.
   const auto& wave = fdma_capture();
-  std::uint64_t scalar_packets = 0, block_packets = 0, simd_packets = 0;
-  bool equal = true;
-  {
-    reader::FdmaRxChain scalar{
-        fdma_bench_params(dsp::KernelPolicy::kScalar)};
-    reader::FdmaRxChain block{fdma_bench_params(dsp::KernelPolicy::kBlock)};
-    reader::FdmaRxChain simd{fdma_bench_params(dsp::KernelPolicy::kSimd)};
-    scalar.process(wave);
-    block.process(wave);
-    simd.process(wave);
-    const auto a = scalar.drain_packets();
-    const auto b = block.drain_packets();
-    const auto c = simd.drain_packets();
-    scalar_packets = a.size();
-    block_packets = b.size();
-    simd_packets = c.size();
-    equal = a.size() == b.size();
-    for (std::size_t i = 0; equal && i < a.size(); ++i) {
-      equal = a[i].packet == b[i].packet && a[i].channel == b[i].channel &&
-              a[i].time_s == b[i].time_s;
-    }
-    equal = equal && tiers_match(a, c, 4, kSimdTimeTol);
-  }
+  reader::FdmaRxChain scalar{fdma_bench_params(dsp::KernelPolicy::kScalar)};
+  reader::FdmaRxChain simd{fdma_bench_params(dsp::KernelPolicy::kSimd)};
+  scalar.process(wave);
+  simd.process(wave);
+  const auto a = scalar.drain_packets();
+  const auto b = simd.drain_packets();
+  const bool equal = !a.empty() && tiers_match(a, b, 4, kSimdTimeTol);
   for (auto _ : state) {
     benchmark::DoNotOptimize(equal);
   }
   state.counters["parity"] = equal ? 1.0 : 0.0;
-  state.counters["scalar_packets"] = static_cast<double>(scalar_packets);
-  state.counters["block_packets"] = static_cast<double>(block_packets);
-  state.counters["simd_packets"] = static_cast<double>(simd_packets);
+  state.counters["scalar_packets"] = static_cast<double>(a.size());
+  state.counters["simd_packets"] = static_cast<double>(b.size());
 }
 BENCHMARK(BM_PolicyPacketParity);
 

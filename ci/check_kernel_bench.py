@@ -4,29 +4,23 @@
 Asserts the kernel-tier invariants the DSP layer promises:
 
   1. parity — BM_PolicyPacketParity.parity == 1 and every
-     BM_TierPacketParity/<n>.parity == 1: the scalar, block and simd
-     policies (and the simd channelizer bank) decoded identical packet
-     sets at 4/8/16/32 channels. A speedup between paths that decode
-     different packets is meaningless, so this is checked first.
-  2. speed — for each BM_<X>Scalar / BM_<X>Block pair, the block path's
-     real_time must not exceed the scalar path's; for each
-     BM_<X>Block / BM_<X>Simd pair, the simd path must not exceed the
-     block path's. The faster tiers exist only to be faster; a
-     regression fails the build. The simd comparison is enforced only
-     when an ISA-specialized tier dispatched (kernel.isa != generic) —
-     the portable fallback promises correctness, not speed.
+     BM_TierPacketParity/<n>.parity == 1: the scalar reference and the
+     simd tier (on the per-channel bank and on the simd channelizer bank)
+     decoded identical packet sets at 4/8/16/32 channels. A speedup
+     between paths that decode different packets is meaningless, so this
+     is checked first.
+  2. speed — for each BM_<X>Scalar / BM_<X>Simd pair, the simd path's
+     real_time must not exceed the scalar path's. The production tier
+     exists only to be faster than the reference; a regression fails the
+     build.
   3. provenance — the sidecar must carry kernel.policy and kernel.isa
      info rows so the numbers are attributable to the configuration
-     that produced them; when kernel.cpu shows avx512f+avx512vl+fma,
-     kernel.isa must actually be avx512 (the top tier dispatched, not
-     silently degraded). On hardware without AVX-512 this check is
-     skipped, not failed.
+     that produced them.
   4. float32 fold — when a BENCH_ext_throughput.json sidecar is also
      supplied, its fdma.bank.<n>.chzr_f32_* rows gate the float32
      channelizer fast path: packet parity against the float64 fold at
      every width, at least break-even at >= 8 channels, and >= 1.3x at
-     16 and 32 channels (the ROADMAP item-3 headroom this tier exists
-     to close).
+     16 and 32 channels.
 
 Usage: check_kernel_bench.py BENCH_micro_dsp.json [BENCH_ext_throughput.json ...]
 """
@@ -34,14 +28,9 @@ Usage: check_kernel_bench.py BENCH_micro_dsp.json [BENCH_ext_throughput.json ...
 import json
 import sys
 
-SCALAR_BLOCK_PAIRS = [
-    ("BM_DdcScalar.real_time", "BM_DdcBlock.real_time"),
-    ("BM_FdmaBankScalar.real_time", "BM_FdmaBankBlock.real_time"),
-]
-
-BLOCK_SIMD_PAIRS = [
-    ("BM_DdcBlock.real_time", "BM_DdcSimd.real_time"),
-    ("BM_FdmaBankBlock.real_time", "BM_FdmaBankSimd.real_time"),
+SCALAR_SIMD_PAIRS = [
+    ("BM_DdcScalar.real_time", "BM_DdcSimd.real_time"),
+    ("BM_FdmaBankScalar.real_time", "BM_FdmaBankSimd.real_time"),
 ]
 
 PARITY_ROWS = [
@@ -81,26 +70,11 @@ def main() -> int:
         if row not in metrics:
             print(f"::error::sidecar missing {row} info row")
             failed = True
-    isa = metrics.get("kernel.isa", "generic")
-    cpu = str(metrics.get("kernel.cpu", ""))
     print(
-        f"kernel.policy={metrics.get('kernel.policy')} kernel.isa={isa} "
-        f"kernel.cpu={cpu}"
+        f"kernel.policy={metrics.get('kernel.policy')} "
+        f"kernel.isa={metrics.get('kernel.isa')} "
+        f"kernel.cpu={metrics.get('kernel.cpu')}"
     )
-
-    # AVX-512 provenance: on hardware that has the full avx512 feature
-    # set the top tier must have dispatched — a silent degrade to avx2
-    # would quietly void every simd speed number below. Skip (not fail)
-    # when the runner simply lacks AVX-512.
-    if {"avx512f", "avx512vl", "fma"} <= set(cpu.split("+")):
-        if isa != "avx512":
-            print(
-                f"::error::CPU supports avx512 ({cpu}) but kernel.isa="
-                f"{isa} — the avx512 tier did not dispatch"
-            )
-            failed = True
-    else:
-        print(f"notice: CPU lacks AVX-512 ({cpu}) — provenance check skipped")
 
     for row in PARITY_ROWS:
         parity = metrics.get(row)
@@ -119,27 +93,19 @@ def main() -> int:
     if failed:
         return 1
 
-    def check_pairs(pairs, slow_label, fast_label):
-        nonlocal failed
-        for slow, fast in pairs:
-            if slow not in metrics or fast not in metrics:
-                print(f"::error::missing metric {slow} or {fast}")
-                failed = True
-                continue
-            s, f = metrics[slow], metrics[fast]
-            print(f"{slow.split('.')[0]} -> {fast.split('.')[0]}: {s / f:.2f}x")
-            if f > s:
-                print(
-                    f"::error::{fast_label} path slower than {slow_label} "
-                    f"({fast}={f:.0f}ns vs {slow}={s:.0f}ns)"
-                )
-                failed = True
-
-    check_pairs(SCALAR_BLOCK_PAIRS, "scalar", "block")
-    if isa == "generic":
-        print("notice: kernel.isa=generic — skipping block->simd speed gate")
-    else:
-        check_pairs(BLOCK_SIMD_PAIRS, "block", "simd")
+    for slow, fast in SCALAR_SIMD_PAIRS:
+        if slow not in metrics or fast not in metrics:
+            print(f"::error::missing metric {slow} or {fast}")
+            failed = True
+            continue
+        s, f = metrics[slow], metrics[fast]
+        print(f"{slow.split('.')[0]} -> {fast.split('.')[0]}: {s / f:.2f}x")
+        if f > s:
+            print(
+                f"::error::simd path slower than scalar "
+                f"({fast}={f:.0f}ns vs {slow}={s:.0f}ns)"
+            )
+            failed = True
 
     # Float32 channelizer fold (rows come from BENCH_ext_throughput.json
     # when supplied): parity always, break-even from 8 channels, and the

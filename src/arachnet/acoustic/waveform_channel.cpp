@@ -116,7 +116,7 @@ std::vector<double> UplinkWaveformSynth::synthesize(
     return out;
   }
 
-  // Block path. The carrier phasor e^{jw(t0+i*dt)} is rendered once with a
+  // kSimd path. The carrier phasor e^{jw(t0+i*dt)} is rendered once with a
   // recurrence NCO; the leak term is its real part and every source term is
   // the same block rotated by the source's constant phase offset:
   // cos(wt + phi) = Re(e^{jwt}) cos(phi) - Im(e^{jwt}) sin(phi). The

@@ -51,11 +51,11 @@ class UplinkWaveformSynth {
     /// Vehicle self-vibration (engine/road): frequency and amplitude.
     double ambient_hz = 35.0;
     double ambient_amplitude = 0.0;
-    /// DSP implementation (see dsp::KernelPolicy): the block path renders
-    /// carriers with phasor-recurrence NCOs and walks each source's chip
-    /// stream in run-length segments; the scalar path is the per-sample
-    /// reference. Waveforms agree to rounding tolerance; the RNG draw
-    /// order (and hence the noise realization) is identical.
+    /// DSP implementation (see dsp::KernelPolicy): kSimd renders carriers
+    /// with phasor-recurrence NCOs and walks each source's chip stream in
+    /// run-length segments; kScalar is the per-sample reference. Waveforms
+    /// agree to rounding tolerance; the RNG draw order (and hence the
+    /// noise realization) is identical.
     dsp::KernelPolicy kernels = dsp::default_kernel_policy();
   };
 

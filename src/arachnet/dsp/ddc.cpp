@@ -17,8 +17,6 @@ std::vector<double> ddc_coeffs(const Ddc::Params& p) {
 Ddc::Ddc(Params params)
     : params_(params),
       lpf_(ddc_coeffs(params)),
-      decimator_(ddc_coeffs(params),
-                 params.decimation == 0 ? 1 : params.decimation),
       decimator_s_(ddc_coeffs(params),
                    params.decimation == 0 ? 1 : params.decimation) {
   if (params_.decimation == 0) {
@@ -31,63 +29,13 @@ void Ddc::set_carrier(double hz) noexcept {
   params_.carrier_hz = hz;
   phase_step_ = 2.0 * std::numbers::pi * hz / params_.sample_rate_hz;
   // The scalar path mixes by conj(e^{j*phase}) with phase advancing
-  // +phase_step_; the block and simd NCOs hold e^{-j*phase} directly, so
-  // their step is the negation. All keep their phase across a retune.
-  nco_.set_step(-phase_step_);
+  // +phase_step_; the simd NCO holds e^{-j*phase} directly, so its step
+  // is the negation. Both keep their phase across a retune.
   nco_s_.set_step(-phase_step_);
-}
-
-std::optional<std::complex<double>> Ddc::push(double sample) {
-  if (params_.kernels == KernelPolicy::kBlock) {
-    // One-sample block through the kernel machinery, so push() and
-    // process() share decimator/NCO state under either policy.
-    mixed_.resize(1);
-    nco_.mix_real(&sample, mixed_.data(), 1);
-    std::complex<double> out;
-    if (decimator_.process(mixed_.data(), 1, &out) != 0) return out;
-    return std::nullopt;
-  }
-  if (params_.kernels == KernelPolicy::kSimd) {
-    mixed_f_.resize(2);
-    nco_s_.mix_real(&sample, mixed_f_.data(), 1);
-    std::complex<double> out;
-    if (decimator_s_.process(mixed_f_.data(), 1, &out) != 0) return out;
-    return std::nullopt;
-  }
-  // Mix with e^{-j w t}: shifts the 90 kHz band to DC.
-  const std::complex<double> mixed{sample * std::cos(phase_),
-                                   -sample * std::sin(phase_)};
-  phase_ += phase_step_;
-  // Wrap symmetrically: a negative carrier (or a retune below DC) walks
-  // the phase downward, and one-sided wrapping would let it grow without
-  // bound, bleeding precision out of the cos/sin arguments.
-  if (phase_ > 2.0 * std::numbers::pi) phase_ -= 2.0 * std::numbers::pi;
-  if (phase_ < -2.0 * std::numbers::pi) phase_ += 2.0 * std::numbers::pi;
-  // Only the decimation points need the filter's dot product; in between,
-  // just advance the delay line (a factor-`decimation` saving on the
-  // dominant cost of the front end).
-  lpf_.feed(mixed);
-  if (++decim_count_ >= params_.decimation) {
-    decim_count_ = 0;
-    return lpf_.value();
-  }
-  return std::nullopt;
 }
 
 std::size_t Ddc::process(std::span<const double> in,
                          std::vector<std::complex<double>>& out) {
-  if (params_.kernels == KernelPolicy::kBlock) {
-    const std::size_t n = in.size();
-    if (n == 0) return 0;
-    mixed_.resize(n);
-    nco_.mix_real(in.data(), mixed_.data(), n);
-    const std::size_t base = out.size();
-    out.resize(base + n / params_.decimation + 1);
-    const std::size_t got =
-        decimator_.process(mixed_.data(), n, out.data() + base);
-    out.resize(base + got);
-    return got;
-  }
   if (params_.kernels == KernelPolicy::kSimd) {
     const std::size_t n = in.size();
     if (n == 0) return 0;
@@ -101,9 +49,23 @@ std::size_t Ddc::process(std::span<const double> in,
     return got;
   }
   std::size_t got = 0;
-  for (double s : in) {
-    if (const auto iq = push(s)) {
-      out.push_back(*iq);
+  for (double sample : in) {
+    // Mix with e^{-j w t}: shifts the 90 kHz band to DC.
+    const std::complex<double> mixed{sample * std::cos(phase_),
+                                     -sample * std::sin(phase_)};
+    phase_ += phase_step_;
+    // Wrap symmetrically: a negative carrier (or a retune below DC) walks
+    // the phase downward, and one-sided wrapping would let it grow without
+    // bound, bleeding precision out of the cos/sin arguments.
+    if (phase_ > 2.0 * std::numbers::pi) phase_ -= 2.0 * std::numbers::pi;
+    if (phase_ < -2.0 * std::numbers::pi) phase_ += 2.0 * std::numbers::pi;
+    // Only the decimation points need the filter's dot product; in between,
+    // just advance the delay line (a factor-`decimation` saving on the
+    // dominant cost of the front end).
+    lpf_.feed(mixed);
+    if (++decim_count_ >= params_.decimation) {
+      decim_count_ = 0;
+      out.push_back(lpf_.value());
       ++got;
     }
   }
@@ -122,9 +84,6 @@ void Ddc::reset() {
   lpf_.reset();
   phase_ = 0.0;
   decim_count_ = 0;
-  nco_.set(0.0, -phase_step_);
-  decimator_.reset();
-  mixed_.clear();
   nco_s_.set(0.0, -phase_step_);
   decimator_s_.reset();
   mixed_f_.clear();
@@ -148,11 +107,6 @@ std::vector<std::complex<double>> derotate(
     double offset_hz, KernelPolicy policy) {
   std::vector<std::complex<double>> out(iq.size());
   const double step = -2.0 * std::numbers::pi * offset_hz / iq_rate_hz;
-  if (policy == KernelPolicy::kBlock) {
-    PhasorNco nco{0.0, step};
-    nco.mix(iq.data(), out.data(), iq.size());
-    return out;
-  }
   if (policy == KernelPolicy::kSimd) {
     simd::SimdNco nco{0.0, step};
     std::vector<float> scratch(2 * iq.size());

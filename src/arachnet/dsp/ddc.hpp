@@ -2,14 +2,11 @@
 
 #include <complex>
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "arachnet/dsp/fir.hpp"
-#include "arachnet/dsp/kernels/fir_kernels.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
-#include "arachnet/dsp/kernels/nco.hpp"
 #include "arachnet/dsp/kernels/simd/stages.hpp"
 
 namespace arachnet::dsp {
@@ -22,14 +19,11 @@ namespace arachnet::dsp {
 /// This is the first block of the paper's reader software chain
 /// ("down conversion, ... filtering, decimation", Sec. 6.1).
 ///
-/// Three implementations live behind Params::kernels (see KernelPolicy):
-/// the scalar reference path (per-sample cos/sin mixer + streaming FIR),
-/// the block-kernel path (phasor-recurrence NCO + one-pass polyphase
-/// decimator) which produces the same IQ to rounding tolerance at a
-/// fraction of the cost, and the simd path (float32 vector lanes with
-/// runtime ISA dispatch, double accumulation at the decimation points)
-/// which matches to float32 tolerance. The decimation grid is identical
-/// across all policies.
+/// Two implementations live behind Params::kernels (see KernelPolicy):
+/// the scalar reference path (per-sample cos/sin mixer + streaming FIR)
+/// and the simd path (float32 vector lanes with runtime ISA dispatch,
+/// double accumulation at the decimation points), which matches it to
+/// float32 tolerance. The decimation grid is identical across both.
 class Ddc {
  public:
   struct Params {
@@ -54,12 +48,6 @@ class Ddc {
   std::size_t process(std::span<const double> in,
                       std::vector<std::complex<double>>& out);
 
-  /// Pushes a single sample; yields an IQ sample every `decimation` inputs.
-  /// Always runs the scalar path — single-sample streaming has no block to
-  /// batch — but shares decimator state with process(), so the two can be
-  /// mixed freely.
-  std::optional<std::complex<double>> push(double sample);
-
   double output_rate_hz() const noexcept {
     return params_.sample_rate_hz / static_cast<double>(params_.decimation);
   }
@@ -72,15 +60,8 @@ class Ddc {
   /// [0, decimation) — lets block consumers map each produced IQ sample
   /// back to the exact raw-sample index that emitted it.
   std::size_t decimation_phase() const noexcept {
-    switch (params_.kernels) {
-      case KernelPolicy::kBlock:
-        return decimator_.phase();
-      case KernelPolicy::kSimd:
-        return decimator_s_.phase();
-      case KernelPolicy::kScalar:
-        break;
-    }
-    return decim_count_;
+    return params_.kernels == KernelPolicy::kSimd ? decimator_s_.phase()
+                                                  : decim_count_;
   }
 
   void reset();
@@ -93,10 +74,6 @@ class Ddc {
   double phase_ = 0.0;
   double phase_step_ = 0.0;
   std::size_t decim_count_ = 0;
-  // Block-kernel path: NCO phasor + polyphase decimator + mix scratch.
-  PhasorNco nco_;
-  FirBlockDecimator<std::complex<double>> decimator_;
-  std::vector<std::complex<double>> mixed_;
   // Simd path: float32 lanes, interleaved mix scratch, double outputs.
   simd::SimdNco nco_s_;
   simd::FirSimdDecimator decimator_s_;

@@ -194,7 +194,7 @@ std::size_t PolyphaseChannelizer::process(const cplx* in, std::size_t n) {
   cplx* v = spec_.data();
   std::size_t f = 0;
   // Frame grid: the first frame fires at the input index where decim
-  // samples have accumulated since the last frame (FirBlockDecimator's
+  // samples have accumulated since the last frame (the Ddc decimator's
   // alignment), i.e. the frame's newest sample is work_[taps-1 + i].
   for (std::size_t i = decim - 1 - phase_; i < n; i += decim, ++f) {
     // Oldest-first window of `taps` samples ending at the frame instant:

@@ -42,7 +42,7 @@ namespace arachnet::dsp {
 /// size-C FFT amortized over D samples — independent of the number of
 /// lanes — versus `taps` multiplies *per channel* for the mixer bank.
 ///
-/// The frame grid matches FirBlockDecimator: with `phase()` samples
+/// The frame grid matches the Ddc decimator: with `phase()` samples
 /// consumed since the last frame, the next frame fires after
 /// D - phase() further samples, and history carries across process()
 /// calls, so splitting a stream into arbitrary blocks yields the exact
@@ -70,8 +70,8 @@ class PolyphaseChannelizer {
     /// rotation all run in float32 through the ISA-dispatched vector
     /// kernels (partial sums in float32, accumulator combines in double,
     /// lane phasors reseeded from double masters every 4096 frames — the
-    /// SimdNco chunk idiom). Other policies use the portable scalar
-    /// float64 fold. Lane outputs agree to float32 tolerance; decoded
+    /// SimdNco chunk idiom). kScalar uses the portable scalar float64
+    /// fold. Lane outputs agree to float32 tolerance; decoded
     /// packets are bit-identical (see DESIGN.md §7 precision analysis).
     KernelPolicy kernels = default_kernel_policy();
     /// Fold precision under kSimd. kAuto selects the float32 fast path

@@ -1,9 +1,6 @@
 #include "arachnet/dsp/kernels/cpu_dispatch.hpp"
 
 #include <atomic>
-#include <cstdlib>
-
-#include "arachnet/telemetry/log.hpp"
 
 namespace arachnet::dsp {
 
@@ -17,8 +14,6 @@ CpuFeatures probe() noexcept {
   f.avx = __builtin_cpu_supports("avx") != 0;
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
   f.fma = __builtin_cpu_supports("fma") != 0;
-  f.avx512f = __builtin_cpu_supports("avx512f") != 0;
-  f.avx512vl = __builtin_cpu_supports("avx512vl") != 0;
 #elif defined(__aarch64__)
   // AdvSIMD is part of the aarch64 baseline ABI.
   f.neon = true;
@@ -26,39 +21,14 @@ CpuFeatures probe() noexcept {
   return f;
 }
 
-/// Best tier the hardware (and build configuration) supports.
-SimdIsa best_supported(const CpuFeatures& f) noexcept {
-#if defined(ARACHNET_DISABLE_SIMD)
-  return f.neon ? SimdIsa::kNeon : SimdIsa::kGeneric;
-#else
-  if (f.avx512f && f.avx512vl && f.fma) return SimdIsa::kAvx512;
-  if (f.avx2 && f.fma) return SimdIsa::kAvx2;
-  if (f.neon) return SimdIsa::kNeon;
-  return SimdIsa::kGeneric;
-#endif
-}
-
-/// Clamps a requested tier to hardware support: each x86 tier degrades to
-/// the next one down, and the portable tier maps to NEON on aarch64.
+/// Clamps a requested tier to hardware support: kAvx2 degrades to the
+/// portable tier, and the portable tier maps to NEON on aarch64.
 SimdIsa clamp(SimdIsa requested, const CpuFeatures& f) noexcept {
-  const SimdIsa best = best_supported(f);
-  if (requested == SimdIsa::kAvx512 && best != SimdIsa::kAvx512) {
-    requested = SimdIsa::kAvx2;
-  }
-  if (requested == SimdIsa::kAvx2 && best != SimdIsa::kAvx2 &&
-      best != SimdIsa::kAvx512) {
-    requested = f.neon ? SimdIsa::kNeon : SimdIsa::kGeneric;
-  }
-  if (requested == SimdIsa::kNeon && !f.neon) return SimdIsa::kGeneric;
-  if (requested == SimdIsa::kGeneric && f.neon) return SimdIsa::kNeon;
-  return requested;
+  if (requested == SimdIsa::kAvx2 && f.avx2 && f.fma) return SimdIsa::kAvx2;
+  return f.neon ? SimdIsa::kNeon : SimdIsa::kGeneric;
 }
 
-SimdIsa resolve() noexcept {
-  return simd_isa_from_env_value(std::getenv("ARACHNET_SIMD_ISA"));
-}
-
-// kGeneric+1 .. stored as isa+1 so 0 means "not resolved yet".
+// Stored as isa+1 so 0 means "not resolved yet".
 std::atomic<int> g_active{0};
 
 }  // namespace
@@ -68,30 +38,10 @@ const CpuFeatures& detect_cpu_features() noexcept {
   return features;
 }
 
-std::optional<SimdIsa> parse_simd_isa(std::string_view name) noexcept {
-  if (name == "generic") return SimdIsa::kGeneric;
-  if (name == "neon") return SimdIsa::kNeon;
-  if (name == "avx2") return SimdIsa::kAvx2;
-  if (name == "avx512") return SimdIsa::kAvx512;
-  return std::nullopt;
-}
-
-SimdIsa simd_isa_from_env_value(const char* value) noexcept {
-  const CpuFeatures& f = detect_cpu_features();
-  if (value == nullptr || *value == '\0') return best_supported(f);
-  if (const auto parsed = parse_simd_isa(value)) return clamp(*parsed, f);
-  ARACHNET_LOG_WARN("kernels",
-                    "unrecognized ARACHNET_SIMD_ISA value; auto-detecting",
-                    {"value", value},
-                    {"fallback", to_string(best_supported(f))},
-                    {"accepted", "generic|neon|avx2|avx512"});
-  return best_supported(f);
-}
-
 SimdIsa active_simd_isa() noexcept {
   int v = g_active.load(std::memory_order_acquire);
   if (v == 0) {
-    const SimdIsa isa = resolve();
+    const SimdIsa isa = clamp(SimdIsa::kAvx2, detect_cpu_features());
     v = static_cast<int>(isa) + 1;
     int expected = 0;
     if (!g_active.compare_exchange_strong(expected, v,
@@ -115,8 +65,6 @@ const char* to_string(SimdIsa isa) noexcept {
       return "neon";
     case SimdIsa::kAvx2:
       return "avx2";
-    case SimdIsa::kAvx512:
-      return "avx512";
   }
   return "generic";
 }
@@ -133,8 +81,6 @@ std::string cpu_feature_string() {
   add(f.avx, "avx");
   add(f.avx2, "avx2");
   add(f.fma, "fma");
-  add(f.avx512f, "avx512f");
-  add(f.avx512vl, "avx512vl");
   add(f.neon, "neon");
   if (out.empty()) out = "baseline";
   return out;

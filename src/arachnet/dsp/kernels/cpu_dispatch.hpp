@@ -1,8 +1,6 @@
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace arachnet::dsp {
 
@@ -15,8 +13,6 @@ struct CpuFeatures {
   bool avx = false;
   bool avx2 = false;
   bool fma = false;
-  bool avx512f = false;
-  bool avx512vl = false;
   bool neon = false;
 };
 
@@ -27,50 +23,28 @@ const CpuFeatures& detect_cpu_features() noexcept;
 ///
 ///   kGeneric — portable GCC vector-extension code compiled for the
 ///     build's baseline ISA (SSE2 on x86-64). Always available; this is
-///     the fallback when the CPU lacks AVX2 or the build was configured
-///     with -DARACHNET_DISABLE_SIMD.
+///     the only tier on x86 hardware without AVX2+FMA.
 ///   kNeon — same portable code on aarch64, where the compiler lowers
 ///     the vector lanes straight to NEON (reported distinctly so bench
 ///     sidecars attribute numbers to the right silicon).
 ///   kAvx2 — x86-64 function-multiversioned table built with
 ///     target("avx2,fma"): 8-wide float32 FMA inner loops.
-///   kAvx512 — x86-64 table built with target("avx512f,avx512vl,fma"):
-///     same 8-wide float32 lane bodies, recompiled so the compiler can
-///     use the EVEX encoding, 32 vector registers and avx512vl 256-bit
-///     ops. Requires avx512f+avx512vl+fma at runtime; clamps to kAvx2
-///     otherwise.
 enum class SimdIsa {
   kGeneric,
   kNeon,
   kAvx2,
-  kAvx512,
 };
 
-/// The tier the process resolved at first use: the best ISA the CPU
-/// supports, unless the ARACHNET_SIMD_ISA environment variable ("generic",
-/// "avx2" or "avx512") caps it lower. Requests the CPU cannot honor degrade
-/// to the best supported tier rather than fault — kSimd never crashes on a
-/// missing ISA.
+/// The tier the process resolved at first use: kAvx2 when CPUID reports
+/// avx2+fma, otherwise the portable tier (kNeon on aarch64).
 SimdIsa active_simd_isa() noexcept;
 
 /// Test hook: re-resolve the active tier, clamped to what the CPU
-/// actually supports (forcing kAvx512 on a non-AVX-512 machine yields the
-/// AVX2 or portable tier). Takes effect for subsequent kernel-table
-/// lookups.
+/// actually supports (forcing kAvx2 on a machine without AVX2+FMA yields
+/// the portable tier). Takes effect for subsequent kernel-table lookups.
 void force_simd_isa(SimdIsa isa) noexcept;
 
-/// Parses a tier name ("generic"/"neon"/"avx2"/"avx512"); nullopt if
-/// unrecognized.
-std::optional<SimdIsa> parse_simd_isa(std::string_view name) noexcept;
-
-/// The mapping active_simd_isa() applies to one ARACHNET_SIMD_ISA value:
-/// parse and clamp to hardware, or WARN (component "kernels", naming the
-/// bad value, the fallback and the accepted set) and auto-detect. Exposed
-/// so the warning path is testable without re-latching the process-wide
-/// resolution.
-SimdIsa simd_isa_from_env_value(const char* value) noexcept;
-
-/// "generic", "neon", "avx2" or "avx512".
+/// "generic", "neon" or "avx2".
 const char* to_string(SimdIsa isa) noexcept;
 
 /// Feature-flag summary for telemetry rows, e.g. "sse2+avx+avx2+fma".

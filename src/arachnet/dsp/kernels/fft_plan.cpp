@@ -107,7 +107,7 @@ void FftPlan::transform(cplx* data, bool inverse) const noexcept {
 void FftPlan::transform_f(std::complex<float>* data,
                           bool inverse) const noexcept {
   // The float32 butterflies live in the ISA-dispatched kernel table so
-  // they compile once per tier (AVX2/AVX-512 encodings included); this
+  // they compile once per tier (AVX2 encodings included); this
   // wrapper supplies the plan's tables.
   simd::kernels().fft_radix2_cf32(
       reinterpret_cast<float*>(data), n_, bitrev_.data(),

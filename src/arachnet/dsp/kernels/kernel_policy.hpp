@@ -1,45 +1,31 @@
 #pragma once
 
-#include <optional>
-#include <string_view>
-
 namespace arachnet::dsp {
 
 /// Selects the implementation of the reader's hot DSP loops.
 ///
 /// Every rewired call site (Ddc, derotate, the FDMA channel mixers,
-/// UplinkWaveformSynth) keeps its original per-sample scalar code behind
-/// this switch, so the faster tiers are testable against it. The contract
-/// per tier:
-///   kBlock — decoded packets and recovered bits identical to kScalar,
-///     raw IQ equal to numeric tolerance (the kernels change
-///     transcendental evaluation and summation order, nothing else).
-///   kSimd — decoded packets, payloads and CRCs identical to kScalar;
-///     packet timestamps within a few decimated samples (the float32
-///     lane path can move a slicer crossing by ±1 sample, far inside the
-///     FM0 run-classification margin). IQ agrees to float32 tolerance.
+/// UplinkWaveformSynth, the polyphase channelizer) keeps its original
+/// per-sample scalar code behind this switch, so the production tier is
+/// testable against it. The contract: under kSimd, decoded packets,
+/// payloads and CRCs are identical to kScalar; packet timestamps agree
+/// within a few decimated samples (the float32 lane path can move a
+/// slicer crossing by ±1 sample, far inside the FM0 run-classification
+/// margin); IQ agrees to float32 tolerance.
 enum class KernelPolicy {
   kScalar,  ///< reference per-sample loops (std::cos/std::sin per sample)
-  kBlock,   ///< phasor-recurrence NCOs + folded/contiguous FIR block kernels
-  kSimd,    ///< float32 vector lanes + runtime ISA dispatch (see simd/)
+  kSimd,    ///< float32 vector lanes + CPUID-dispatched ISA table (simd/)
 };
 
-/// Process-wide default, used by every Params struct that carries a policy.
-/// Resolved once from the ARACHNET_KERNEL_POLICY environment variable
-/// ("scalar", "block" or "simd"); unset means kBlock, unrecognized values
-/// fall back to kBlock after a one-shot structured WARN naming the value.
-KernelPolicy default_kernel_policy() noexcept;
+/// The production tier, used by every Params struct that carries a
+/// policy. Only tests select kScalar, as the parity reference.
+constexpr KernelPolicy default_kernel_policy() noexcept {
+  return KernelPolicy::kSimd;
+}
 
-/// Parses a policy name ("scalar"/"block"/"simd"); nullopt if unrecognized.
-std::optional<KernelPolicy> parse_kernel_policy(std::string_view name) noexcept;
-
-/// The mapping default_kernel_policy() applies to one env-var value:
-/// parse, or WARN (component "kernels", naming the bad value and the
-/// fallback) and return kBlock. Exposed so the warning path is testable
-/// without re-latching the process-wide default.
-KernelPolicy kernel_policy_from_env_value(const char* value) noexcept;
-
-/// "scalar", "block" or "simd" (for logs and bench sidecars).
-const char* to_string(KernelPolicy policy) noexcept;
+/// "scalar" or "simd" (for logs and bench sidecars).
+constexpr const char* to_string(KernelPolicy policy) noexcept {
+  return policy == KernelPolicy::kScalar ? "scalar" : "simd";
+}
 
 }  // namespace arachnet::dsp

@@ -17,8 +17,8 @@ namespace arachnet::dsp {
 /// the tolerance of every consumer (the decoders threshold on envelopes
 /// hundreds of times larger).
 ///
-/// This is the block-kernel replacement for the per-sample trig in Ddc,
-/// derotate, the FDMA channel mixers, and UplinkWaveformSynth.
+/// UplinkWaveformSynth renders its carrier and ambient oscillators with
+/// it, and the float64 channelizer path rotates its lanes with it.
 class PhasorNco {
  public:
   using cplx = std::complex<double>;
@@ -50,59 +50,6 @@ class PhasorNco {
     const cplx out = phasor_;
     advance();
     return out;
-  }
-
-  /// out[i] = in[i] * e^{j*phase_i} — complex mixer (FDMA channel shift,
-  /// derotation).
-  void mix(const cplx* in, cplx* out, std::size_t n) noexcept {
-    const std::size_t m = lane_count(n);
-    Lanes ln;
-    if (m != 0) seed_lanes(ln);
-    for (std::size_t k = 0; k < m; k += 4) {
-      for (std::size_t l = 0; l < 4; ++l) {
-        const double xr = in[k + l].real(), xi = in[k + l].imag();
-        out[k + l] = cplx{xr * ln.pr[l] - xi * ln.pi[l],
-                          xr * ln.pi[l] + xi * ln.pr[l]};
-      }
-      ln.advance();
-    }
-    double pr = m != 0 ? ln.pr[0] : phasor_.real();
-    double pi = m != 0 ? ln.pi[0] : phasor_.imag();
-    const double rr = rot_.real(), ri = rot_.imag();
-    for (std::size_t i = m; i < n; ++i) {
-      const double xr = in[i].real(), xi = in[i].imag();
-      out[i] = cplx{xr * pr - xi * pi, xr * pi + xi * pr};
-      const double npr = pr * rr - pi * ri;
-      pi = pr * ri + pi * rr;
-      pr = npr;
-    }
-    store(pr, pi, n);
-  }
-
-  /// out[i] = in[i] * e^{j*phase_i} for a real input stream — the DDC
-  /// front-end mixer (use a negative step for a down-mix).
-  void mix_real(const double* in, cplx* out, std::size_t n) noexcept {
-    const std::size_t m = lane_count(n);
-    Lanes ln;
-    if (m != 0) seed_lanes(ln);
-    for (std::size_t k = 0; k < m; k += 4) {
-      for (std::size_t l = 0; l < 4; ++l) {
-        const double x = in[k + l];
-        out[k + l] = cplx{x * ln.pr[l], x * ln.pi[l]};
-      }
-      ln.advance();
-    }
-    double pr = m != 0 ? ln.pr[0] : phasor_.real();
-    double pi = m != 0 ? ln.pi[0] : phasor_.imag();
-    const double rr = rot_.real(), ri = rot_.imag();
-    for (std::size_t i = m; i < n; ++i) {
-      const double x = in[i];
-      out[i] = cplx{x * pr, x * pi};
-      const double npr = pr * rr - pi * ri;
-      pi = pr * ri + pi * rr;
-      pr = npr;
-    }
-    store(pr, pi, n);
   }
 
   /// out[i] = e^{j*phase_i} — a raw oscillator block (waveform synthesis:

@@ -24,7 +24,7 @@ constexpr KernelTable kTable{"generic",       &mix_real_cf32,
 // attributes so the whole binary still runs on baseline hardware — only
 // the dispatch decision (cpu_dispatch probe) routes execution here, and
 // only when CPUID reports avx2+fma.
-#if (defined(__x86_64__) || defined(__i386__)) && !defined(ARACHNET_DISABLE_SIMD)
+#if defined(__x86_64__) || defined(__i386__)
 #define ARACHNET_HAVE_AVX2_TIER 1
 namespace avx2_impl {
 #define ARACHNET_SIMD_FN static __attribute__((target("avx2,fma")))
@@ -35,45 +35,14 @@ constexpr KernelTable kTable{"avx2",          &mix_real_cf32,
                              &fir_decim_cf32, &fft_radix2_cf32,
                              &chzr_fold_cf32, &chzr_fold_f64};
 }  // namespace avx2_impl
-
-// AVX-512 tier: once more from the same source. The vectors stay 256-bit
-// (f32x8/f64x4), but avx512vl lets the compiler emit the EVEX encoding
-// over them — 32 architectural vector registers and embedded-broadcast
-// forms — without the 512-bit license-frequency penalty of full-width
-// zmm loops. Selected only when CPUID reports avx512f+avx512vl+fma.
-#define ARACHNET_HAVE_AVX512_TIER 1
-namespace avx512_impl {
-#define ARACHNET_SIMD_FN \
-  static __attribute__((target("avx512f,avx512vl,fma")))
-#include "arachnet/dsp/kernels/simd/simd_kernels_impl.inc"
-#undef ARACHNET_SIMD_FN
-constexpr KernelTable kTable{"avx512",        &mix_real_cf32,
-                             &mix_cplx_cf32,  &fir_block_cf32,
-                             &fir_decim_cf32, &fft_radix2_cf32,
-                             &chzr_fold_cf32, &chzr_fold_f64};
-}  // namespace avx512_impl
 #endif
 
 }  // namespace
 
 const KernelTable& kernels() noexcept {
-  switch (active_simd_isa()) {
-    case SimdIsa::kAvx512:
-#if defined(ARACHNET_HAVE_AVX512_TIER)
-      return avx512_impl::kTable;
-#else
-      break;
-#endif
-    case SimdIsa::kAvx2:
 #if defined(ARACHNET_HAVE_AVX2_TIER)
-      return avx2_impl::kTable;
-#else
-      break;
+  if (active_simd_isa() == SimdIsa::kAvx2) return avx2_impl::kTable;
 #endif
-    case SimdIsa::kNeon:
-    case SimdIsa::kGeneric:
-      break;
-  }
   return generic_impl::kTable;
 }
 

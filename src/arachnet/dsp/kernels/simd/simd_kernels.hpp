@@ -26,7 +26,7 @@ namespace arachnet::dsp::simd {
 ///     window with re in even lanes and im in odd lanes. Lane partials
 ///     are accumulated in float32 and horizontally summed in double.
 struct KernelTable {
-  /// "generic", "neon", "avx2" or "avx512" (matches cpu_dispatch).
+  /// "generic" or "avx2" (matches cpu_dispatch).
   const char* isa;
 
   /// out[k] = in[k] * lane phasor, real input. Lanes advance by

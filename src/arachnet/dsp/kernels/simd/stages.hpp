@@ -21,8 +21,8 @@ namespace arachnet::dsp::simd {
 /// Float32 recurrence error therefore never accumulates past one chunk:
 /// 512 lane rotations at ~1e-7 relative rounding bounds in-chunk phase
 /// drift near 1e-4 rad, and a 10^8-sample run is as accurate as the
-/// first chunk — the long-run renormalization the scalar tiers get from
-/// PhasorNco::renorm() falls out of the reseed for free.
+/// first chunk — the long-run renormalization PhasorNco needs
+/// (PhasorNco::renorm()) falls out of the reseed for free.
 class SimdNco {
  public:
   SimdNco() = default;
@@ -118,10 +118,10 @@ inline std::vector<float> duplicate_reversed(
 }
 
 /// Streaming float32 block FIR over interleaved complex buffers — the
-/// kSimd counterpart of FirBlockFilter<std::complex<double>>, same
-/// taps-1 history-carry contract. In-place operation (out == in) is
-/// allowed: the input is copied into the work buffer before any output
-/// is written.
+/// kSimd counterpart of the scalar FirFilter<std::complex<double>>:
+/// history carries across calls, so any block split yields the same
+/// outputs. In-place operation (out == in) is allowed: the input is
+/// copied into the work buffer before any output is written.
 class FirSimdFilter {
  public:
   explicit FirSimdFilter(const std::vector<double>& coeffs)
@@ -154,8 +154,8 @@ class FirSimdFilter {
 
 /// float32 decimating FIR writing complex<double> outputs (the decimated
 /// stream feeds double-precision decision chains downstream). Output
-/// alignment matches FirBlockDecimator exactly: with phase() samples
-/// consumed since the last output, the next fires after
+/// alignment matches the scalar Ddc decimation grid exactly: with
+/// phase() samples consumed since the last output, the next fires after
 /// decimation - phase() further samples.
 class FirSimdDecimator {
  public:

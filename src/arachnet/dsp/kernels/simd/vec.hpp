@@ -20,23 +20,28 @@ using f64x4 = double __attribute__((vector_size(32)));
 using i32x8 = int __attribute__((vector_size(32)));
 using i64x4 = long long __attribute__((vector_size(32)));
 
+// The helpers below are always_inline, even at -O0: they are compiled
+// once, at the build baseline, but called from both kernel tiers, and an
+// out-of-line copy would pass 256-bit vectors under the baseline ABI
+// while an AVX2 caller expects them in ymm registers.
+
 /// Unaligned load/store. Dereferencing a vector pointer assumes natural
 /// alignment, which the interleaved complex buffers don't guarantee;
 /// memcpy compiles to the unaligned vector move.
 template <class V, class T>
-inline V loadu(const T* p) noexcept {
+[[gnu::always_inline]] inline V loadu(const T* p) noexcept {
   V v;
   std::memcpy(&v, p, sizeof(V));
   return v;
 }
 
 template <class V, class T>
-inline void storeu(T* p, V v) noexcept {
+[[gnu::always_inline]] inline void storeu(T* p, V v) noexcept {
   std::memcpy(p, &v, sizeof(V));
 }
 
 template <class V>
-inline V broadcast8(float x) noexcept {
+[[gnu::always_inline]] inline V broadcast8(float x) noexcept {
   return V{x, x, x, x, x, x, x, x};
 }
 

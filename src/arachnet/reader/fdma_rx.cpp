@@ -50,11 +50,12 @@ FdmaRxChain::Channel::Channel(double hz, double iq_rate, double chip_rate,
     : Channel(hz, chip_rate, sp, debounce) {
   kernels = kernel_policy;
   nco_step = -2.0 * std::numbers::pi * hz / iq_rate;
-  nco.set(0.0, nco_step);
-  nco_s.set(0.0, nco_step);
-  lpf.emplace(coeffs);
-  slpf.emplace(coeffs);
-  blpf.emplace(std::move(coeffs));
+  if (kernels == dsp::KernelPolicy::kSimd) {
+    nco_s.set(0.0, nco_step);
+    slpf.emplace(coeffs);
+  } else {
+    lpf.emplace(std::move(coeffs));
+  }
 }
 
 FdmaRxChain::Channel::Channel(double hz, double chip_rate,
@@ -136,23 +137,16 @@ void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
     return;
   }
   mixed.resize(n);
-  if (kernels == dsp::KernelPolicy::kBlock) {
-    nco.mix(iq, mixed.data(), n);
-    // Stage 2 (batch): folded symmetric block low-pass, contiguous.
-    blpf->process(mixed.data(), mixed.data(), n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::complex<double> osc{std::cos(nco_phase),
-                                     std::sin(nco_phase)};
-      nco_phase += nco_step;
-      if (nco_phase < -2.0 * std::numbers::pi) {
-        nco_phase += 2.0 * std::numbers::pi;
-      }
-      mixed[i] = iq[i] * osc;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::complex<double> osc{std::cos(nco_phase), std::sin(nco_phase)};
+    nco_phase += nco_step;
+    if (nco_phase < -2.0 * std::numbers::pi) {
+      nco_phase += 2.0 * std::numbers::pi;
     }
-    // Stage 2 (batch): channel low-pass over the contiguous block.
-    lpf->process(mixed.data(), mixed.data(), n);
+    mixed[i] = iq[i] * osc;
   }
+  // Stage 2 (batch): channel low-pass over the contiguous block.
+  lpf->process(mixed.data(), mixed.data(), n);
   // Stage 3: the per-sample decision chain.
   for (std::size_t i = 0; i < n; ++i) {
     cursor = base_index + i;

@@ -11,9 +11,7 @@
 #include "arachnet/dsp/ddc.hpp"
 #include "arachnet/dsp/fir.hpp"
 #include "arachnet/dsp/kernels/channelizer.hpp"
-#include "arachnet/dsp/kernels/fir_kernels.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
-#include "arachnet/dsp/kernels/nco.hpp"
 #include "arachnet/dsp/kernels/simd/stages.hpp"
 #include "arachnet/dsp/pipeline.hpp"
 #include "arachnet/dsp/schmitt.hpp"
@@ -107,11 +105,9 @@ class FdmaRxChain {
     /// share one registry without their `fdma.*` instruments colliding.
     /// Empty (the default) keeps the historical unscoped names.
     std::string metrics_scope;
-    /// DSP implementation for the main DDC and the per-channel mixer/LPF.
-    /// Decoded packets are identical across policies (see KernelPolicy);
-    /// the block path is the production default. The channelizer front-end
-    /// has a single implementation, so under it the two kernel policies
-    /// differ only in the main DDC.
+    /// DSP implementation for the main DDC, the per-channel mixer/LPF and
+    /// the channelizer front-end. Decoded packets are identical across
+    /// policies (see KernelPolicy); kSimd is the production default.
     dsp::KernelPolicy kernels = dsp::default_kernel_policy();
     /// Bank front-end selection; resolved once at construction (see
     /// BankPolicy and active_bank()).
@@ -267,10 +263,8 @@ class FdmaRxChain {
     dsp::KernelPolicy kernels = dsp::default_kernel_policy();
     double nco_phase = 0.0;  ///< scalar-path mixer state
     double nco_step = 0.0;
-    dsp::PhasorNco nco;      ///< block-path mixer state
     std::optional<dsp::FirFilter<std::complex<double>>> lpf;  ///< scalar LPF
-    std::optional<dsp::FirBlockFilter<std::complex<double>>> blpf;
-    std::vector<std::complex<double>> mixed;  ///< per-block scratch
+    std::vector<std::complex<double>> mixed;  ///< scalar per-block scratch
     // Simd-path mixer state: float32 lanes end-to-end through the LPF,
     // widened back to double at the decision chain.
     dsp::simd::SimdNco nco_s;

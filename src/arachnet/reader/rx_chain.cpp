@@ -160,18 +160,10 @@ void RxChain::on_iq(std::complex<double> iq) {
 }
 
 void RxChain::process(const double* samples, std::size_t n) {
-  if (params_.ddc.kernels == dsp::KernelPolicy::kScalar) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ++sample_count_;
-      if (const auto iq = ddc_.push(samples[i])) on_iq(*iq);
-    }
-    return;
-  }
-  // Block path: one pass of the DDC's mix+decimate kernels over the whole
-  // block, then the per-IQ decision chain. Packet timestamps must match
-  // the scalar path bit-for-bit: in scalar operation an IQ sample emitted
-  // at raw sample k sees sample_count_ == k, so reconstruct that count
-  // from the decimation phase the DDC had when the block began.
+  // One pass of the DDC over the whole block, then the per-IQ decision
+  // chain. Packet timestamps are the per-sample ones: an IQ sample
+  // emitted at raw sample k sees sample_count_ == k, so reconstruct that
+  // count from the decimation phase the DDC had when the block began.
   const std::size_t phase = ddc_.decimation_phase();
   const std::size_t base = sample_count_;
   const std::size_t decim = params_.ddc.decimation;

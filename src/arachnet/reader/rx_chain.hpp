@@ -148,7 +148,7 @@ class RxChain {
   double freq_offset_hz_ = 0.0;
   bool freq_calibrated_ = false;
   std::vector<std::complex<double>> cal_buffer_;
-  /// Block-policy scratch for the DDC output, reused across process()
+  /// Scratch for the DDC output, reused across process()
   /// calls (no steady-state allocation).
   std::vector<std::complex<double>> iq_buf_;
 };

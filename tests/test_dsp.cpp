@@ -258,13 +258,11 @@ TEST(Ddc, DerotateCancelsOffset) {
     iq[i] = {std::cos(ph), std::sin(ph)};
   }
   const auto fixed = derotate(iq, rate, 200.0);
-  // The simd tier rotates in float32 lanes, so its residual floor is a
-  // few float ulps rather than the double paths' 1e-6.
-  const double tol =
-      default_kernel_policy() == KernelPolicy::kSimd ? 1e-5 : 1e-6;
+  // The default kSimd tier rotates in float32 lanes, so its residual
+  // floor is a few float ulps.
   for (std::size_t i = 0; i < fixed.size(); ++i) {
-    EXPECT_NEAR(fixed[i].real(), 1.0, tol);
-    EXPECT_NEAR(fixed[i].imag(), 0.0, tol);
+    EXPECT_NEAR(fixed[i].real(), 1.0, 1e-5);
+    EXPECT_NEAR(fixed[i].imag(), 0.0, 1e-5);
   }
 }
 

@@ -1,10 +1,9 @@
-// Tests for the block DSP kernel layer (dsp/kernels/): phasor-recurrence
-// NCO accuracy and renormalization, folded-symmetric FIR kernels and the
-// block filter/decimator against the streaming scalar reference, cached
-// FFT plans against a naive DFT, and — the load-bearing guarantee — that
-// the scalar and block kernel policies produce *identical decoded packets*
-// through Ddc, RxChain and the FDMA bank (raw IQ agrees to rounding
-// tolerance; packets, bits and timestamps agree exactly).
+// Tests for the kernel layer's building blocks (dsp/kernels/): the
+// phasor-recurrence NCO's accuracy and renormalization, cached FFT plans
+// against a naive DFT, the scalar DDC's phase-wrap symmetry, and the
+// polyphase channelizer (planner, known-answer lanes, commutator
+// continuity, on/off-grid channel adds) under both kernel policies. The
+// scalar-vs-simd parity contract lives in test_simd.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,20 +14,17 @@
 #include <numbers>
 #include <vector>
 
-#include "arachnet/dsp/kernels/channelizer.hpp"
-
 #include "arachnet/acoustic/waveform_channel.hpp"
 #include "arachnet/dsp/ddc.hpp"
 #include "arachnet/dsp/fir.hpp"
+#include "arachnet/dsp/kernels/channelizer.hpp"
 #include "arachnet/dsp/kernels/fft_plan.hpp"
-#include "arachnet/dsp/kernels/fir_kernels.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
 #include "arachnet/dsp/kernels/nco.hpp"
 #include "arachnet/phy/fm0.hpp"
 #include "arachnet/phy/packet.hpp"
 #include "arachnet/phy/subcarrier.hpp"
 #include "arachnet/reader/fdma_rx.hpp"
-#include "arachnet/reader/rx_chain.hpp"
 #include "arachnet/sim/rng.hpp"
 
 namespace {
@@ -67,21 +63,6 @@ TEST(PhasorNco, AmplitudeStaysUnitForMillionsOfSamples) {
   EXPECT_NEAR(std::abs(nco.phasor()), 1.0, 1e-12);
 }
 
-TEST(PhasorNco, MixMatchesPerSampleTrig) {
-  sim::Rng rng{11};
-  const double step = -0.71;
-  std::vector<cplx> in(2000), out(2000);
-  for (auto& v : in) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-  dsp::PhasorNco nco{0.5, step};
-  nco.mix(in.data(), out.data(), in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const double ph = 0.5 + static_cast<double>(i) * step;
-    const cplx want = in[i] * cplx{std::cos(ph), std::sin(ph)};
-    EXPECT_NEAR(out[i].real(), want.real(), 1e-10);
-    EXPECT_NEAR(out[i].imag(), want.imag(), 1e-10);
-  }
-}
-
 TEST(PhasorNco, SetStepRetunesPhaseContinuously) {
   dsp::PhasorNco nco{0.0, 0.2};
   std::vector<cplx> buf(100);
@@ -91,101 +72,6 @@ TEST(PhasorNco, SetStepRetunesPhaseContinuously) {
   EXPECT_EQ(nco.phasor(), before);
   const cplx next = nco.next();
   EXPECT_EQ(next, before);
-}
-
-// ----------------------------------------------------------- FIR kernels
-
-TEST(FirKernels, DetectsSymmetricDesigns) {
-  auto h = dsp::design_lowpass(6e3, 500e3, 129);
-  EXPECT_TRUE(dsp::is_symmetric(h));
-  h[3] += 1e-6;
-  EXPECT_FALSE(dsp::is_symmetric(h));
-}
-
-TEST(FirKernels, FoldedDotMatchesPlainDot) {
-  sim::Rng rng{5};
-  for (std::size_t taps : {1u, 2u, 7u, 128u, 129u}) {
-    std::vector<double> h(taps);
-    for (std::size_t k = 0; k < taps / 2; ++k) {
-      h[k] = h[taps - 1 - k] = rng.normal(0.0, 1.0);
-    }
-    if (taps & 1) h[taps / 2] = rng.normal(0.0, 1.0);
-    std::vector<double> xr(taps);
-    std::vector<cplx> xc(taps);
-    for (std::size_t k = 0; k < taps; ++k) {
-      xr[k] = rng.normal(0.0, 1.0);
-      xc[k] = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-    }
-    EXPECT_NEAR(dsp::fir_dot_symmetric(xr.data(), h.data(), taps),
-                dsp::fir_dot(xr.data(), h.data(), taps), 1e-12 * taps);
-    const cplx a = dsp::fir_dot_symmetric(xc.data(), h.data(), taps);
-    const cplx b = dsp::fir_dot(xc.data(), h.data(), taps);
-    EXPECT_NEAR(a.real(), b.real(), 1e-12 * taps);
-    EXPECT_NEAR(a.imag(), b.imag(), 1e-12 * taps);
-  }
-}
-
-TEST(FirKernels, BlockFilterMatchesStreamingFilter) {
-  const auto coeffs = dsp::design_lowpass(4e3, 31.25e3, 127);
-  dsp::FirFilter<cplx> scalar{coeffs};
-  dsp::FirBlockFilter<cplx> block{coeffs};
-  sim::Rng rng{6};
-  std::vector<cplx> in, want, got;
-  // Chunk sizes smaller and larger than the tap count.
-  for (std::size_t n : {1u, 3u, 126u, 127u, 128u, 1000u}) {
-    in.resize(n);
-    want.resize(n);
-    got.resize(n);
-    for (auto& v : in) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-    for (std::size_t i = 0; i < n; ++i) want[i] = scalar.push(in[i]);
-    block.process(in.data(), got.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(got[i].real(), want[i].real(), 1e-12);
-      EXPECT_NEAR(got[i].imag(), want[i].imag(), 1e-12);
-    }
-  }
-}
-
-TEST(FirKernels, BlockFilterInPlaceMatchesOutOfPlace) {
-  const auto coeffs = dsp::design_lowpass(4e3, 31.25e3, 63);
-  dsp::FirBlockFilter<double> a{coeffs};
-  dsp::FirBlockFilter<double> b{coeffs};
-  sim::Rng rng{7};
-  std::vector<double> x(500), out(500);
-  for (auto& v : x) v = rng.normal(0.0, 1.0);
-  a.process(x.data(), out.data(), x.size());
-  b.process(x.data(), x.data(), x.size());  // in-place
-  EXPECT_EQ(x, out);
-}
-
-TEST(FirKernels, BlockDecimatorMatchesScalarDecimationGrid) {
-  const auto coeffs = dsp::design_lowpass(6e3, 500e3, 129);
-  const std::size_t decim = 16;
-  dsp::FirFilter<double> scalar{coeffs};
-  dsp::FirBlockDecimator<double> block{coeffs, decim};
-  sim::Rng rng{8};
-  std::size_t count = 0;
-  std::vector<double> in, out;
-  // Chunks smaller than, equal to, and coprime with the decimation.
-  for (std::size_t n : {1u, 5u, 15u, 16u, 17u, 777u, 4096u}) {
-    in.resize(n);
-    out.resize(n / decim + 1);
-    for (auto& v : in) v = rng.normal(0.0, 1.0);
-    std::vector<double> want;
-    for (double s : in) {
-      scalar.feed(s);
-      if (++count >= decim) {
-        count = 0;
-        want.push_back(scalar.value());
-      }
-    }
-    const std::size_t got = block.process(in.data(), n, out.data());
-    ASSERT_EQ(got, want.size()) << "chunk " << n;
-    EXPECT_EQ(block.phase(), count);
-    for (std::size_t i = 0; i < got; ++i) {
-      EXPECT_NEAR(out[i], want[i], 1e-12);
-    }
-  }
 }
 
 // -------------------------------------------------------------- FftPlan
@@ -260,74 +146,16 @@ TEST(FftPlan, RejectsNonPowerOfTwo) {
   EXPECT_THROW(dsp::FftPlan{12}, std::invalid_argument);
 }
 
-// ------------------------------------------------------------ Ddc parity
+// ------------------------------------------------------------ Ddc
 
-dsp::Ddc::Params ddc_params(dsp::KernelPolicy policy) {
-  dsp::Ddc::Params p;
-  p.kernels = policy;
-  return p;
-}
-
-TEST(KernelParity, DdcBlockMatchesScalarIq) {
-  dsp::Ddc scalar{ddc_params(dsp::KernelPolicy::kScalar)};
-  dsp::Ddc block{ddc_params(dsp::KernelPolicy::kBlock)};
-  sim::Rng rng{13};
-  std::vector<double> in;
-  std::vector<cplx> iq_s, iq_b;
-  // Chunks below, at, and coprime with the decimation of 16.
-  for (std::size_t n : {3u, 16u, 17u, 999u, 20000u}) {
-    in.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double t = static_cast<double>(in.size()) /* arbitrary */;
-      in[i] = std::cos(1.13 * static_cast<double>(i) + t) +
-              rng.normal(0.0, 0.01);
-    }
-    iq_s.clear();
-    iq_b.clear();
-    const std::size_t got_s = scalar.process(std::span<const double>{in}, iq_s);
-    const std::size_t got_b = block.process(std::span<const double>{in}, iq_b);
-    ASSERT_EQ(got_s, got_b) << "chunk " << n;
-    ASSERT_EQ(scalar.decimation_phase(), block.decimation_phase());
-    for (std::size_t i = 0; i < got_s; ++i) {
-      EXPECT_NEAR(iq_s[i].real(), iq_b[i].real(), 1e-9);
-      EXPECT_NEAR(iq_s[i].imag(), iq_b[i].imag(), 1e-9);
-    }
-  }
-}
-
-TEST(KernelParity, DdcPushAndProcessShareState) {
-  // push() routes through the same kernels under the block policy, so
-  // mixing single-sample and block calls tracks block-only processing to
-  // rounding tolerance (the laned NCO rounds differently per block split,
-  // so exact bit equality is not guaranteed — ulp-level agreement is).
-  dsp::Ddc mixed_calls{ddc_params(dsp::KernelPolicy::kBlock)};
-  dsp::Ddc block_only{ddc_params(dsp::KernelPolicy::kBlock)};
-  sim::Rng rng{14};
-  std::vector<double> in(1000);
-  for (auto& v : in) v = rng.normal(0.0, 1.0);
-
-  std::vector<cplx> got;
-  for (std::size_t i = 0; i < 100; ++i) {
-    if (const auto iq = mixed_calls.push(in[i])) got.push_back(*iq);
-  }
-  mixed_calls.process(std::span<const double>{in}.subspan(100), got);
-
-  std::vector<cplx> want;
-  block_only.process(std::span<const double>{in}, want);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got[i].real(), want[i].real(), 1e-12) << "iq sample " << i;
-    EXPECT_NEAR(got[i].imag(), want[i].imag(), 1e-12) << "iq sample " << i;
-  }
-}
-
-TEST(KernelParity, NegativeCarrierIsConjugateOfPositive) {
+TEST(Ddc, NegativeCarrierIsConjugateOfPositive) {
   // Regression for the one-sided scalar phase wrap: a negative carrier
   // walks the mixer phase downward, and without the symmetric wrap the
   // phase grows without bound while the positive twin wraps — their
   // outputs drift apart. With the fix the two runs are exact mirrors:
   // same real input, conjugate IQ, bit for bit.
-  auto pos = ddc_params(dsp::KernelPolicy::kScalar);
+  dsp::Ddc::Params pos;
+  pos.kernels = dsp::KernelPolicy::kScalar;
   auto neg = pos;
   neg.carrier_hz = -pos.carrier_hz;
   dsp::Ddc ddc_pos{pos};
@@ -348,122 +176,9 @@ TEST(KernelParity, NegativeCarrierIsConjugateOfPositive) {
   }
 }
 
-TEST(KernelParity, DerotateBlockMatchesScalar) {
-  sim::Rng rng{16};
-  std::vector<cplx> iq(5000);
-  for (auto& v : iq) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-  const auto a = dsp::derotate(iq, 31250.0, 12.7, dsp::KernelPolicy::kScalar);
-  const auto b = dsp::derotate(iq, 31250.0, 12.7, dsp::KernelPolicy::kBlock);
-  for (std::size_t i = 0; i < iq.size(); ++i) {
-    EXPECT_NEAR(a[i].real(), b[i].real(), 1e-9);
-    EXPECT_NEAR(a[i].imag(), b[i].imag(), 1e-9);
-  }
-}
-
-// ---------------------------------------------------------- Synth parity
-
-acoustic::UplinkWaveformSynth::Params synth_params(dsp::KernelPolicy policy) {
-  acoustic::UplinkWaveformSynth::Params p;
-  p.ambient_amplitude = 0.02;
-  p.kernels = policy;
-  return p;
-}
-
-std::vector<acoustic::BackscatterSource> parity_sources() {
-  std::vector<acoustic::BackscatterSource> srcs;
-  // A chip-stream source at a rate that does not divide the sample rate,
-  // starting off the sample grid.
-  acoustic::BackscatterSource a;
-  a.chips = phy::Fm0Encoder::encode_frame(
-      phy::UlPacket{.tid = 3, .payload = 0x2A5}.serialize());
-  a.chip_rate = 374.6;
-  a.start_s = 0.0301237;
-  a.amplitude = 0.2;
-  a.phase_rad = 1.2;
-  srcs.push_back(a);
-  // A multi-level source with a different start and phase.
-  acoustic::BackscatterSource b;
-  b.levels = {0.4, 0.9, 0.35, 0.7, 0.5, 0.92, 0.38, 0.8};
-  b.chip_rate = 1500.0;
-  b.start_s = 0.011;
-  b.amplitude = 0.15;
-  b.phase_rad = -0.7;
-  srcs.push_back(b);
-  return srcs;
-}
-
-TEST(KernelParity, SynthesizerBlockMatchesScalar) {
-  acoustic::UplinkWaveformSynth scalar{
-      synth_params(dsp::KernelPolicy::kScalar)};
-  acoustic::UplinkWaveformSynth block{synth_params(dsp::KernelPolicy::kBlock)};
-  sim::Rng rng_s{42}, rng_b{42};
-  const auto srcs = parity_sources();
-  for (int round = 0; round < 3; ++round) {
-    const auto w_s = scalar.synthesize(srcs, 0.08, rng_s);
-    const auto w_b = block.synthesize(srcs, 0.08, rng_b);
-    ASSERT_EQ(w_s.size(), w_b.size());
-    for (std::size_t i = 0; i < w_s.size(); ++i) {
-      ASSERT_NEAR(w_s[i], w_b[i], 1e-9) << "round " << round << " i " << i;
-    }
-  }
-  EXPECT_DOUBLE_EQ(scalar.now(), block.now());
-  // Both paths must consume the RNG stream identically (one normal draw
-  // per sample, in sample order) — the next draw from each twin agrees.
-  EXPECT_DOUBLE_EQ(rng_s.normal(0.0, 1.0), rng_b.normal(0.0, 1.0));
-}
-
-// ------------------------------------------------- Packet-level parity
-
-reader::RxChain::Params rx_params(dsp::KernelPolicy policy) {
-  reader::RxChain::Params p;
-  p.ddc.kernels = policy;
-  return p;
-}
-
-TEST(KernelParity, RxChainDecodesIdenticalPacketsAcrossPolicies) {
-  // The hard guarantee behind the policy switch: not "similar" decodes but
-  // the same packets, same bit counts, same raw-sample timestamps.
-  acoustic::UplinkWaveformSynth synth{
-      acoustic::UplinkWaveformSynth::Params{}};
-  sim::Rng rng{77};
-  reader::RxChain scalar{rx_params(dsp::KernelPolicy::kScalar)};
-  reader::RxChain block{rx_params(dsp::KernelPolicy::kBlock)};
-  for (int i = 0; i < 4; ++i) {
-    acoustic::BackscatterSource src;
-    const phy::UlPacket pkt{.tid = static_cast<std::uint8_t>(i + 1),
-                            .payload =
-                                static_cast<std::uint16_t>(0x300 + i)};
-    src.chips = phy::Fm0Encoder::encode_frame(pkt.serialize());
-    src.chip_rate = 375.0;
-    src.start_s = 0.03;
-    src.amplitude = 0.2;
-    src.phase_rad = 1.2;
-    const auto wave = synth.synthesize({src}, 0.32, rng);
-    // Feed both chains in awkward chunk sizes (coprime with the
-    // decimation) so the block path crosses many phase alignments.
-    constexpr std::size_t kChunk = 7777;
-    for (std::size_t off = 0; off < wave.size(); off += kChunk) {
-      const std::size_t len = std::min(kChunk, wave.size() - off);
-      const std::vector<double> piece(wave.begin() + off,
-                                      wave.begin() + off + len);
-      scalar.process(piece);
-      block.process(piece);
-    }
-  }
-  EXPECT_EQ(scalar.samples_consumed(), block.samples_consumed());
-  EXPECT_EQ(scalar.bits_decoded(), block.bits_decoded());
-  ASSERT_GE(scalar.packets().size(), 3u);
-  ASSERT_EQ(scalar.packets().size(), block.packets().size());
-  for (std::size_t i = 0; i < scalar.packets().size(); ++i) {
-    EXPECT_EQ(scalar.packets()[i].packet, block.packets()[i].packet);
-    EXPECT_DOUBLE_EQ(scalar.packets()[i].time_s, block.packets()[i].time_s);
-  }
-}
-
 reader::FdmaRxChain::Params fdma_params(
     dsp::KernelPolicy policy, std::size_t workers,
-    reader::FdmaRxChain::BankPolicy bank =
-        reader::FdmaRxChain::BankPolicy::kPerChannel) {
+    reader::FdmaRxChain::BankPolicy bank) {
   reader::FdmaRxChain::Params fp;
   fp.ddc.decimation = 8;
   fp.workers = workers;
@@ -471,59 +186,6 @@ reader::FdmaRxChain::Params fdma_params(
   fp.bank = bank;  // pinned so each test exercises the bank it names
   for (int k = 0; k < 4; ++k) fp.channels.push_back({3000.0 + 1500.0 * k});
   return fp;
-}
-
-TEST(KernelParity, FdmaBankDecodesIdenticalPacketsAcrossPolicies) {
-  // Scalar sequential bank vs block parallel bank: policies and threading
-  // composed, still the same packets in the same deterministic order.
-  reader::FdmaRxChain scalar{fdma_params(dsp::KernelPolicy::kScalar, 1)};
-  reader::FdmaRxChain block{fdma_params(dsp::KernelPolicy::kBlock, 4)};
-  acoustic::UplinkWaveformSynth synth{
-      acoustic::UplinkWaveformSynth::Params{}};
-  sim::Rng rng{101};
-  std::vector<acoustic::BackscatterSource> srcs;
-  for (int k = 0; k < 4; ++k) {
-    const phy::UlPacket pkt{.tid = static_cast<std::uint8_t>(k + 1),
-                            .payload =
-                                static_cast<std::uint16_t>(0x500 + k)};
-    phy::SubcarrierModulator mod{{375.0, 3000.0 + 1500.0 * k}};
-    acoustic::BackscatterSource s;
-    s.chips = mod.modulate(phy::Fm0Encoder::encode_frame(pkt.serialize()));
-    s.chip_rate = mod.subchip_rate();
-    s.start_s = 0.03;
-    s.amplitude = 0.12 + 0.01 * k;
-    s.phase_rad = 0.5 + 0.4 * k;
-    srcs.push_back(s);
-  }
-  const auto wave = synth.synthesize(srcs, 0.3, rng);
-  constexpr std::size_t kChunk = 20000;
-  for (std::size_t off = 0; off < wave.size(); off += kChunk) {
-    const std::size_t len = std::min(kChunk, wave.size() - off);
-    const std::vector<double> piece(wave.begin() + off,
-                                    wave.begin() + off + len);
-    scalar.process(piece);
-    block.process(piece);
-  }
-  std::size_t total = 0;
-  for (std::size_t c = 0; c < scalar.channel_count(); ++c) {
-    ASSERT_EQ(scalar.packets(c), block.packets(c)) << "channel " << c;
-    total += scalar.packets(c).size();
-    const auto ss = scalar.channel_stats(c);
-    const auto bs = block.channel_stats(c);
-    EXPECT_EQ(ss.iq_samples, bs.iq_samples);
-    EXPECT_EQ(ss.bits, bs.bits);
-    EXPECT_EQ(ss.frames_ok, bs.frames_ok);
-    EXPECT_EQ(ss.crc_failures, bs.crc_failures);
-  }
-  EXPECT_GE(total, 3u);
-  const auto merged_s = scalar.drain_packets();
-  const auto merged_b = block.drain_packets();
-  ASSERT_EQ(merged_s.size(), merged_b.size());
-  for (std::size_t i = 0; i < merged_s.size(); ++i) {
-    EXPECT_EQ(merged_s[i].packet, merged_b[i].packet);
-    EXPECT_EQ(merged_s[i].channel, merged_b[i].channel);
-    EXPECT_DOUBLE_EQ(merged_s[i].time_s, merged_b[i].time_s);
-  }
 }
 
 // ----------------------------------------------------------- Channelizer
@@ -536,7 +198,7 @@ constexpr double kChzrChip = 375.0;
 
 std::vector<double> chzr_centers() { return {3000.0, 4500.0, 6000.0, 7500.0}; }
 
-dsp::PolyphaseChannelizer make_channelizer() {
+dsp::PolyphaseChannelizer make_channelizer(dsp::KernelPolicy policy) {
   const auto centers = chzr_centers();
   const auto plan =
       dsp::PolyphaseChannelizer::plan(kChzrFs, kChzrChip, centers);
@@ -547,8 +209,14 @@ dsp::PolyphaseChannelizer make_channelizer() {
       .decimation = plan.decimation,
       .prototype = dsp::design_lowpass(plan.cutoff_hz, kChzrFs, plan.taps),
       .center_hz = centers,
+      .kernels = policy,
   }};
 }
+
+// Both kernel policies: the scalar float64 fold and the kSimd float32
+// fast path must each honor the channelizer's own contracts.
+constexpr dsp::KernelPolicy kPolicies[] = {dsp::KernelPolicy::kScalar,
+                                           dsp::KernelPolicy::kSimd};
 
 TEST(Channelizer, PlannerSizesTheBank) {
   const auto plan = dsp::PolyphaseChannelizer::plan(kChzrFs, kChzrChip,
@@ -577,36 +245,39 @@ TEST(Channelizer, ToneLandsOnlyInItsLane) {
   // into the adjacent lanes by no more than the prototype's stopband
   // (Hamming windowed-sinc: < -50 dB; assert -40 dB for margin).
   const auto centers = chzr_centers();
-  for (std::size_t tone = 0; tone < centers.size(); ++tone) {
-    auto chzr = make_channelizer();
-    const double w = 2.0 * kPi * centers[tone] / kChzrFs;
-    const double amp = 0.7;
-    std::vector<cplx> in(16384);
-    for (std::size_t t = 0; t < in.size(); ++t) {
-      const double ph = w * static_cast<double>(t);
-      in[t] = amp * cplx{std::cos(ph), std::sin(ph)};
-    }
-    const std::size_t frames = chzr.process(in.data(), in.size());
-    ASSERT_EQ(frames, in.size() / chzr.decimation());
-    // Skip the prototype warmup (taps/decimation frames).
-    const std::size_t warm = chzr.taps() / chzr.decimation() + 4;
-    ASSERT_GT(frames, warm + 100);
-    for (std::size_t k = 0; k < centers.size(); ++k) {
-      double peak = 0.0;
-      for (std::size_t f = warm; f < frames; ++f) {
-        peak = std::max(peak, std::abs(chzr.lane(k)[f]));
+  for (const auto policy : kPolicies) {
+    SCOPED_TRACE(dsp::to_string(policy));
+    for (std::size_t tone = 0; tone < centers.size(); ++tone) {
+      auto chzr = make_channelizer(policy);
+      const double w = 2.0 * kPi * centers[tone] / kChzrFs;
+      const double amp = 0.7;
+      std::vector<cplx> in(16384);
+      for (std::size_t t = 0; t < in.size(); ++t) {
+        const double ph = w * static_cast<double>(t);
+        in[t] = amp * cplx{std::cos(ph), std::sin(ph)};
       }
-      if (k == tone) {
-        EXPECT_NEAR(peak, amp, 0.05 * amp) << "lane " << k;
-        // The residual-shift correction must park the tone at exact DC:
-        // successive lane samples agree in phase.
-        for (std::size_t f = warm; f + 1 < frames; ++f) {
-          const cplx ratio = chzr.lane(k)[f + 1] / chzr.lane(k)[f];
-          ASSERT_NEAR(std::arg(ratio), 0.0, 1e-6) << "frame " << f;
+      const std::size_t frames = chzr.process(in.data(), in.size());
+      ASSERT_EQ(frames, in.size() / chzr.decimation());
+      // Skip the prototype warmup (taps/decimation frames).
+      const std::size_t warm = chzr.taps() / chzr.decimation() + 4;
+      ASSERT_GT(frames, warm + 100);
+      for (std::size_t k = 0; k < centers.size(); ++k) {
+        double peak = 0.0;
+        for (std::size_t f = warm; f < frames; ++f) {
+          peak = std::max(peak, std::abs(chzr.lane(k)[f]));
         }
-      } else {
-        EXPECT_LT(peak, amp * 0.01)
-            << "tone " << tone << " leaked into lane " << k;
+        if (k == tone) {
+          EXPECT_NEAR(peak, amp, 0.05 * amp) << "lane " << k;
+          // The residual-shift correction must park the tone at exact DC:
+          // successive lane samples agree in phase.
+          for (std::size_t f = warm; f + 1 < frames; ++f) {
+            const cplx ratio = chzr.lane(k)[f + 1] / chzr.lane(k)[f];
+            ASSERT_NEAR(std::arg(ratio), 0.0, 1e-6) << "frame " << f;
+          }
+        } else {
+          EXPECT_LT(peak, amp * 0.01)
+              << "tone " << tone << " leaked into lane " << k;
+        }
       }
     }
   }
@@ -616,32 +287,35 @@ TEST(Channelizer, CommutatorCarriesAcrossSplitCalls) {
   // One big process() call vs the same stream in awkward little pieces:
   // history and frame phase carry across calls, so the lanes are
   // bit-identical (same windows, same arithmetic, same frame grid).
-  auto whole = make_channelizer();
-  auto split = make_channelizer();
-  sim::Rng rng{23};
-  std::vector<cplx> in(12000);
-  for (auto& v : in) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-  const std::size_t total = whole.process(in.data(), in.size());
+  for (const auto policy : kPolicies) {
+    SCOPED_TRACE(dsp::to_string(policy));
+    auto whole = make_channelizer(policy);
+    auto split = make_channelizer(policy);
+    sim::Rng rng{23};
+    std::vector<cplx> in(12000);
+    for (auto& v : in) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
+    const std::size_t total = whole.process(in.data(), in.size());
 
-  std::vector<std::vector<cplx>> lanes(split.lane_count());
-  const std::size_t chunks[] = {1, 3, 7, 8, 64, 129, 1000, 2048};
-  std::size_t off = 0, ci = 0;
-  while (off < in.size()) {
-    const std::size_t n =
-        std::min(chunks[ci++ % std::size(chunks)], in.size() - off);
-    const std::size_t got = split.process(in.data() + off, n);
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      lanes[k].insert(lanes[k].end(), split.lane(k),
-                      split.lane(k) + got);
+    std::vector<std::vector<cplx>> lanes(split.lane_count());
+    const std::size_t chunks[] = {1, 3, 7, 8, 64, 129, 1000, 2048};
+    std::size_t off = 0, ci = 0;
+    while (off < in.size()) {
+      const std::size_t n =
+          std::min(chunks[ci++ % std::size(chunks)], in.size() - off);
+      const std::size_t got = split.process(in.data() + off, n);
+      for (std::size_t k = 0; k < lanes.size(); ++k) {
+        lanes[k].insert(lanes[k].end(), split.lane(k),
+                        split.lane(k) + got);
+      }
+      off += n;
     }
-    off += n;
-  }
-  ASSERT_EQ(whole.phase(), split.phase());
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    ASSERT_EQ(lanes[k].size(), total);
-    for (std::size_t f = 0; f < total; ++f) {
-      ASSERT_EQ(lanes[k][f], whole.lane(k)[f])
-          << "lane " << k << " frame " << f;
+    ASSERT_EQ(whole.phase(), split.phase());
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      ASSERT_EQ(lanes[k].size(), total);
+      for (std::size_t f = 0; f < total; ++f) {
+        ASSERT_EQ(lanes[k][f], whole.lane(k)[f])
+            << "lane " << k << " frame " << f;
+      }
     }
   }
 }
@@ -673,102 +347,32 @@ TEST(Channelizer, FdmaBankPacketsIdenticalAcrossSplitCalls) {
   // Packet-level commutator continuity: the channelizer bank fed one big
   // block decodes the same packets at the same instants as the same bank
   // fed many small blocks.
-  auto params = fdma_params(dsp::KernelPolicy::kBlock, 1,
-                            reader::FdmaRxChain::BankPolicy::kChannelizer);
-  reader::FdmaRxChain whole{params};
-  reader::FdmaRxChain split{params};
-  ASSERT_EQ(whole.active_bank(),
-            reader::FdmaRxChain::BankPolicy::kChannelizer);
   const auto wave = fdma_capture(chzr_centers());
-  whole.process(wave.data(), wave.size());
-  const std::size_t chunks[] = {501, 3, 12800, 7, 999, 20000};
-  std::size_t off = 0, ci = 0;
-  while (off < wave.size()) {
-    const std::size_t n =
-        std::min(chunks[ci++ % std::size(chunks)], wave.size() - off);
-    split.process(wave.data() + off, n);
-    off += n;
-  }
-  const auto a = whole.drain_packets();
-  const auto b = split.drain_packets();
-  ASSERT_GE(a.size(), 3u);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].packet, b[i].packet);
-    EXPECT_EQ(a[i].channel, b[i].channel);
-    EXPECT_DOUBLE_EQ(a[i].time_s, b[i].time_s);
-  }
-}
-
-TEST(KernelParity, BankPolicyMatrixDecodesIdenticalPacketStreams) {
-  // The full matrix the parity contract covers: {scalar, block, simd}
-  // kernels x {per-channel, channelizer} banks (threading varied for good
-  // measure). Payloads, channels and CRC verdicts must agree exactly
-  // across all six; timestamps within one channelizer lane sample — that
-  // bounds both the banks' differing prototype filters and the simd
-  // tier's float32 slicer jitter (a crossing can move ±1 decimated
-  // sample, an order of magnitude under the lane sample).
-  using Bank = reader::FdmaRxChain::BankPolicy;
-  struct Cell {
-    dsp::KernelPolicy kernels;
-    std::size_t workers;
-    Bank bank;
-  };
-  const Cell cells[] = {
-      {dsp::KernelPolicy::kScalar, 1, Bank::kPerChannel},
-      {dsp::KernelPolicy::kBlock, 4, Bank::kPerChannel},
-      {dsp::KernelPolicy::kSimd, 1, Bank::kPerChannel},
-      {dsp::KernelPolicy::kScalar, 1, Bank::kChannelizer},
-      {dsp::KernelPolicy::kBlock, 4, Bank::kChannelizer},
-      {dsp::KernelPolicy::kSimd, 4, Bank::kChannelizer},
-  };
-  const auto wave = fdma_capture(chzr_centers());
-  std::vector<std::vector<reader::RxPacket>> decoded;
-  double lane_dt = 0.0;
-  for (const auto& cell : cells) {
-    reader::FdmaRxChain bank{
-        fdma_params(cell.kernels, cell.workers, cell.bank)};
-    ASSERT_EQ(bank.active_bank(), cell.bank);
-    constexpr std::size_t kChunk = 20000;
-    for (std::size_t off = 0; off < wave.size(); off += kChunk) {
-      bank.process(wave.data(), 0);  // empty call: must be a no-op
-      bank.process(wave.data() + off,
-                   std::min(kChunk, wave.size() - off));
+  for (const auto policy : kPolicies) {
+    SCOPED_TRACE(dsp::to_string(policy));
+    auto params = fdma_params(policy, 1,
+                              reader::FdmaRxChain::BankPolicy::kChannelizer);
+    reader::FdmaRxChain whole{params};
+    reader::FdmaRxChain split{params};
+    ASSERT_EQ(whole.active_bank(),
+              reader::FdmaRxChain::BankPolicy::kChannelizer);
+    whole.process(wave.data(), wave.size());
+    const std::size_t chunks[] = {501, 3, 12800, 7, 999, 20000};
+    std::size_t off = 0, ci = 0;
+    while (off < wave.size()) {
+      const std::size_t n =
+          std::min(chunks[ci++ % std::size(chunks)], wave.size() - off);
+      split.process(wave.data() + off, n);
+      off += n;
     }
-    decoded.push_back(bank.drain_packets());
-    if (cell.bank == Bank::kChannelizer) {
-      // One lane sample in seconds, from the engaged channelizer's plan.
-      const auto plan = dsp::PolyphaseChannelizer::plan(
-          kChzrFs, kChzrChip, chzr_centers());
-      lane_dt = static_cast<double>(plan.decimation) / kChzrFs;
-    }
-  }
-  // Compare per-channel packet streams: a timestamp shift inside the
-  // tolerance can legally reorder the cross-channel merge, so the merged
-  // order is not part of the parity contract — the per-channel sequences
-  // and their instants are.
-  const auto by_channel = [](const std::vector<reader::RxPacket>& merged) {
-    std::vector<std::vector<reader::RxPacket>> chans(4);
-    for (const auto& p : merged) {
-      EXPECT_LT(p.channel, chans.size());
-      if (p.channel < chans.size()) chans[p.channel].push_back(p);
-    }
-    return chans;
-  };
-  std::vector<std::vector<std::vector<reader::RxPacket>>> streams;
-  for (const auto& merged : decoded) streams.push_back(by_channel(merged));
-  const auto& ref = streams.front();
-  ASSERT_GE(decoded.front().size(), 4u);  // every channel decodes its tag
-  for (std::size_t r = 1; r < streams.size(); ++r) {
-    for (std::size_t c = 0; c < ref.size(); ++c) {
-      ASSERT_EQ(streams[r][c].size(), ref[c].size())
-          << "cell " << r << " channel " << c;
-      for (std::size_t i = 0; i < ref[c].size(); ++i) {
-        EXPECT_EQ(streams[r][c][i].packet, ref[c][i].packet)
-            << "cell " << r << " channel " << c;
-        EXPECT_NEAR(streams[r][c][i].time_s, ref[c][i].time_s, lane_dt)
-            << "cell " << r << " channel " << c << " packet " << i;
-      }
+    const auto a = whole.drain_packets();
+    const auto b = split.drain_packets();
+    ASSERT_GE(a.size(), 3u);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].packet, b[i].packet);
+      EXPECT_EQ(a[i].channel, b[i].channel);
+      EXPECT_DOUBLE_EQ(a[i].time_s, b[i].time_s);
     }
   }
 }
@@ -778,7 +382,7 @@ TEST(Channelizer, OnGridAddKeepsChannelizerOffGridAddFallsBack) {
   // lane (channelizer stays engaged), an off-grid one triggers the logged
   // per-channel fallback — and neither loses anything already decoded.
   using Bank = reader::FdmaRxChain::BankPolicy;
-  auto params = fdma_params(dsp::KernelPolicy::kBlock, 2,
+  auto params = fdma_params(dsp::default_kernel_policy(), 2,
                             Bank::kChannelizer);
   params.max_subcarrier_hz = 12000.0;  // headroom for the adds below
   reader::FdmaRxChain bank{params};

@@ -1,12 +1,13 @@
-// Tests for the SIMD kernel tier (dsp/kernels/simd/ + cpu_dispatch):
-// runtime ISA dispatch and its clamping rules, the kernel-policy env
-// parsing (including the structured WARN on unrecognized values), the
-// float32 SimdNco against a long-double phase reference over 10^8
-// samples and at near-Nyquist steps, the float32 FIR stages against the
-// double block kernels (including denormal and NaN blocks), Ddc /
-// derotate / channelizer parity, and — the load-bearing guarantee — that
-// the kSimd policy decodes the identical packet set as the scalar
-// reference, on the hardware tier and on the forced portable fallback.
+// Tests for the kSimd tier (dsp/kernels/simd/ + cpu_dispatch) against the
+// kScalar reference. First the building blocks: CPUID dispatch and its
+// clamp, the float32 SimdNco against a long-double phase reference over
+// 10^8 samples and at near-Nyquist steps, and the float32 FIR stages
+// against the scalar FirFilter (including denormal and NaN blocks). Then
+// the parity contract, KernelParity.*: Ddc, derotate, synthesizer and
+// channelizer outputs agree to float32 tolerance, and — the load-bearing
+// guarantee — RxChain and the FDMA bank (both bank modes, 4 to 32
+// channels) decode the identical packets under both policies, on the
+// hardware tier and on the forced portable tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,18 +15,16 @@
 #include <complex>
 #include <cstddef>
 #include <limits>
-#include <map>
 #include <numbers>
 #include <span>
-#include <string>
 #include <vector>
 
+#include "arachnet/acoustic/deployment.hpp"
 #include "arachnet/acoustic/waveform_channel.hpp"
 #include "arachnet/dsp/ddc.hpp"
 #include "arachnet/dsp/fir.hpp"
 #include "arachnet/dsp/kernels/channelizer.hpp"
 #include "arachnet/dsp/kernels/cpu_dispatch.hpp"
-#include "arachnet/dsp/kernels/fir_kernels.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
 #include "arachnet/dsp/kernels/simd/simd_kernels.hpp"
 #include "arachnet/dsp/kernels/simd/stages.hpp"
@@ -33,8 +32,8 @@
 #include "arachnet/phy/packet.hpp"
 #include "arachnet/phy/subcarrier.hpp"
 #include "arachnet/reader/fdma_rx.hpp"
+#include "arachnet/reader/rx_chain.hpp"
 #include "arachnet/sim/rng.hpp"
-#include "arachnet/telemetry/log.hpp"
 
 namespace {
 
@@ -50,9 +49,9 @@ TEST(CpuDispatch, ActiveTierIsSupportedAndTableMatches) {
   const dsp::SimdIsa isa = dsp::active_simd_isa();
   if (isa == dsp::SimdIsa::kAvx2) {
     EXPECT_TRUE(f.avx2 && f.fma);
-  }
-  if (isa == dsp::SimdIsa::kAvx512) {
-    EXPECT_TRUE(f.avx512f && f.avx512vl && f.fma);
+  } else {
+    // CPUID picks the AVX2 table whenever the CPU has it.
+    EXPECT_FALSE(f.avx2 && f.fma);
   }
   if (isa == dsp::SimdIsa::kNeon) {
     EXPECT_TRUE(f.neon);
@@ -61,7 +60,7 @@ TEST(CpuDispatch, ActiveTierIsSupportedAndTableMatches) {
   EXPECT_FALSE(dsp::cpu_feature_string().empty());
 }
 
-TEST(CpuDispatch, ForceClampsToHardwareAndBuild) {
+TEST(CpuDispatch, ForceClampsToHardware) {
   const dsp::SimdIsa before = dsp::active_simd_isa();
   const dsp::CpuFeatures& f = dsp::detect_cpu_features();
 
@@ -73,94 +72,16 @@ TEST(CpuDispatch, ForceClampsToHardwareAndBuild) {
   EXPECT_STREQ(dsp::simd::kernels().isa, dsp::to_string(portable));
 
   dsp::force_simd_isa(dsp::SimdIsa::kAvx2);
-#if defined(ARACHNET_DISABLE_SIMD)
-  // The build compiled the AVX2 tier out: the request must degrade.
-  EXPECT_NE(dsp::active_simd_isa(), dsp::SimdIsa::kAvx2);
-#else
   if (f.avx2 && f.fma) {
     EXPECT_EQ(dsp::active_simd_isa(), dsp::SimdIsa::kAvx2);
   } else {
-    EXPECT_NE(dsp::active_simd_isa(), dsp::SimdIsa::kAvx2);
+    EXPECT_EQ(dsp::active_simd_isa(), portable);
   }
-#endif
-  EXPECT_STREQ(dsp::simd::kernels().isa,
-               dsp::to_string(dsp::active_simd_isa()));
-
-  dsp::force_simd_isa(dsp::SimdIsa::kAvx512);
-#if defined(ARACHNET_DISABLE_SIMD)
-  EXPECT_NE(dsp::active_simd_isa(), dsp::SimdIsa::kAvx512);
-#else
-  if (f.avx512f && f.avx512vl && f.fma) {
-    EXPECT_EQ(dsp::active_simd_isa(), dsp::SimdIsa::kAvx512);
-  } else if (f.avx2 && f.fma) {
-    // The 512 request degrades one tier, not all the way to portable.
-    EXPECT_EQ(dsp::active_simd_isa(), dsp::SimdIsa::kAvx2);
-  } else {
-    EXPECT_NE(dsp::active_simd_isa(), dsp::SimdIsa::kAvx512);
-  }
-#endif
   EXPECT_STREQ(dsp::simd::kernels().isa,
                dsp::to_string(dsp::active_simd_isa()));
 
   dsp::force_simd_isa(before);
   EXPECT_EQ(dsp::active_simd_isa(), before);
-}
-
-// --------------------------------------------------- kernel policy env
-
-struct CapturedLog {
-  int count = 0;
-  telemetry::LogLevel level = telemetry::LogLevel::kTrace;
-  std::string component;
-  std::string message;
-  std::map<std::string, std::string> string_fields;
-};
-
-void capture_sink(const telemetry::LogRecord& rec, void* user) {
-  auto* cap = static_cast<CapturedLog*>(user);
-  ++cap->count;
-  cap->level = rec.level;
-  cap->component = std::string{rec.component};
-  cap->message = std::string{rec.message};
-  for (std::size_t i = 0; i < rec.field_count; ++i) {
-    const telemetry::LogField& field = rec.fields[i];
-    if (field.kind == telemetry::LogField::Kind::kString) {
-      cap->string_fields[std::string{field.key}] = std::string{field.s};
-    }
-  }
-}
-
-TEST(KernelPolicyEnv, ParseAcceptsAllThreeTiers) {
-  EXPECT_EQ(dsp::parse_kernel_policy("scalar"), dsp::KernelPolicy::kScalar);
-  EXPECT_EQ(dsp::parse_kernel_policy("block"), dsp::KernelPolicy::kBlock);
-  EXPECT_EQ(dsp::parse_kernel_policy("simd"), dsp::KernelPolicy::kSimd);
-  EXPECT_FALSE(dsp::parse_kernel_policy("turbo").has_value());
-  EXPECT_FALSE(dsp::parse_kernel_policy("").has_value());
-}
-
-TEST(KernelPolicyEnv, UnrecognizedValueWarnsNamingValueAndFallback) {
-  CapturedLog cap;
-  telemetry::set_log_sink(capture_sink, &cap);
-
-  // Unset and recognized values resolve silently.
-  EXPECT_EQ(dsp::kernel_policy_from_env_value(nullptr),
-            dsp::KernelPolicy::kBlock);
-  EXPECT_EQ(dsp::kernel_policy_from_env_value("simd"),
-            dsp::KernelPolicy::kSimd);
-  EXPECT_EQ(cap.count, 0);
-
-  // An unrecognized value falls back to kBlock with a WARN that names
-  // what was rejected, what it fell back to, and what is accepted —
-  // instead of the old silent fallback.
-  EXPECT_EQ(dsp::kernel_policy_from_env_value("turbo"),
-            dsp::KernelPolicy::kBlock);
-  telemetry::set_log_sink(telemetry::stderr_log_sink);
-  ASSERT_EQ(cap.count, 1);
-  EXPECT_EQ(cap.level, telemetry::LogLevel::kWarn);
-  EXPECT_EQ(cap.component, "kernels");
-  EXPECT_EQ(cap.string_fields["value"], "turbo");
-  EXPECT_EQ(cap.string_fields["fallback"], "block");
-  EXPECT_NE(cap.string_fields["accepted"].find("simd"), std::string::npos);
 }
 
 // --------------------------------------------------------------- SimdNco
@@ -266,14 +187,14 @@ std::vector<float> to_interleaved(const std::vector<cplx>& in) {
   return out;
 }
 
-TEST(FirSimd, FilterMatchesBlockFilterWithinFloatTolerance) {
+TEST(FirSimd, FilterMatchesScalarFilterWithinFloatTolerance) {
   const auto coeffs = dsp::design_lowpass(4e3, 31.25e3, 127);
-  dsp::FirBlockFilter<cplx> ref{coeffs};
+  dsp::FirFilter<cplx> ref{coeffs};
   dsp::simd::FirSimdFilter simd{coeffs};
   sim::Rng rng{32};
   std::vector<cplx> in, want;
   // Chunk sizes smaller and larger than the tap count: history carry
-  // must line up with the double block filter at every split.
+  // must line up with the streaming scalar filter at every split.
   for (std::size_t n : {1u, 3u, 126u, 127u, 128u, 1000u}) {
     in.resize(n);
     want.resize(n);
@@ -303,25 +224,33 @@ TEST(FirSimd, FilterInPlaceMatchesOutOfPlace) {
   EXPECT_EQ(x, out);
 }
 
-TEST(FirSimd, DecimatorMatchesBlockDecimationGrid) {
+TEST(FirSimd, DecimatorMatchesScalarDecimationGrid) {
   const auto coeffs = dsp::design_lowpass(6e3, 500e3, 129);
   const std::size_t decim = 8;
-  dsp::FirBlockDecimator<cplx> ref{coeffs, decim};
+  dsp::FirFilter<cplx> ref{coeffs};
   dsp::simd::FirSimdDecimator simd{coeffs, decim};
   sim::Rng rng{34};
-  std::vector<cplx> in, want;
+  std::size_t count = 0;
+  std::vector<cplx> in;
   // Chunks smaller than, equal to, and coprime with the decimation: the
-  // survivor grid and phase must match the block decimator exactly.
+  // survivor grid and phase must match the scalar feed/value decimator
+  // (the Ddc's kScalar path) exactly.
   for (std::size_t n : {1u, 5u, 7u, 8u, 9u, 777u, 4096u}) {
     in.resize(n);
-    want.resize(n / decim + 1);
     for (auto& v : in) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-    const std::size_t want_n = ref.process(in.data(), n, want.data());
+    std::vector<cplx> want;
+    for (const cplx& s : in) {
+      ref.feed(s);
+      if (++count >= decim) {
+        count = 0;
+        want.push_back(ref.value());
+      }
+    }
     const auto in_f = to_interleaved(in);
     std::vector<cplx> got(n / decim + 1);
     const std::size_t got_n = simd.process(in_f.data(), n, got.data());
-    ASSERT_EQ(got_n, want_n) << "chunk " << n;
-    ASSERT_EQ(simd.phase(), ref.phase()) << "chunk " << n;
+    ASSERT_EQ(got_n, want.size()) << "chunk " << n;
+    ASSERT_EQ(simd.phase(), count) << "chunk " << n;
     for (std::size_t i = 0; i < got_n; ++i) {
       EXPECT_NEAR(got[i].real(), want[i].real(), 1e-4) << "chunk " << n;
       EXPECT_NEAR(got[i].imag(), want[i].imag(), 1e-4) << "chunk " << n;
@@ -357,11 +286,11 @@ TEST(FirSimd, DenormalBlocksStayFiniteAndTiny) {
 
 TEST(FirSimd, NanBlockFlushesInsteadOfPoisoningState) {
   // NaNs must stay confined to the outputs whose window overlaps them:
-  // once taps-1 clean samples have passed, the filter matches a double
+  // once taps-1 clean samples have passed, the filter matches the scalar
   // reference fed the same stream sample for sample.
   const auto coeffs = dsp::design_lowpass(4e3, 31.25e3, 63);
   const std::size_t taps = coeffs.size();
-  dsp::FirBlockFilter<cplx> ref{coeffs};
+  dsp::FirFilter<cplx> ref{coeffs};
   dsp::simd::FirSimdFilter simd{coeffs};
   sim::Rng rng{35};
   const std::size_t nan_len = 32;
@@ -386,7 +315,12 @@ TEST(FirSimd, NanBlockFlushesInsteadOfPoisoningState) {
   }
 }
 
-// ----------------------------------------------------- Ddc / derotate
+// ------------------------------------------------ parity: Ddc, derotate
+
+// Packet timestamp tolerance for kSimd decodes: float32 can move a slicer
+// crossing by a decimated sample or two, and two channelizer lane samples
+// bound that with an order of magnitude to spare.
+constexpr double kSimdTimeTol = 256e-6;
 
 dsp::Ddc::Params ddc_params(dsp::KernelPolicy policy) {
   dsp::Ddc::Params p;
@@ -394,59 +328,34 @@ dsp::Ddc::Params ddc_params(dsp::KernelPolicy policy) {
   return p;
 }
 
-TEST(SimdParity, DdcSimdMatchesBlockIq) {
-  dsp::Ddc block{ddc_params(dsp::KernelPolicy::kBlock)};
+TEST(KernelParity, DdcSimdMatchesScalarIq) {
+  dsp::Ddc scalar{ddc_params(dsp::KernelPolicy::kScalar)};
   dsp::Ddc simd{ddc_params(dsp::KernelPolicy::kSimd)};
-  sim::Rng rng{36};
+  sim::Rng rng{13};
   std::vector<double> in;
-  std::vector<cplx> iq_b, iq_s;
-  // Chunks below, at, and coprime with the decimation of 16.
-  for (std::size_t n : {3u, 16u, 17u, 999u, 20000u}) {
+  std::vector<cplx> iq_s, iq_v;
+  // An empty chunk, then chunks below, at, and coprime with the
+  // decimation of 16.
+  for (std::size_t n : {0u, 3u, 16u, 17u, 999u, 20000u}) {
     in.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       in[i] = std::cos(1.13 * static_cast<double>(i)) +
               rng.normal(0.0, 0.01);
     }
-    iq_b.clear();
     iq_s.clear();
-    const std::size_t got_b = block.process(std::span<const double>{in}, iq_b);
-    const std::size_t got_s = simd.process(std::span<const double>{in}, iq_s);
-    ASSERT_EQ(got_s, got_b) << "chunk " << n;
-    ASSERT_EQ(simd.decimation_phase(), block.decimation_phase());
-    for (std::size_t i = 0; i < got_b; ++i) {
-      EXPECT_NEAR(iq_s[i].real(), iq_b[i].real(), 1e-5);
-      EXPECT_NEAR(iq_s[i].imag(), iq_b[i].imag(), 1e-5);
+    iq_v.clear();
+    const std::size_t got_s = scalar.process(std::span<const double>{in}, iq_s);
+    const std::size_t got_v = simd.process(std::span<const double>{in}, iq_v);
+    ASSERT_EQ(got_v, got_s) << "chunk " << n;
+    ASSERT_EQ(simd.decimation_phase(), scalar.decimation_phase());
+    for (std::size_t i = 0; i < got_s; ++i) {
+      EXPECT_NEAR(iq_v[i].real(), iq_s[i].real(), 1e-5);
+      EXPECT_NEAR(iq_v[i].imag(), iq_s[i].imag(), 1e-5);
     }
   }
 }
 
-TEST(SimdParity, DdcPushAndProcessShareState) {
-  // push() streams one sample at a time through the same simd stages, so
-  // mixing call styles tracks block-call-only processing to float32
-  // tolerance (lane reseeds land differently per call split, so bit
-  // equality is not promised — the kSimd IQ contract is).
-  dsp::Ddc mixed_calls{ddc_params(dsp::KernelPolicy::kSimd)};
-  dsp::Ddc block_calls{ddc_params(dsp::KernelPolicy::kSimd)};
-  sim::Rng rng{37};
-  std::vector<double> in(1000);
-  for (auto& v : in) v = rng.normal(0.0, 1.0);
-
-  std::vector<cplx> got;
-  for (std::size_t i = 0; i < 100; ++i) {
-    if (const auto iq = mixed_calls.push(in[i])) got.push_back(*iq);
-  }
-  mixed_calls.process(std::span<const double>{in}.subspan(100), got);
-
-  std::vector<cplx> want;
-  block_calls.process(std::span<const double>{in}, want);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got[i].real(), want[i].real(), 1e-5) << "iq sample " << i;
-    EXPECT_NEAR(got[i].imag(), want[i].imag(), 1e-5) << "iq sample " << i;
-  }
-}
-
-TEST(SimdParity, DerotateSimdMatchesScalar) {
+TEST(KernelParity, DerotateSimdMatchesScalar) {
   sim::Rng rng{38};
   std::vector<cplx> iq(5000);
   for (auto& v : iq) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
@@ -460,9 +369,168 @@ TEST(SimdParity, DerotateSimdMatchesScalar) {
   }
 }
 
-// ----------------------------------------------------------- Channelizer
+// ------------------------------------------------------ parity: synth
 
-namespace {
+acoustic::UplinkWaveformSynth::Params synth_params(dsp::KernelPolicy policy) {
+  acoustic::UplinkWaveformSynth::Params p;
+  p.ambient_amplitude = 0.02;
+  p.kernels = policy;
+  return p;
+}
+
+std::vector<acoustic::BackscatterSource> parity_sources() {
+  std::vector<acoustic::BackscatterSource> srcs;
+  // A chip-stream source at a rate that does not divide the sample rate,
+  // starting off the sample grid.
+  acoustic::BackscatterSource a;
+  a.chips = phy::Fm0Encoder::encode_frame(
+      phy::UlPacket{.tid = 3, .payload = 0x2A5}.serialize());
+  a.chip_rate = 374.6;
+  a.start_s = 0.0301237;
+  a.amplitude = 0.2;
+  a.phase_rad = 1.2;
+  srcs.push_back(a);
+  // A multi-level source with a different start and phase.
+  acoustic::BackscatterSource b;
+  b.levels = {0.4, 0.9, 0.35, 0.7, 0.5, 0.92, 0.38, 0.8};
+  b.chip_rate = 1500.0;
+  b.start_s = 0.011;
+  b.amplitude = 0.15;
+  b.phase_rad = -0.7;
+  srcs.push_back(b);
+  return srcs;
+}
+
+TEST(KernelParity, SynthesizerSimdMatchesScalar) {
+  acoustic::UplinkWaveformSynth scalar{
+      synth_params(dsp::KernelPolicy::kScalar)};
+  acoustic::UplinkWaveformSynth simd{synth_params(dsp::KernelPolicy::kSimd)};
+  sim::Rng rng_s{42}, rng_v{42};
+  const auto srcs = parity_sources();
+  for (int round = 0; round < 3; ++round) {
+    const auto w_s = scalar.synthesize(srcs, 0.08, rng_s);
+    const auto w_v = simd.synthesize(srcs, 0.08, rng_v);
+    ASSERT_EQ(w_s.size(), w_v.size());
+    for (std::size_t i = 0; i < w_s.size(); ++i) {
+      ASSERT_NEAR(w_s[i], w_v[i], 1e-9) << "round " << round << " i " << i;
+    }
+  }
+  EXPECT_DOUBLE_EQ(scalar.now(), simd.now());
+  // Both paths must consume the RNG stream identically (one normal draw
+  // per sample, in sample order) — the next draw from each twin agrees.
+  EXPECT_DOUBLE_EQ(rng_s.normal(0.0, 1.0), rng_v.normal(0.0, 1.0));
+}
+
+// ---------------------------------------------------- parity: RxChain
+
+// Feeds `wave` to a scalar and a simd RxChain in awkward chunks (coprime
+// with the decimation, so the block path crosses many phase alignments)
+// and checks the contract: the same packets, bit count and CRC failures,
+// with packet timestamps inside kSimdTimeTol. A third, scalar chain fed
+// one sample per call is the per-sample reference for the timestamps: a
+// packet completing during a call is dated by the sample that call
+// consumed, and the chunked scalar chain must date every packet bit for
+// bit alike. Returns the packet count.
+std::size_t expect_rx_parity(reader::RxChain::Params params,
+                             const std::vector<double>& wave) {
+  params.ddc.kernels = dsp::KernelPolicy::kScalar;
+  reader::RxChain scalar{params};
+  reader::RxChain per_sample{params};
+  params.ddc.kernels = dsp::KernelPolicy::kSimd;
+  reader::RxChain simd{params};
+  constexpr std::size_t kChunk = 7777;
+  for (std::size_t off = 0; off < wave.size(); off += kChunk) {
+    const std::size_t len = std::min(kChunk, wave.size() - off);
+    scalar.process(wave.data() + off, len);
+    simd.process(wave.data() + off, len);
+  }
+  for (const double& sample : wave) {
+    const std::size_t before = per_sample.packets().size();
+    per_sample.process(&sample, 1);
+    if (per_sample.packets().size() > before) {
+      EXPECT_EQ(per_sample.packets().back().time_s,
+                static_cast<double>(per_sample.samples_consumed()) /
+                    params.ddc.sample_rate_hz);
+    }
+  }
+  const auto& a = scalar.packets();
+  const auto& r = per_sample.packets();
+  EXPECT_EQ(a.size(), r.size());
+  for (std::size_t i = 0; i < std::min(a.size(), r.size()); ++i) {
+    EXPECT_EQ(a[i].packet, r[i].packet) << "packet " << i;
+    EXPECT_EQ(a[i].time_s, r[i].time_s) << "packet " << i;
+  }
+  EXPECT_EQ(scalar.samples_consumed(), simd.samples_consumed());
+  EXPECT_EQ(scalar.bits_decoded(), simd.bits_decoded());
+  EXPECT_EQ(scalar.crc_failures(), simd.crc_failures());
+  const auto& b = simd.packets();
+  EXPECT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    EXPECT_EQ(a[i].packet, b[i].packet) << "packet " << i;
+    EXPECT_NEAR(a[i].time_s, b[i].time_s, kSimdTimeTol) << "packet " << i;
+  }
+  return a.size();
+}
+
+TEST(KernelParity, RxChainDecodesIdenticalPacketsAcrossPolicies) {
+  // The hard guarantee behind the policy switch: not "similar" decodes but
+  // the same packets, same bit and CRC-failure counts.
+  acoustic::UplinkWaveformSynth synth{
+      acoustic::UplinkWaveformSynth::Params{}};
+  sim::Rng rng{77};
+  std::vector<double> wave;
+  for (int i = 0; i < 4; ++i) {
+    acoustic::BackscatterSource src;
+    const phy::UlPacket pkt{.tid = static_cast<std::uint8_t>(i + 1),
+                            .payload =
+                                static_cast<std::uint16_t>(0x300 + i)};
+    src.chips = phy::Fm0Encoder::encode_frame(pkt.serialize());
+    src.chip_rate = 375.0;
+    src.start_s = 0.03;
+    src.amplitude = 0.2;
+    src.phase_rad = 1.2;
+    const auto burst = synth.synthesize({src}, 0.32, rng);
+    wave.insert(wave.end(), burst.begin(), burst.end());
+  }
+  EXPECT_GE(expect_rx_parity(reader::RxChain::Params{}, wave), 3u);
+
+  // The paper's Fig. 12 links (Tags 8/4/11, deployed amplitudes and
+  // phases) at 375/750/1500 bps, as bench_fig12_uplink renders them: a
+  // 50 ms leak warm-up, then one packet per burst. Tag 11 at 1500 bps
+  // sits on the loss knee, so a float32 slicer flip would show here
+  // first — as a lost, gained or CRC-failed frame on one side only.
+  const auto deployment = acoustic::Deployment::onvo_l60();
+  for (const int tid : {8, 4, 11}) {
+    for (const double rate : {375.0, 750.0, 1500.0}) {
+      SCOPED_TRACE(testing::Message() << "tag " << tid << " at " << rate
+                                      << " bps");
+      acoustic::UplinkWaveformSynth link{
+          acoustic::UplinkWaveformSynth::Params{}};
+      sim::Rng link_rng{static_cast<std::uint64_t>(tid) * 1000 +
+                        static_cast<std::uint64_t>(rate)};
+      auto link_wave = link.synthesize({}, 0.05, link_rng);
+      for (int i = 0; i < 6; ++i) {
+        acoustic::BackscatterSource src;
+        src.chips = phy::Fm0Encoder::encode_frame(
+            phy::UlPacket{.tid = static_cast<std::uint8_t>(tid & 0xF),
+                          .payload = static_cast<std::uint16_t>(0x100 + i)}
+                .serialize());
+        src.chip_rate = rate;
+        src.start_s = 0.01;
+        src.amplitude = deployment.backscatter_rx_amplitude(tid);
+        src.phase_rad = deployment.backscatter_phase(tid);
+        const auto burst =
+            link.synthesize({src}, 0.02 + 84.0 / rate, link_rng);
+        link_wave.insert(link_wave.end(), burst.begin(), burst.end());
+      }
+      reader::RxChain::Params params;
+      params.chip_rate = rate;
+      expect_rx_parity(params, link_wave);
+    }
+  }
+}
+
+// --------------------------------------------- parity: channelizer lanes
 
 struct ChzrFixture {
   dsp::PolyphaseChannelizer::Plan plan;
@@ -495,9 +563,7 @@ struct ChzrFixture {
   }
 };
 
-}  // namespace
-
-TEST(SimdParity, ChannelizerSimdF64FoldMatchesScalarFold) {
+TEST(KernelParity, ChannelizerSimdF64FoldMatchesScalarFold) {
   // With the fold pinned to float64, the simd path changes only loop
   // structure and summation order, so lanes agree to summation-reordering
   // tolerance — not just float32 tolerance.
@@ -524,7 +590,7 @@ TEST(SimdParity, ChannelizerSimdF64FoldMatchesScalarFold) {
   }
 }
 
-TEST(SimdParity, ChannelizerFloat32LaneTracksScalarToFloatTolerance) {
+TEST(KernelParity, ChannelizerFloat32LaneTracksScalarToFloatTolerance) {
   // The default kSimd channelizer rides the float32 fast path: fold,
   // inverse FFT and lane rotation all single-precision. Lane IQ tracks
   // the scalar float64 reference to float32-scale error — orders of
@@ -559,7 +625,7 @@ TEST(SimdParity, ChannelizerFloat32LaneTracksScalarToFloatTolerance) {
   }
 }
 
-TEST(SimdParity, ChannelizerFloat32SurvivesDenormalAndNanBlocks) {
+TEST(KernelParity, ChannelizerFloat32SurvivesDenormalAndNanBlocks) {
   // Denormal-flooded input must not slow down or corrupt the float32
   // path (narrowing flushes the tiny values harmlessly), and NaN blocks
   // must propagate without crashing — then wash out of the FIR window.
@@ -589,273 +655,7 @@ TEST(SimdParity, ChannelizerFloat32SurvivesDenormalAndNanBlocks) {
   }
 }
 
-// --------------------------------------------------- packet-level parity
-
-// Timestamp tolerance for kSimd decodes: float32 can move a slicer
-// crossing by a decimated sample or two — two channelizer lane samples
-// bound it with an order of magnitude to spare.
-constexpr double kSimdTimeTol = 256e-6;
-
-reader::FdmaRxChain::Params fdma_params(dsp::KernelPolicy policy) {
-  reader::FdmaRxChain::Params fp;
-  fp.ddc.decimation = 8;
-  fp.workers = 1;
-  fp.kernels = policy;
-  fp.bank = reader::FdmaRxChain::BankPolicy::kPerChannel;
-  for (int k = 0; k < 4; ++k) fp.channels.push_back({3000.0 + 1500.0 * k});
-  return fp;
-}
-
-std::vector<double> fdma_capture() {
-  acoustic::UplinkWaveformSynth synth{
-      acoustic::UplinkWaveformSynth::Params{}};
-  sim::Rng rng{101};
-  std::vector<acoustic::BackscatterSource> srcs;
-  for (int k = 0; k < 4; ++k) {
-    const phy::UlPacket pkt{.tid = static_cast<std::uint8_t>(k + 1),
-                            .payload =
-                                static_cast<std::uint16_t>(0x500 + k)};
-    phy::SubcarrierModulator mod{{375.0, 3000.0 + 1500.0 * k}};
-    acoustic::BackscatterSource s;
-    s.chips = mod.modulate(phy::Fm0Encoder::encode_frame(pkt.serialize()));
-    s.chip_rate = mod.subchip_rate();
-    s.start_s = 0.03;
-    s.amplitude = 0.12 + 0.01 * k;
-    s.phase_rad = 0.5 + 0.4 * k;
-    srcs.push_back(s);
-  }
-  return synth.synthesize(srcs, 0.3, rng);
-}
-
-std::vector<reader::RxPacket> decode_with(dsp::KernelPolicy policy,
-                                          const std::vector<double>& wave) {
-  reader::FdmaRxChain chain{fdma_params(policy)};
-  // Awkward chunking so the simd stages cross many lane/chunk alignments.
-  constexpr std::size_t kChunk = 7777;
-  for (std::size_t off = 0; off < wave.size(); off += kChunk) {
-    chain.process(wave.data() + off, std::min(kChunk, wave.size() - off));
-  }
-  return chain.drain_packets();
-}
-
-void expect_packet_parity(const std::vector<reader::RxPacket>& ref,
-                          const std::vector<reader::RxPacket>& got,
-                          double time_tol) {
-  ASSERT_EQ(got.size(), ref.size());
-  std::size_t channels = 0;
-  for (const auto& p : ref) channels = std::max(channels, p.channel + 1);
-  for (std::size_t c = 0; c < channels; ++c) {
-    std::vector<const reader::RxPacket*> a, b;
-    for (const auto& p : ref) {
-      if (p.channel == c) a.push_back(&p);
-    }
-    for (const auto& p : got) {
-      if (p.channel == c) b.push_back(&p);
-    }
-    ASSERT_EQ(b.size(), a.size()) << "channel " << c;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(b[i]->packet, a[i]->packet) << "channel " << c;
-      EXPECT_NEAR(b[i]->time_s, a[i]->time_s, time_tol) << "channel " << c;
-    }
-  }
-}
-
-TEST(SimdParity, FdmaBankThreeTierPacketParity) {
-  const auto wave = fdma_capture();
-  const auto scalar = decode_with(dsp::KernelPolicy::kScalar, wave);
-  const auto block = decode_with(dsp::KernelPolicy::kBlock, wave);
-  const auto simd = decode_with(dsp::KernelPolicy::kSimd, wave);
-  ASSERT_GE(scalar.size(), 4u);  // every channel decodes its tag
-  // scalar vs block: bit-exact including timestamps.
-  ASSERT_EQ(block.size(), scalar.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_EQ(block[i].packet, scalar[i].packet);
-    EXPECT_EQ(block[i].channel, scalar[i].channel);
-    EXPECT_DOUBLE_EQ(block[i].time_s, scalar[i].time_s);
-  }
-  // simd: identical packets, timestamps inside the float32 jitter bound.
-  expect_packet_parity(scalar, simd, kSimdTimeTol);
-}
-
-TEST(SimdParity, ForcedPortableTierDecodesIdenticalPackets) {
-  // The runtime half of the -DARACHNET_DISABLE_SIMD guarantee: kSimd on
-  // the portable vector tier decodes the same packets as on the best
-  // hardware tier — an ISA downgrade (or a disabled build) degrades
-  // speed, never results.
-  const dsp::SimdIsa before = dsp::active_simd_isa();
-  const auto wave = fdma_capture();
-  const auto best = decode_with(dsp::KernelPolicy::kSimd, wave);
-  dsp::force_simd_isa(dsp::SimdIsa::kGeneric);
-  EXPECT_STREQ(dsp::simd::kernels().isa,
-               dsp::to_string(dsp::active_simd_isa()));
-  const auto portable = decode_with(dsp::KernelPolicy::kSimd, wave);
-  dsp::force_simd_isa(before);
-  ASSERT_GE(best.size(), 4u);
-  expect_packet_parity(best, portable, kSimdTimeTol);
-}
-
-TEST(SimdParity, ForcedHardwareTiersDecodeIdenticalPackets) {
-  // Companion to the portable-tier check above, for the hardware tiers:
-  // forcing kAvx2 and kAvx512 (where the CPU supports them — the clamp
-  // silently moves unsupported requests, which skips that tier here)
-  // must decode the identical packet set as the auto-selected best tier.
-  const dsp::SimdIsa before = dsp::active_simd_isa();
-  const auto wave = fdma_capture();
-  const auto best = decode_with(dsp::KernelPolicy::kSimd, wave);
-  ASSERT_GE(best.size(), 4u);
-  for (const dsp::SimdIsa isa :
-       {dsp::SimdIsa::kAvx2, dsp::SimdIsa::kAvx512}) {
-    dsp::force_simd_isa(isa);
-    if (dsp::active_simd_isa() != isa) continue;  // clamped: no such tier
-    SCOPED_TRACE(dsp::to_string(isa));
-    EXPECT_STREQ(dsp::simd::kernels().isa, dsp::to_string(isa));
-    const auto got = decode_with(dsp::KernelPolicy::kSimd, wave);
-    expect_packet_parity(best, got, kSimdTimeTol);
-  }
-  dsp::force_simd_isa(before);
-}
-
-// ------------------------------------------------------- simd isa env
-
-TEST(SimdIsaEnv, ParseAcceptsAllTiersAndRejectsJunk) {
-  EXPECT_EQ(dsp::parse_simd_isa("generic"), dsp::SimdIsa::kGeneric);
-  EXPECT_EQ(dsp::parse_simd_isa("neon"), dsp::SimdIsa::kNeon);
-  EXPECT_EQ(dsp::parse_simd_isa("avx2"), dsp::SimdIsa::kAvx2);
-  EXPECT_EQ(dsp::parse_simd_isa("avx512"), dsp::SimdIsa::kAvx512);
-  EXPECT_FALSE(dsp::parse_simd_isa("avx999").has_value());
-  EXPECT_FALSE(dsp::parse_simd_isa("AVX2").has_value());
-  EXPECT_FALSE(dsp::parse_simd_isa("").has_value());
-}
-
-TEST(SimdIsaEnv, UnrecognizedValueWarnsNamingValueAndFallback) {
-  CapturedLog cap;
-  telemetry::set_log_sink(capture_sink, &cap);
-
-  // Unset, empty and recognized values resolve silently (recognized
-  // values may still clamp to the hardware, but never warn).
-  const dsp::SimdIsa auto_best = dsp::simd_isa_from_env_value(nullptr);
-  EXPECT_EQ(dsp::simd_isa_from_env_value(""), auto_best);
-  (void)dsp::simd_isa_from_env_value("generic");
-  (void)dsp::simd_isa_from_env_value("avx512");
-  EXPECT_EQ(cap.count, 0);
-
-  // An unrecognized value falls back to auto-detection with one WARN
-  // naming what was rejected, what it fell back to, and what is
-  // accepted — mirroring the kernel-policy env contract.
-  const dsp::SimdIsa got = dsp::simd_isa_from_env_value("avx999");
-  telemetry::set_log_sink(telemetry::stderr_log_sink);
-  EXPECT_EQ(got, auto_best);
-  ASSERT_EQ(cap.count, 1);
-  EXPECT_EQ(cap.level, telemetry::LogLevel::kWarn);
-  EXPECT_EQ(cap.component, "kernels");
-  EXPECT_EQ(cap.string_fields["value"], "avx999");
-  EXPECT_EQ(cap.string_fields["fallback"], dsp::to_string(auto_best));
-  EXPECT_NE(cap.string_fields["accepted"].find("avx512"),
-            std::string::npos);
-}
-
-// ------------------------------------------- float32 fold, wide banks
-
-using ChzrFold = dsp::PolyphaseChannelizer::Params::Fold;
-
-// The bench §1c bank recipe: a uniform grid from 3375 Hz (odd subcarrier
-// harmonics land 750 Hz off-channel) and one tag per subcarrier.
-reader::FdmaRxChain::Params wide_bank_params(int n, ChzrFold fold) {
-  reader::FdmaRxChain::Params fp;
-  // 32 channels top out near 50 kHz and need the 125 kS/s
-  // (decimation-4) IQ rate; up to 16 fit the usual 62.5 kS/s bank.
-  fp.ddc.decimation = n > 16 ? 4 : 8;
-  fp.workers = 1;
-  fp.kernels = dsp::KernelPolicy::kSimd;
-  fp.bank = reader::FdmaRxChain::BankPolicy::kChannelizer;
-  fp.chzr_fold = fold;
-  for (int k = 0; k < n; ++k) fp.channels.push_back({3375.0 + 1500.0 * k});
-  return fp;
-}
-
-std::vector<double> wide_capture(int n, double noise_sigma) {
-  acoustic::UplinkWaveformSynth::Params sp;
-  sp.noise_sigma = noise_sigma;
-  acoustic::UplinkWaveformSynth synth{sp};
-  sim::Rng rng{101};
-  std::vector<acoustic::BackscatterSource> srcs;
-  for (int k = 0; k < n; ++k) {
-    const phy::UlPacket pkt{.tid = static_cast<std::uint8_t>(k + 1),
-                            .payload =
-                                static_cast<std::uint16_t>(0x500 + k)};
-    phy::SubcarrierModulator mod{{375.0, 3375.0 + 1500.0 * k}};
-    acoustic::BackscatterSource s;
-    s.chips = mod.modulate(phy::Fm0Encoder::encode_frame(pkt.serialize()));
-    s.chip_rate = mod.subchip_rate();
-    s.start_s = 0.03;
-    s.amplitude = 0.18 + 0.01 * (k % 5);
-    s.phase_rad = 0.5 + 0.4 * k;
-    srcs.push_back(s);
-  }
-  return synth.synthesize(srcs, 0.3, rng);
-}
-
-std::vector<reader::RxPacket> decode_wide(int n, ChzrFold fold,
-                                          const std::vector<double>& wave) {
-  reader::FdmaRxChain chain{wide_bank_params(n, fold)};
-  EXPECT_EQ(chain.active_bank(),
-            reader::FdmaRxChain::BankPolicy::kChannelizer);
-  constexpr std::size_t kChunk = 7777;
-  for (std::size_t off = 0; off < wave.size(); off += kChunk) {
-    chain.process(wave.data() + off, std::min(kChunk, wave.size() - off));
-  }
-  return chain.drain_packets();
-}
-
-TEST(SimdParity, ChannelizerF32VsF64PacketParityAcrossBankWidths) {
-  // The kSimd contract applied to the float32 channelizer fast path at
-  // every bank width the bench exercises: pinning the fold to float64
-  // and letting it auto-select float32 must yield identical packets on
-  // every channel, with timestamps inside the float32 jitter bound.
-  for (const int n : {4, 8, 16, 32}) {
-    SCOPED_TRACE(n);
-    const auto wave = wide_capture(n, 0.004);
-    const auto f64 = decode_wide(n, ChzrFold::kFloat64, wave);
-    const auto f32 = decode_wide(n, ChzrFold::kAuto, wave);
-    // The 32-wide grid stacks enough co-channel harmonic energy that one
-    // marginal tag can miss in *both* folds; parity, not yield, is the
-    // contract under test.
-    ASSERT_GE(f64.size(), static_cast<std::size_t>(n) - 1)
-        << "almost every channel decodes its tag";
-    expect_packet_parity(f64, f32, kSimdTimeTol);
-  }
-}
-
-TEST(SimdParity, LowSnrCrcOutcomesMatchAcrossFolds) {
-  // Near the noise floor the CRC decision is the sharpest lens on the
-  // float32 fold: a single flipped slicer decision would surface as a
-  // frames_ok / crc_failures mismatch. Both folds must reach identical
-  // per-channel outcomes (and the same drained packets) on a capture
-  // noisy enough that decode is genuinely marginal.
-  const int n = 8;
-  const auto wave = wide_capture(n, 0.06);
-  reader::FdmaRxChain f64{wide_bank_params(n, ChzrFold::kFloat64)};
-  reader::FdmaRxChain f32{wide_bank_params(n, ChzrFold::kAuto)};
-  constexpr std::size_t kChunk = 7777;
-  for (std::size_t off = 0; off < wave.size(); off += kChunk) {
-    const std::size_t len = std::min(kChunk, wave.size() - off);
-    f64.process(wave.data() + off, len);
-    f32.process(wave.data() + off, len);
-  }
-  std::uint64_t total_ok = 0;
-  for (std::size_t c = 0; c < static_cast<std::size_t>(n); ++c) {
-    const auto a = f64.channel_stats(c);
-    const auto b = f32.channel_stats(c);
-    EXPECT_EQ(b.frames_ok, a.frames_ok) << "channel " << c;
-    EXPECT_EQ(b.crc_failures, a.crc_failures) << "channel " << c;
-    total_ok += a.frames_ok;
-  }
-  EXPECT_GE(total_ok, 1u) << "capture must not be pure noise";
-  expect_packet_parity(f64.drain_packets(), f32.drain_packets(),
-                       kSimdTimeTol);
-}
-
-TEST(SimdParity, ChannelizerFloat32NearNyquistLanesTrackScalar) {
+TEST(KernelParity, ChannelizerFloat32NearNyquistLanesTrackScalar) {
   // Subcarriers landing in the top bins of the bank (~bin 121 and 127 of
   // 128 usable): the residual rotator steps nearly pi per lane sample,
   // the worst case for the float32 phasor. Lanes must still track the
@@ -888,6 +688,269 @@ TEST(SimdParity, ChannelizerFloat32NearNyquistLanesTrackScalar) {
           << "lane " << k << " frame " << f;
     }
   }
+}
+
+// ------------------------------------------------ parity: FDMA banks
+
+using Bank = reader::FdmaRxChain::BankPolicy;
+using ChzrFold = dsp::PolyphaseChannelizer::Params::Fold;
+
+// One tag per subcarrier on the grid `origin + 1500*k`. The 4-channel
+// bank runs from 3000 Hz; the wide banks run from 3375 Hz, where odd
+// subcarrier harmonics land 750 Hz off-channel (the bench §1c recipe).
+std::vector<double> bank_subcarriers(int n, double origin) {
+  std::vector<double> freqs;
+  for (int k = 0; k < n; ++k) freqs.push_back(origin + 1500.0 * k);
+  return freqs;
+}
+
+std::vector<double> fdma_capture(const std::vector<double>& subcarriers,
+                                 double amplitude0,
+                                 std::size_t amplitude_cycle,
+                                 double noise_sigma = 0.004) {
+  acoustic::UplinkWaveformSynth::Params sp;
+  sp.noise_sigma = noise_sigma;
+  acoustic::UplinkWaveformSynth synth{sp};
+  sim::Rng rng{101};
+  std::vector<acoustic::BackscatterSource> srcs;
+  for (std::size_t k = 0; k < subcarriers.size(); ++k) {
+    const phy::UlPacket pkt{.tid = static_cast<std::uint8_t>(k + 1),
+                            .payload =
+                                static_cast<std::uint16_t>(0x500 + k)};
+    phy::SubcarrierModulator mod{{375.0, subcarriers[k]}};
+    acoustic::BackscatterSource s;
+    s.chips = mod.modulate(phy::Fm0Encoder::encode_frame(pkt.serialize()));
+    s.chip_rate = mod.subchip_rate();
+    s.start_s = 0.03;
+    s.amplitude = amplitude0 + 0.01 * static_cast<double>(k % amplitude_cycle);
+    s.phase_rad = 0.5 + 0.4 * static_cast<double>(k);
+    srcs.push_back(s);
+  }
+  return synth.synthesize(srcs, 0.3, rng);
+}
+
+// The four-channel capture most bank tests share.
+std::vector<double> fdma4_capture() {
+  return fdma_capture(bank_subcarriers(4, 3000.0), 0.12, 4);
+}
+
+reader::FdmaRxChain::Params fdma_params(
+    dsp::KernelPolicy policy, std::size_t workers, Bank bank,
+    const std::vector<double>& subcarriers, ChzrFold fold = ChzrFold::kAuto) {
+  reader::FdmaRxChain::Params fp;
+  // 32 channels top out near 50 kHz and need the 125 kS/s
+  // (decimation-4) IQ rate; up to 16 fit the usual 62.5 kS/s bank.
+  fp.ddc.decimation = subcarriers.size() > 16 ? 4 : 8;
+  fp.workers = workers;
+  fp.kernels = policy;
+  fp.bank = bank;  // pinned so each test exercises the bank it names
+  fp.chzr_fold = fold;
+  for (double hz : subcarriers) fp.channels.push_back({hz});
+  return fp;
+}
+
+std::vector<reader::RxPacket> decode(const reader::FdmaRxChain::Params& p,
+                                     const std::vector<double>& wave) {
+  reader::FdmaRxChain chain{p};
+  EXPECT_EQ(chain.active_bank(), p.bank);
+  // Awkward chunking so the simd stages cross many lane/chunk alignments.
+  constexpr std::size_t kChunk = 7777;
+  for (std::size_t off = 0; off < wave.size(); off += kChunk) {
+    chain.process(wave.data(), 0);  // empty call: must be a no-op
+    chain.process(wave.data() + off, std::min(kChunk, wave.size() - off));
+  }
+  return chain.drain_packets();
+}
+
+// Per-channel packet comparison: payloads, channels and CRC verdicts must
+// agree exactly, timestamps within `time_tol`. A timestamp shift inside
+// the tolerance can legally reorder the cross-channel merge, so the merged
+// order is not part of the contract — the per-channel sequences are.
+void expect_packet_parity(const std::vector<reader::RxPacket>& ref,
+                          const std::vector<reader::RxPacket>& got,
+                          double time_tol) {
+  ASSERT_EQ(got.size(), ref.size());
+  std::size_t channels = 0;
+  for (const auto& p : ref) channels = std::max(channels, p.channel + 1);
+  for (std::size_t c = 0; c < channels; ++c) {
+    std::vector<const reader::RxPacket*> a, b;
+    for (const auto& p : ref) {
+      if (p.channel == c) a.push_back(&p);
+    }
+    for (const auto& p : got) {
+      if (p.channel == c) b.push_back(&p);
+    }
+    ASSERT_EQ(b.size(), a.size()) << "channel " << c;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(b[i]->packet, a[i]->packet) << "channel " << c;
+      EXPECT_NEAR(b[i]->time_s, a[i]->time_s, time_tol) << "channel " << c;
+    }
+  }
+}
+
+TEST(KernelParity, FdmaBankDecodesIdenticalPacketsAcrossPolicies) {
+  // Scalar sequential bank vs simd parallel bank: policies and threading
+  // composed, still the same packets with the same per-channel counters.
+  const auto freqs = bank_subcarriers(4, 3000.0);
+  reader::FdmaRxChain scalar{
+      fdma_params(dsp::KernelPolicy::kScalar, 1, Bank::kPerChannel, freqs)};
+  reader::FdmaRxChain simd{
+      fdma_params(dsp::KernelPolicy::kSimd, 4, Bank::kPerChannel, freqs)};
+  const auto wave = fdma4_capture();
+  constexpr std::size_t kChunk = 7777;
+  for (std::size_t off = 0; off < wave.size(); off += kChunk) {
+    const std::size_t len = std::min(kChunk, wave.size() - off);
+    scalar.process(wave.data() + off, len);
+    simd.process(wave.data() + off, len);
+  }
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < scalar.channel_count(); ++c) {
+    ASSERT_EQ(scalar.packets(c), simd.packets(c)) << "channel " << c;
+    total += scalar.packets(c).size();
+    const auto ss = scalar.channel_stats(c);
+    const auto vs = simd.channel_stats(c);
+    EXPECT_EQ(ss.iq_samples, vs.iq_samples);
+    EXPECT_EQ(ss.bits, vs.bits);
+    EXPECT_EQ(ss.frames_ok, vs.frames_ok);
+    EXPECT_EQ(ss.crc_failures, vs.crc_failures);
+  }
+  EXPECT_GE(total, 4u);  // every channel decodes its tag
+  expect_packet_parity(scalar.drain_packets(), simd.drain_packets(),
+                       kSimdTimeTol);
+}
+
+TEST(KernelParity, BankPolicyMatrixDecodesIdenticalPacketStreams) {
+  // The matrix the parity contract covers: {scalar, simd} kernels x
+  // {per-channel, channelizer} banks (threading varied for good measure),
+  // all against the scalar per-channel reference. Payloads, channels and
+  // CRC verdicts must agree exactly; timestamps within one channelizer
+  // lane sample — that bounds both the banks' differing prototype filters
+  // and the simd tier's float32 slicer jitter.
+  struct Cell {
+    dsp::KernelPolicy kernels;
+    std::size_t workers;
+    Bank bank;
+  };
+  const Cell cells[] = {
+      {dsp::KernelPolicy::kSimd, 1, Bank::kPerChannel},
+      {dsp::KernelPolicy::kScalar, 1, Bank::kChannelizer},
+      {dsp::KernelPolicy::kSimd, 4, Bank::kChannelizer},
+  };
+  const auto freqs = bank_subcarriers(4, 3000.0);
+  const auto wave = fdma4_capture();
+  const auto plan = dsp::PolyphaseChannelizer::plan(62500.0, 375.0, freqs);
+  ASSERT_TRUE(plan.viable) << plan.reason;
+  const double lane_dt = static_cast<double>(plan.decimation) / 62500.0;
+  const auto ref = decode(
+      fdma_params(dsp::KernelPolicy::kScalar, 1, Bank::kPerChannel, freqs),
+      wave);
+  ASSERT_GE(ref.size(), 4u);  // every channel decodes its tag
+  for (const auto& cell : cells) {
+    SCOPED_TRACE(testing::Message()
+                 << dsp::to_string(cell.kernels) << " workers="
+                 << cell.workers << " bank=" << static_cast<int>(cell.bank));
+    expect_packet_parity(
+        ref, decode(fdma_params(cell.kernels, cell.workers, cell.bank, freqs),
+                    wave),
+        lane_dt);
+  }
+}
+
+TEST(KernelParity, BankWidthsDecodeIdenticalPacketsOnBothBanks) {
+  // The contract at every bank width the benches exercise, on each bank
+  // against its own scalar reference: the per-channel mixer bank, and the
+  // channelizer with its float32 fast path (the kSimd default) and with
+  // the fold pinned to float64.
+  for (const int n : {4, 8, 16, 32}) {
+    SCOPED_TRACE(testing::Message() << n << " channels");
+    const auto freqs = bank_subcarriers(n, 3375.0);
+    const auto wave = fdma_capture(freqs, 0.18, 5);
+    const auto scalar_pc = decode(
+        fdma_params(dsp::KernelPolicy::kScalar, 1, Bank::kPerChannel, freqs),
+        wave);
+    const auto scalar_cz = decode(
+        fdma_params(dsp::KernelPolicy::kScalar, 1, Bank::kChannelizer, freqs),
+        wave);
+    // The 32-wide grid stacks enough co-channel harmonic energy that one
+    // marginal tag can miss on both policies; parity, not yield, is the
+    // contract under test.
+    EXPECT_GE(scalar_pc.size(), static_cast<std::size_t>(n) - 1);
+    EXPECT_GE(scalar_cz.size(), static_cast<std::size_t>(n) - 1);
+    expect_packet_parity(
+        scalar_pc,
+        decode(fdma_params(dsp::KernelPolicy::kSimd, 1, Bank::kPerChannel,
+                           freqs),
+               wave),
+        kSimdTimeTol);
+    for (const ChzrFold fold : {ChzrFold::kAuto, ChzrFold::kFloat64}) {
+      SCOPED_TRACE(fold == ChzrFold::kAuto ? "f32 fold" : "f64 fold");
+      expect_packet_parity(
+          scalar_cz,
+          decode(fdma_params(dsp::KernelPolicy::kSimd, 1, Bank::kChannelizer,
+                             freqs, fold),
+                 wave),
+          kSimdTimeTol);
+    }
+  }
+}
+
+TEST(KernelParity, LowSnrCrcOutcomesMatchScalar) {
+  // Near the noise floor the CRC decision is the sharpest lens on the
+  // float32 path: a single flipped slicer decision would surface as a
+  // frames_ok / crc_failures mismatch. The simd channelizer bank must
+  // reach the scalar bank's per-channel outcomes (and drain the same
+  // packets) on a capture noisy enough that decode is genuinely marginal.
+  const int n = 8;
+  const auto freqs = bank_subcarriers(n, 3375.0);
+  const auto wave = fdma_capture(freqs, 0.18, 5, 0.06);
+  reader::FdmaRxChain scalar{
+      fdma_params(dsp::KernelPolicy::kScalar, 1, Bank::kChannelizer, freqs)};
+  reader::FdmaRxChain simd{
+      fdma_params(dsp::KernelPolicy::kSimd, 1, Bank::kChannelizer, freqs)};
+  constexpr std::size_t kChunk = 7777;
+  for (std::size_t off = 0; off < wave.size(); off += kChunk) {
+    const std::size_t len = std::min(kChunk, wave.size() - off);
+    scalar.process(wave.data() + off, len);
+    simd.process(wave.data() + off, len);
+  }
+  std::uint64_t total_ok = 0;
+  for (std::size_t c = 0; c < freqs.size(); ++c) {
+    const auto a = scalar.channel_stats(c);
+    const auto b = simd.channel_stats(c);
+    EXPECT_EQ(b.frames_ok, a.frames_ok) << "channel " << c;
+    EXPECT_EQ(b.crc_failures, a.crc_failures) << "channel " << c;
+    total_ok += a.frames_ok;
+  }
+  EXPECT_GE(total_ok, 1u) << "capture must not be pure noise";
+  expect_packet_parity(scalar.drain_packets(), simd.drain_packets(),
+                       kSimdTimeTol);
+}
+
+TEST(KernelParity, ForcedPortableTierDecodesIdenticalPackets) {
+  // The portable vector tier is the only kSimd path on hardware without
+  // AVX2: forced onto it, kSimd must still decode the scalar reference's
+  // packets — an ISA downgrade changes speed, never results.
+  const dsp::SimdIsa before = dsp::active_simd_isa();
+  const auto freqs = bank_subcarriers(4, 3000.0);
+  const auto wave = fdma4_capture();
+  const auto scalar = decode(
+      fdma_params(dsp::KernelPolicy::kScalar, 1, Bank::kPerChannel, freqs),
+      wave);
+  dsp::force_simd_isa(dsp::SimdIsa::kGeneric);
+  EXPECT_STREQ(dsp::simd::kernels().isa,
+               dsp::to_string(dsp::active_simd_isa()));
+  const auto portable = decode(
+      fdma_params(dsp::KernelPolicy::kSimd, 1, Bank::kPerChannel, freqs),
+      wave);
+  const auto portable_cz = decode(
+      fdma_params(dsp::KernelPolicy::kSimd, 1, Bank::kChannelizer, freqs),
+      wave);
+  dsp::force_simd_isa(before);
+  ASSERT_GE(scalar.size(), 4u);
+  expect_packet_parity(scalar, portable, kSimdTimeTol);
+  const auto plan = dsp::PolyphaseChannelizer::plan(62500.0, 375.0, freqs);
+  expect_packet_parity(scalar, portable_cz,
+                       static_cast<double>(plan.decimation) / 62500.0);
 }
 
 }  // namespace
