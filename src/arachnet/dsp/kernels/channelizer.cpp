@@ -27,6 +27,15 @@ PolyphaseChannelizer::Plan PolyphaseChannelizer::plan(
     double sample_rate_hz, double chip_rate,
     const std::vector<double>& subcarriers_hz) {
   Plan p;
+  // The sizing loops below double until they pass fs/chip_rate, which
+  // must therefore be a finite, positive and sane ratio.
+  const double ratio = sample_rate_hz / chip_rate;
+  if (!std::isfinite(sample_rate_hz) || !std::isfinite(chip_rate) ||
+      sample_rate_hz <= 0.0 || chip_rate <= 0.0 || !(ratio <= 0x1p24)) {
+    p.reason = "sample and chip rates must be finite and positive, "
+               "at most 2^24 samples per chip";
+    return p;
+  }
   if (subcarriers_hz.empty()) {
     p.reason = "no subcarriers";
     return p;
@@ -121,12 +130,15 @@ PolyphaseChannelizer::PolyphaseChannelizer(Params params)
   use_f32_ = params_.kernels == KernelPolicy::kSimd &&
              params_.fold == Params::Fold::kAuto;
   if (use_f32_) {
-    proto_f_.resize(2 * scaled_proto_.size());
-    for (std::size_t m = 0; m < scaled_proto_.size(); ++m) {
-      proto_f_[2 * m] = static_cast<float>(scaled_proto_[m]);
-      proto_f_[2 * m + 1] = proto_f_[2 * m];
+    // Reversed for the stride-1 bucket fold; unscaled, since the forward
+    // FFT applies no 1/C to undo.
+    const std::size_t taps = params_.prototype.size();
+    proto_f_.resize(2 * taps);
+    for (std::size_t s = 0; s < taps; ++s) {
+      proto_f_[2 * s] = static_cast<float>(params_.prototype[taps - 1 - s]);
+      proto_f_[2 * s + 1] = proto_f_[2 * s];
     }
-    work_f_.assign(2 * (scaled_proto_.size() - 1), 0.0f);
+    work_f_.assign(2 * (taps - 1), 0.0f);
     spec_f_.resize(2 * params_.fft_size);
   }
   const std::vector<double> centers = std::move(params_.center_hz);
@@ -141,7 +153,7 @@ bool PolyphaseChannelizer::lane_fits(double center_hz) const noexcept {
   return std::find(bins_.begin(), bins_.end(), b) == bins_.end();
 }
 
-void PolyphaseChannelizer::seed_lane_nco(double center_hz) {
+void PolyphaseChannelizer::seed_lane_nco(double center_hz, std::size_t bin) {
   // The lane rotation e^{-j*w*t} is only ever evaluated at frame instants
   // t_F = (F+1)*D - 1, so it reduces to one phasor stepping -w*D per
   // frame. Seed it for the *next* frame this instance will produce —
@@ -154,15 +166,22 @@ void PolyphaseChannelizer::seed_lane_nco(double center_hz) {
   const double phase0 = -std::fmod(w * t_next, kTwoPi);
   const double step = -std::fmod(w * d, kTwoPi);
   lane_nco_.emplace_back(phase0, step);
-  // Float32 twin, seeded from the same double phase (kept in sync even
-  // when the float path is inactive so Params carry no mode coupling).
+  // Float32 twin (kept in sync even when the float path is inactive so
+  // Params carry no mode coupling). The float32 frame reads bin b of the
+  // forward FFT of the reversed-prototype buckets, which is Y_b times
+  // e^{-j*2*pi*((L-1)*b mod C)/C} (DESIGN.md §7); the lane's phase, and
+  // so its double master, carries the inverse of that constant.
+  const std::size_t c = params_.fft_size;
+  const std::size_t turn = (params_.prototype.size() - 1) % c * bin % c;
   LaneF32 lf;
-  lf.phase = phase0;
+  lf.phase = phase0 + kTwoPi * static_cast<double>(turn) /
+                          static_cast<double>(c);
   lf.step = step;
-  lf.re = static_cast<float>(std::cos(phase0));
-  lf.im = static_cast<float>(std::sin(phase0));
+  lf.re = static_cast<float>(std::cos(lf.phase));
+  lf.im = static_cast<float>(std::sin(lf.phase));
   lf.rre = static_cast<float>(std::cos(step));
   lf.rim = static_cast<float>(std::sin(step));
+  lf.pos = fft_->bitrev(bin);
   lane_f32_.push_back(lf);
 }
 
@@ -173,7 +192,7 @@ std::size_t PolyphaseChannelizer::add_lane(double center_hz) {
   }
   bins_.push_back(
       bin_for(center_hz, params_.sample_rate_hz, params_.fft_size));
-  seed_lane_nco(center_hz);
+  seed_lane_nco(center_hz, bins_.back());
   lanes_.emplace_back();
   params_.center_hz.push_back(center_hz);
   return lane_nco_.size() - 1;
@@ -233,7 +252,7 @@ std::size_t PolyphaseChannelizer::process(const cplx* in, std::size_t n) {
 }
 
 std::size_t PolyphaseChannelizer::process_f32(const cplx* in, std::size_t n) {
-  const std::size_t taps = scaled_proto_.size();
+  const std::size_t taps = params_.prototype.size();
   const std::size_t fft_size = params_.fft_size;
   const std::size_t decim = params_.decimation;
   // Interleaved float32 mirror of the window: history (taps-1 samples)
@@ -254,12 +273,12 @@ std::size_t PolyphaseChannelizer::process_f32(const cplx* in, std::size_t n) {
   // Same frame grid as the float64 path (identical phase arithmetic), so
   // frame timestamps are bit-identical across fold precisions.
   for (std::size_t i = decim - 1 - phase_; i < n; i += decim, ++f) {
-    kt.chzr_fold_cf32(wf + 2 * i, hd, taps, fft_size, v);
-    fft_->inverse_f(vc);
+    kt.chzr_bucket_cf32(wf + 2 * i, hd, taps, fft_size, v);
+    fft_->forward_bitrev_f(vc);
     for (std::size_t k = 0; k < lane_f32_.size(); ++k) {
       LaneF32& c = lane_f32_[k];
-      const float br = v[2 * bins_[k]];
-      const float bi = v[2 * bins_[k] + 1];
+      const float br = v[2 * c.pos];
+      const float bi = v[2 * c.pos + 1];
       lanes_[k][f] = cplx{static_cast<double>(br * c.re - bi * c.im),
                           static_cast<double>(br * c.im + bi * c.re)};
       const float nre = c.re * c.rre - c.im * c.rim;

@@ -42,6 +42,16 @@ namespace arachnet::dsp {
 /// size-C FFT amortized over D samples — independent of the number of
 /// lanes — versus `taps` multiplies *per channel* for the mixer bank.
 ///
+/// The float32 frame (kSimd) computes the same Y_b another way. With the
+/// prototype stored reversed, g[s] = h[L-1-s], and the window oldest
+/// first, the fold is a stride-1 multiply-accumulate into C buckets,
+/// bucket[s] = sum_q g[s+qC] * win[s+qC], and
+///
+///   Y_b = e^{+j*2*pi*((L-1)*b mod C)/C} * FFT_fwd(bucket)[b].
+///
+/// The FFT leaves its output bit-reversed and unscaled, so a lane reads
+/// position bitrev(b) and its phasor carries the constant phase.
+///
 /// The frame grid matches the Ddc decimator: with `phase()` samples
 /// consumed since the last frame, the next frame fires after
 /// D - phase() further samples, and history carries across process()
@@ -65,16 +75,16 @@ class PolyphaseChannelizer {
     /// Per-lane center frequencies in Hz. Each maps to its nearest bin;
     /// bins must be distinct and inside (0, fs/2).
     std::vector<double> center_hz;
-    /// Under kSimd the frontend runs the single-precision fast path by
-    /// default: the branch fold, the inverse FFT and the residual lane
+    /// Under kSimd the frontend runs the float32 frame by default: the
+    /// bucket fold, the bit-reversed forward FFT and the residual lane
     /// rotation all run in float32 through the ISA-dispatched vector
-    /// kernels (partial sums in float32, accumulator combines in double,
-    /// lane phasors reseeded from double masters every 4096 frames — the
-    /// SimdNco chunk idiom). kScalar uses the portable scalar float64
-    /// fold. Lane outputs agree to float32 tolerance; decoded
-    /// packets are bit-identical (see DESIGN.md §7 precision analysis).
+    /// kernels, with lane phasors reseeded from double masters every
+    /// 4096 frames (the SimdNco chunk idiom). kScalar uses the portable
+    /// scalar float64 fold. Lane outputs agree to float32 tolerance;
+    /// decoded packets are bit-identical (see DESIGN.md §7 precision
+    /// analysis).
     KernelPolicy kernels = default_kernel_policy();
-    /// Fold precision under kSimd. kAuto selects the float32 fast path
+    /// Fold precision under kSimd. kAuto selects the float32 frame
     /// above; kFloat64 pins the vectorized float64 fold + float64 FFT —
     /// benches use it as the f32-vs-f64 speedup baseline and it remains
     /// the output-precision reference. Ignored outside kSimd.
@@ -100,8 +110,9 @@ class PolyphaseChannelizer {
   /// `chip_rate`: C = next power of two >= fs/chip_rate (bin residual
   /// <= chip_rate/2), D = largest power of two keeping >= 16 lane samples
   /// per chip, prototype length ~3.3*fs/(1.1*chip_rate) (clamped odd to
-  /// [255, 1023]) with cutoff 1.4*chip_rate + fs/(2C). Not viable when the
-  /// subcarriers are off a uniform grid, collide in a bin, map outside
+  /// [255, 1023]) with cutoff 1.4*chip_rate + fs/(2C). Not viable when a
+  /// rate is non-finite or non-positive (or fs/chip_rate exceeds 2^24),
+  /// the subcarriers are off a uniform grid, collide in a bin, map outside
   /// (0, fs/2), or the IQ rate leaves no room to decimate (D < 2); the
   /// reason string says which.
   static Plan plan(double sample_rate_hz, double chip_rate,
@@ -147,14 +158,16 @@ class PolyphaseChannelizer {
   std::size_t phase() const noexcept { return phase_; }
   /// Total frames produced since construction (the lane-sample clock).
   std::uint64_t frames_produced() const noexcept { return frames_produced_; }
-  /// True when process() runs the float32 fast path (kSimd + Fold::kAuto).
+  /// True when process() runs the float32 frame (kSimd + Fold::kAuto).
   bool float32_path() const noexcept { return use_f32_; }
 
  private:
   /// Per-lane float32 residual phasor: `re/im` rotate by `rre/rim` each
-  /// frame; `phase` is the double master (phase of the *next* frame),
-  /// advanced alongside and used to recompute re/im at reseed points so
-  /// float32 drift never spans more than kF32ReseedFrames frames.
+  /// frame; `phase` is the double master (phase of the *next* frame,
+  /// plus the lane's constant FFT phase), advanced alongside and used to
+  /// recompute re/im at reseed points so float32 drift never spans more
+  /// than kF32ReseedFrames frames. `pos` is where the bit-reversed FFT
+  /// leaves the lane's bin.
   struct LaneF32 {
     double phase = 0.0;
     double step = 0.0;
@@ -162,10 +175,11 @@ class PolyphaseChannelizer {
     float im = 0.0f;
     float rre = 1.0f;
     float rim = 0.0f;
+    std::size_t pos = 0;
   };
   static constexpr std::size_t kF32ReseedFrames = 4096;
 
-  void seed_lane_nco(double center_hz);
+  void seed_lane_nco(double center_hz, std::size_t bin);
   std::size_t process_f32(const cplx* in, std::size_t n);
 
   Params params_;
@@ -177,14 +191,14 @@ class PolyphaseChannelizer {
   std::vector<std::vector<cplx>> lanes_;
   std::vector<cplx> work_;  ///< history (L-1 samples) + current block
   std::vector<cplx> spec_;  ///< size C: branch sums, FFT'd in place
-  // Float32 fast path (engaged when use_f32_): duplicated float32
-  // prototype, interleaved float32 window mirror (replaces work_), branch
-  // scratch, and the per-lane phasors. lane_nco_ stays seeded in parallel
-  // so the two paths share add_lane()/frame-clock semantics.
+  // Float32 frame (engaged when use_f32_): reversed float32 prototype,
+  // interleaved float32 window mirror (replaces work_), bucket scratch,
+  // and the per-lane phasors. lane_nco_ stays seeded in parallel so the
+  // two paths share add_lane()/frame-clock semantics.
   bool use_f32_ = false;
-  std::vector<float> proto_f_;    ///< scaled_proto_ duplicated elementwise
+  std::vector<float> proto_f_;    ///< prototype reversed, duplicated (hd)
   std::vector<float> work_f_;     ///< interleaved history + current block
-  std::vector<float> spec_f_;     ///< 2*C floats: branch sums, FFT scratch
+  std::vector<float> spec_f_;     ///< 2*C floats: buckets, FFT'd in place
   std::vector<LaneF32> lane_f32_;
   std::size_t f32_reseed_left_ = kF32ReseedFrames;
   std::size_t phase_ = 0;

@@ -36,15 +36,15 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
         static_cast<double>(n);
     twiddle_[k] = cplx{std::cos(angle), std::sin(angle)};
   }
-  if (n >= 2) {
-    stage_tw_f_.resize(2 * (n - 1));
-    for (std::size_t half = 1; half < n; half <<= 1) {
-      const std::size_t stride = n / (2 * half);
-      float* st = stage_tw_f_.data() + 2 * (half - 1);
-      for (std::size_t k = 0; k < half; ++k) {
-        st[2 * k] = static_cast<float>(twiddle_[k * stride].real());
-        st[2 * k + 1] = static_cast<float>(twiddle_[k * stride].imag());
-      }
+  dif_tw_f_.resize(4 * (n - 1));
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    float* wr = dif_tw_f_.data() + 4 * (half - 1);
+    float* wi = wr + 2 * half;
+    for (std::size_t k = 0; k < half; ++k) {
+      const cplx w = twiddle_[k * (n / (2 * half))];
+      wr[2 * k] = wr[2 * k + 1] = static_cast<float>(w.real());
+      wi[2 * k] = -static_cast<float>(w.imag());
+      wi[2 * k + 1] = static_cast<float>(w.imag());
     }
   }
 }
@@ -104,15 +104,9 @@ void FftPlan::transform(cplx* data, bool inverse) const noexcept {
   }
 }
 
-void FftPlan::transform_f(std::complex<float>* data,
-                          bool inverse) const noexcept {
-  // The float32 butterflies live in the ISA-dispatched kernel table so
-  // they compile once per tier (AVX2 encodings included); this
-  // wrapper supplies the plan's tables.
-  simd::kernels().fft_radix2_cf32(
-      reinterpret_cast<float*>(data), n_, bitrev_.data(),
-      stage_tw_f_.data(), inverse ? -1.0f : 1.0f,
-      inverse ? 1.0f / static_cast<float>(n_) : 1.0f);
+void FftPlan::forward_bitrev_f(std::complex<float>* data) const noexcept {
+  simd::kernels().fft_dif_cf32(reinterpret_cast<float*>(data), n_,
+                               dif_tw_f_.data());
 }
 
 void FftPlan::forward(std::vector<cplx>& data) const {

@@ -34,18 +34,18 @@ class FftPlan {
   void forward(std::vector<cplx>& data) const;
   void inverse(std::vector<cplx>& data) const;
 
-  /// Single-precision in-place transforms over the same plan (shared
-  /// bit-reversal table, float32 twiddles narrowed from the double ones).
-  /// The butterfly stages run four lanes per 256-bit vector — double the
-  /// throughput of the float64 path — which is what the kSimd channelizer
-  /// fast path rides on. Rounding follows float32; callers that need the
-  /// double-precision result use forward()/inverse().
-  void forward_f(std::complex<float>* data) const noexcept {
-    transform_f(data, false);
-  }
-  void inverse_f(std::complex<float>* data) const noexcept {
-    transform_f(data, true);
-  }
+  /// Single-precision in-place forward transform, unscaled, with the
+  /// output left in bit-reversed order: bin b lands at position
+  /// bitrev(b). It is a radix-2 decimation-in-frequency kernel of the
+  /// ISA-dispatched table (four butterflies per 256-bit vector), so it
+  /// skips the permutation pass; the kSimd channelizer frame reads the
+  /// few bins it needs at their bit-reversed positions. Rounding follows
+  /// float32.
+  void forward_bitrev_f(std::complex<float>* data) const noexcept;
+
+  /// Bit reversal of `k` over log2(size()) bits: where
+  /// forward_bitrev_f() leaves bin k.
+  std::size_t bitrev(std::size_t k) const noexcept { return bitrev_[k]; }
 
   /// Full complex spectrum of a real signal: `in[0..n_in)` is zero-padded
   /// to size(). Uses the conjugate-symmetry trick — the signal is packed
@@ -63,17 +63,16 @@ class FftPlan {
 
  private:
   void transform(cplx* data, bool inverse) const noexcept;
-  void transform_f(std::complex<float>* data, bool inverse) const noexcept;
 
   std::size_t n_;
   std::vector<std::size_t> bitrev_;  ///< permutation table, size n
   std::vector<cplx> twiddle_;        ///< e^{-2*pi*i*k/n}, k < n/2
-  /// Float32 twiddles in stage-major contiguous layout: the stage with
-  /// `half` butterflies per group starts at float offset 2*(half-1) and
-  /// holds its `half` twiddles as interleaved re,im — so the float32
-  /// butterfly loop loads four twiddles with one unstrided 256-bit load
-  /// instead of gathering them through the stride-indexed double table.
-  std::vector<float> stage_tw_f_;
+  /// Float32 twiddles of forward_bitrev_f, split per stage: the stage
+  /// with `half` butterflies per group starts at float offset
+  /// 4*(half-1) and holds the real parts duplicated (c, c) and then the
+  /// imaginary parts signed (-s, s), so a vector of four butterflies
+  /// multiplies with one in-lane swap (simd_kernels.hpp, fft_dif_cf32).
+  std::vector<float> dif_tw_f_;
 };
 
 }  // namespace arachnet::dsp

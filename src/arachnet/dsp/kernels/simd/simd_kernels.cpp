@@ -16,8 +16,8 @@ namespace generic_impl {
 #undef ARACHNET_SIMD_FN
 constexpr KernelTable kTable{"generic",       &mix_real_cf32,
                              &mix_cplx_cf32,  &fir_block_cf32,
-                             &fir_decim_cf32, &fft_radix2_cf32,
-                             &chzr_fold_cf32, &chzr_fold_f64};
+                             &fir_decim_cf32, &fft_dif_cf32,
+                             &chzr_bucket_cf32, &chzr_fold_f64};
 }  // namespace generic_impl
 
 // AVX2 tier: identical source, instantiated with per-function target
@@ -32,8 +32,8 @@ namespace avx2_impl {
 #undef ARACHNET_SIMD_FN
 constexpr KernelTable kTable{"avx2",          &mix_real_cf32,
                              &mix_cplx_cf32,  &fir_block_cf32,
-                             &fir_decim_cf32, &fft_radix2_cf32,
-                             &chzr_fold_cf32, &chzr_fold_f64};
+                             &fir_decim_cf32, &fft_dif_cf32,
+                             &chzr_bucket_cf32, &chzr_fold_f64};
 }  // namespace avx2_impl
 #endif
 

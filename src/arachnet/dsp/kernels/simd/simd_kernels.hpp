@@ -52,39 +52,31 @@ struct KernelTable {
                          std::size_t first, std::size_t decim,
                          std::size_t count, std::complex<double>* out);
 
-  /// In-place float32 radix-2 transform over interleaved complex data —
-  /// the FFT stage of the kSimd channelizer fast path (FftPlan::
-  /// forward_f/inverse_f route here so the butterflies compile per ISA
-  /// tier). `bitrev` is the plan's permutation table; `stage_tw` the
-  /// stage-contiguous float twiddles (stage with `half` butterflies at
-  /// float offset 2*(half-1)); `sgn` is +1 forward / -1 inverse (applied
-  /// to twiddle imaginary lanes); `scale` multiplies every output (1/n
-  /// for the inverse, 1 otherwise).
-  void (*fft_radix2_cf32)(float* d, std::size_t n, const std::size_t* bitrev,
-                          const float* stage_tw, float sgn, float scale);
+  /// In-place float32 forward FFT of n (a power of two) interleaved
+  /// complex samples, radix-2 decimation in frequency: the input is in
+  /// natural order, bin b lands at position bitrev(b), and nothing is
+  /// scaled. `stage_tw` is FftPlan's split twiddle table: the stage with
+  /// `half` butterflies per group starts at float offset 4*(half-1) and
+  /// holds 2*half duplicated real parts (c, c) followed by 2*half signed
+  /// imaginary parts (-s, s), for w_k = c + js = e^{-j*pi*k/half}. The
+  /// two narrowest stages (half < 4) use no table.
+  void (*fft_dif_cf32)(float* d, std::size_t n, const float* stage_tw);
 
-  /// Single-precision polyphase branch fold — the kSimd channelizer fast
-  /// path. `win` is the interleaved float32 window (`taps` complex
-  /// samples, ascending in time); `hd` is the prototype duplicated
-  /// elementwise (hd[2m] == hd[2m+1] == h[m], indexed by tap m directly —
-  /// unlike the FIR hd convention the taps are *not* pre-reversed; the
-  /// window reversal lives in the kernel's descending reads). Writes
-  /// fft_size interleaved complex float32 branch outputs:
+  /// Polyphase fold of the float32 channelizer frame. `win` is the
+  /// interleaved float32 window (`taps` complex samples, ascending in
+  /// time) and `hd` the prototype in the FIR convention above. Writes
+  /// fft_size interleaved complex buckets, zero where no tap reaches:
+  ///   v[s] = sum_q hd[s + q*fft_size] * win[s + q*fft_size]
+  /// over the interleaved floats. The sums stay in float32 (at most
+  /// ceil(taps/fft_size) terms each).
+  void (*chzr_bucket_cf32)(const float* win, const float* hd,
+                           std::size_t taps, std::size_t fft_size, float* v);
+
+  /// Double-precision polyphase branch fold over complex<double> with
+  /// the plain prototype, oldest-first window:
   ///   v[p] = sum_q h[p + q*fft_size] * win[taps-1-p-q*fft_size].
-  /// Lane partial sums are float32; accumulator pairs combine in double
-  /// before narrowing (same discipline as fir_dot_cf32). Precision
-  /// analysis (DESIGN.md §7): the fold feeds an FFT whose bins drive lane
-  /// decisions at ~20 samples/chip, and float32 fold noise (~1e-6
-  /// relative) sits ~50 dB under the decision margin, so packets stay
-  /// bit-identical to the float64 fold.
-  void (*chzr_fold_cf32)(const float* win, const float* hd, std::size_t taps,
-                         std::size_t fft_size, float* v);
-
-  /// Double-precision polyphase branch fold (same recurrence as
-  /// chzr_fold_cf32 over complex<double> with the plain prototype).
-  /// Retained as the reference/fallback lane: benches pin it via
-  /// Channelizer::Params::fold to measure the float32 speedup, and
-  /// non-uniform configs that want double IQ keep it.
+  /// The Fold::kFloat64 channelizer path; benches pin it to measure the
+  /// float32 frame against it.
   void (*chzr_fold_f64)(const std::complex<double>* win, const double* h,
                         std::size_t taps, std::size_t fft_size,
                         std::complex<double>* v);

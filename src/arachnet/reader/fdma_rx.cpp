@@ -182,6 +182,12 @@ void FdmaRxChain::Channel::process_lane(const std::complex<double>* lane,
 FdmaRxChain::FdmaRxChain(Params params)
     : params_(params),
       ddc_([&] {
+        // Checked first: every rate below (filter cutoffs, samples per
+        // chip, the channelizer plan) divides by or scales with it.
+        if (!std::isfinite(params.chip_rate) || params.chip_rate <= 0.0) {
+          throw std::invalid_argument(
+              "FdmaRxChain: chip_rate must be finite and positive");
+        }
         dsp::Ddc::Params ddc = params.ddc;
         // The main down-converter must pass the highest subcarrier plus
         // its modulation sidebands (or the provisioned headroom).

@@ -82,7 +82,7 @@ class FdmaRxChain {
 
   struct Params {
     dsp::Ddc::Params ddc{};   ///< cutoff must cover the highest subcarrier
-    double chip_rate = phy::kDefaultUlRawBitRate;
+    double chip_rate = phy::kDefaultUlRawBitRate;  ///< finite, > 0
     std::vector<ChannelSpec> channels;
     /// Worker threads for the per-block channel fan-out. 0 = auto (one per
     /// hardware thread); 1 = strictly sequential on the calling thread.

@@ -161,6 +161,15 @@ TEST(Fdma, ValidatesConfiguration) {
   rejects(bad, "duplicate");
   bad.channels = {{3000.0}, {3500.0}};
   rejects(bad, "3x chip rate");
+  // A chip rate that is zero, negative or not finite is refused before
+  // anything divides by it.
+  bad.channels = {{3000.0}};
+  for (const double chip : {0.0, -375.0,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    bad.chip_rate = chip;
+    rejects(bad, "chip_rate");
+  }
   // The passband limit can only bite after construction (the constructor
   // provisions the DDC around the initial channel list).
   reader::FdmaRxChain::Params ok;

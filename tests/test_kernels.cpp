@@ -11,16 +11,20 @@
 #include <complex>
 #include <cstddef>
 #include <iterator>
+#include <limits>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "arachnet/acoustic/waveform_channel.hpp"
 #include "arachnet/dsp/ddc.hpp"
 #include "arachnet/dsp/fir.hpp"
 #include "arachnet/dsp/kernels/channelizer.hpp"
+#include "arachnet/dsp/kernels/cpu_dispatch.hpp"
 #include "arachnet/dsp/kernels/fft_plan.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
 #include "arachnet/dsp/kernels/nco.hpp"
+#include "arachnet/dsp/kernels/simd/simd_kernels.hpp"
 #include "arachnet/phy/fm0.hpp"
 #include "arachnet/phy/packet.hpp"
 #include "arachnet/phy/subcarrier.hpp"
@@ -102,6 +106,40 @@ TEST(FftPlan, ForwardMatchesNaiveDft) {
     EXPECT_NEAR(got[k].real(), want[k].real(), 1e-10);
     EXPECT_NEAR(got[k].imag(), want[k].imag(), 1e-10);
   }
+}
+
+TEST(FftPlan, BitReversedFloatForwardMatchesNaiveDft) {
+  // forward_bitrev_f() leaves bin b, unscaled, at position bitrev(b).
+  // Sizes 1..1024 cover the shuffle-only stages (n < 8) and the
+  // split-twiddle stages, on the CPUID-chosen table and the portable one.
+  const dsp::SimdIsa before = dsp::active_simd_isa();
+  for (const dsp::SimdIsa isa : {before, dsp::SimdIsa::kGeneric}) {
+    dsp::force_simd_isa(isa);
+    SCOPED_TRACE(dsp::simd::kernels().isa);
+    sim::Rng rng{31};
+    for (std::size_t n = 1; n <= 1024; n *= 2) {
+      SCOPED_TRACE(testing::Message() << "n=" << n);
+      std::vector<complex<float>> got(n);
+      std::vector<cplx> x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        got[i] = {static_cast<float>(rng.normal(0.0, 1.0)),
+                  static_cast<float>(rng.normal(0.0, 1.0))};
+        x[i] = {got[i].real(), got[i].imag()};
+      }
+      const auto want = naive_dft(x);
+      const auto plan = dsp::FftPlan::get(n);
+      plan->forward_bitrev_f(got.data());
+      // float32 rounding through log2(n) stages on bins of RMS sqrt(2n).
+      const double tol =
+          2e-7 * std::sqrt(static_cast<double>(n)) * (std::log2(n) + 1.0);
+      for (std::size_t b = 0; b < n; ++b) {
+        const complex<float> g = got[plan->bitrev(b)];
+        EXPECT_NEAR(g.real(), want[b].real(), tol) << "bin " << b;
+        EXPECT_NEAR(g.imag(), want[b].imag(), tol) << "bin " << b;
+      }
+    }
+  }
+  dsp::force_simd_isa(before);
 }
 
 TEST(FftPlan, ForwardRealMatchesComplexTransform) {
@@ -198,17 +236,18 @@ constexpr double kChzrChip = 375.0;
 
 std::vector<double> chzr_centers() { return {3000.0, 4500.0, 6000.0, 7500.0}; }
 
-dsp::PolyphaseChannelizer make_channelizer(dsp::KernelPolicy policy) {
-  const auto centers = chzr_centers();
+// Sized for all four chzr_centers(); `lanes` picks which start as lanes.
+dsp::PolyphaseChannelizer make_channelizer(
+    dsp::KernelPolicy policy, std::vector<double> lanes = chzr_centers()) {
   const auto plan =
-      dsp::PolyphaseChannelizer::plan(kChzrFs, kChzrChip, centers);
+      dsp::PolyphaseChannelizer::plan(kChzrFs, kChzrChip, chzr_centers());
   EXPECT_TRUE(plan.viable) << plan.reason;
   return dsp::PolyphaseChannelizer{{
       .sample_rate_hz = kChzrFs,
       .fft_size = plan.fft_size,
       .decimation = plan.decimation,
       .prototype = dsp::design_lowpass(plan.cutoff_hz, kChzrFs, plan.taps),
-      .center_hz = centers,
+      .center_hz = std::move(lanes),
       .kernels = policy,
   }};
 }
@@ -237,6 +276,18 @@ TEST(Channelizer, PlannerSizesTheBank) {
       dsp::PolyphaseChannelizer::plan(8.0 * kChzrChip, kChzrChip, {3000.0})
           .viable);
   EXPECT_FALSE(dsp::PolyphaseChannelizer::plan(kChzrFs, kChzrChip, {}).viable);
+  // Rates the sizing loops cannot double past are refused, not looped on.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> bad_rates[] = {
+      {125000.0, 0.0}, {125000.0, -375.0}, {125000.0, kNan},
+      {kInf, kChzrChip}, {kNan, kChzrChip}, {1e30, 1.0}};
+  for (const auto& [fs, chip] : bad_rates) {
+    const auto bad =
+        dsp::PolyphaseChannelizer::plan(fs, chip, chzr_centers());
+    EXPECT_FALSE(bad.viable) << "fs " << fs << " chip " << chip;
+    EXPECT_FALSE(bad.reason.empty()) << "fs " << fs << " chip " << chip;
+  }
 }
 
 TEST(Channelizer, ToneLandsOnlyInItsLane) {
@@ -316,6 +367,41 @@ TEST(Channelizer, CommutatorCarriesAcrossSplitCalls) {
         ASSERT_EQ(lanes[k][f], whole.lane(k)[f])
             << "lane " << k << " frame " << f;
       }
+    }
+  }
+}
+
+TEST(Channelizer, LaneAddedMidStreamMatchesFromStartLane) {
+  // add_lane() seeds the new lane for the running frame clock, and on
+  // the float32 frame with its constant FFT phase too: from its first
+  // frame on it must match the same lane of a channelizer that had it
+  // from the start. Packet tests cannot see a wrong constant lane phase
+  // (the axis projection absorbs it), so this compares lane IQ, across
+  // the 4096-frame reseed of the float32 phasors.
+  const auto centers = chzr_centers();
+  for (const auto policy : kPolicies) {
+    SCOPED_TRACE(dsp::to_string(policy));
+    auto from_start = make_channelizer(policy);
+    auto late = make_channelizer(
+        policy, std::vector<double>(centers.begin(), centers.end() - 1));
+    sim::Rng rng{41};
+    std::vector<cplx> in(40000);
+    for (auto& v : in) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
+    const std::size_t head = 12003;  // ends mid-frame
+    from_start.process(in.data(), head);
+    late.process(in.data(), head);
+    const std::size_t k = late.add_lane(centers.back());
+    ASSERT_EQ(k, centers.size() - 1);
+    const std::size_t frames =
+        from_start.process(in.data() + head, in.size() - head);
+    ASSERT_EQ(late.process(in.data() + head, in.size() - head), frames);
+    ASSERT_GT(late.frames_produced(), 4096u);
+    const double tol = policy == dsp::KernelPolicy::kScalar ? 1e-9 : 1e-3;
+    for (std::size_t f = 0; f < frames; ++f) {
+      ASSERT_NEAR(late.lane(k)[f].real(), from_start.lane(k)[f].real(), tol)
+          << "frame " << f;
+      ASSERT_NEAR(late.lane(k)[f].imag(), from_start.lane(k)[f].imag(), tol)
+          << "frame " << f;
     }
   }
 }

@@ -591,36 +591,43 @@ TEST(KernelParity, ChannelizerSimdF64FoldMatchesScalarFold) {
 }
 
 TEST(KernelParity, ChannelizerFloat32LaneTracksScalarToFloatTolerance) {
-  // The default kSimd channelizer rides the float32 fast path: fold,
-  // inverse FFT and lane rotation all single-precision. Lane IQ tracks
-  // the scalar float64 reference to float32-scale error — orders of
-  // magnitude inside the decision chain's margin.
-  const ChzrFixture fx;
+  // The default kSimd channelizer runs the float32 frame: bucket fold,
+  // bit-reversed forward FFT and lane rotation all single-precision.
+  // Lane IQ tracks the scalar float64 reference to float32-scale error —
+  // orders of magnitude inside the decision chain's margin — past the
+  // 4096-frame phasor reseed, with the plan's prototype and with one
+  // shorter than C (the fold then leaves the top buckets zero).
+  ChzrFixture fx;
   ASSERT_TRUE(fx.plan.viable) << fx.plan.reason;
-  auto scalar = fx.make(dsp::KernelPolicy::kScalar);
-  auto simd = fx.make(dsp::KernelPolicy::kSimd);
-  EXPECT_TRUE(simd.float32_path());
-  sim::Rng rng{39};
-  std::vector<cplx> in(12000);
-  for (auto& v : in) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-  const std::size_t frames_a = scalar.process(in.data(), in.size());
-  const std::size_t frames_b = simd.process(in.data(), in.size());
-  ASSERT_EQ(frames_a, frames_b);
-  ASSERT_GT(frames_a, 100u);
-  for (std::size_t k = 0; k < fx.centers.size(); ++k) {
-    double ref_pow = 0.0;
-    for (std::size_t f = 0; f < frames_a; ++f) {
-      ref_pow += std::norm(scalar.lane(k)[f]);
-    }
-    const double scale =
-        std::max(1.0, std::sqrt(ref_pow / static_cast<double>(frames_a)));
-    for (std::size_t f = 0; f < frames_a; ++f) {
-      ASSERT_NEAR(simd.lane(k)[f].real(), scalar.lane(k)[f].real(),
-                  1e-3 * scale)
-          << "lane " << k << " frame " << f;
-      ASSERT_NEAR(simd.lane(k)[f].imag(), scalar.lane(k)[f].imag(),
-                  1e-3 * scale)
-          << "lane " << k << " frame " << f;
+  ASSERT_GT(fx.plan.fft_size, 127u);
+  for (const std::size_t taps : {fx.plan.taps, std::size_t{127}}) {
+    SCOPED_TRACE(testing::Message() << taps << " taps");
+    fx.proto = dsp::design_lowpass(fx.plan.cutoff_hz, fx.fs, taps);
+    auto scalar = fx.make(dsp::KernelPolicy::kScalar);
+    auto simd = fx.make(dsp::KernelPolicy::kSimd);
+    EXPECT_TRUE(simd.float32_path());
+    sim::Rng rng{39};
+    std::vector<cplx> in(40000);
+    for (auto& v : in) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
+    const std::size_t frames_a = scalar.process(in.data(), in.size());
+    const std::size_t frames_b = simd.process(in.data(), in.size());
+    ASSERT_EQ(frames_a, frames_b);
+    ASSERT_GT(frames_a, 4096u);
+    for (std::size_t k = 0; k < fx.centers.size(); ++k) {
+      double ref_pow = 0.0;
+      for (std::size_t f = 0; f < frames_a; ++f) {
+        ref_pow += std::norm(scalar.lane(k)[f]);
+      }
+      const double scale =
+          std::max(1.0, std::sqrt(ref_pow / static_cast<double>(frames_a)));
+      for (std::size_t f = 0; f < frames_a; ++f) {
+        ASSERT_NEAR(simd.lane(k)[f].real(), scalar.lane(k)[f].real(),
+                    1e-3 * scale)
+            << "lane " << k << " frame " << f;
+        ASSERT_NEAR(simd.lane(k)[f].imag(), scalar.lane(k)[f].imag(),
+                    1e-3 * scale)
+            << "lane " << k << " frame " << f;
+      }
     }
   }
 }
