@@ -21,6 +21,10 @@ Asserts the kernel-tier invariants the DSP layer promises:
      channelizer fast path: packet parity against the float64 fold at
      every width, at least break-even at >= 8 channels, and >= 1.3x at
      16 and 32 channels.
+  5. end-to-end decode — BM_RxChainEndToEnd times the single chain on a
+     modulated capture, so its throughput only counts if the chain
+     decoded what it was fed: BM_RxChainEndToEnd.packets must reach
+     BM_RxChainEndToEnd.packets_fed (and be nonzero).
 
 Usage: check_kernel_bench.py BENCH_micro_dsp.json [BENCH_ext_throughput.json ...]
 """
@@ -42,6 +46,9 @@ PARITY_ROWS = [
 ]
 
 INFO_ROWS = ["kernel.policy", "kernel.isa"]
+
+RX_DECODED = "BM_RxChainEndToEnd.packets"
+RX_FED = "BM_RxChainEndToEnd.packets_fed"
 
 
 def main() -> int:
@@ -105,6 +112,19 @@ def main() -> int:
                 f"::error::simd path slower than scalar "
                 f"({fast}={f:.0f}ns vs {slow}={s:.0f}ns)"
             )
+            failed = True
+
+    decoded, fed = metrics.get(RX_DECODED), metrics.get(RX_FED)
+    if decoded is None or fed is None:
+        print(f"::error::sidecar missing {RX_DECODED} or {RX_FED}")
+        failed = True
+    else:
+        rate = metrics.get("BM_RxChainEndToEnd.items_per_second", 0.0)
+        print(f"BM_RxChainEndToEnd: {decoded:.0f}/{fed:.0f} packets, "
+              f"{rate / 1e6:.1f} MS/s")
+        if fed <= 0 or decoded < fed:
+            print(f"::error::single chain decoded {decoded:.0f} of the "
+                  f"{fed:.0f} packets it was fed")
             failed = True
 
     # Float32 channelizer fold (rows come from BENCH_ext_throughput.json

@@ -40,24 +40,6 @@ void AdaptiveSchmitt::reset() noexcept {
   level_ = false;
 }
 
-std::optional<RunLengthEncoder::Run> RunLengthEncoder::push(
-    bool level) noexcept {
-  if (!started_) {
-    started_ = true;
-    current_ = level;
-    count_ = 1;
-    return std::nullopt;
-  }
-  if (level == current_) {
-    ++count_;
-    return std::nullopt;
-  }
-  const Run completed{current_, count_};
-  current_ = level;
-  count_ = 1;
-  return completed;
-}
-
 void RunLengthEncoder::reset() noexcept {
   started_ = false;
   count_ = 0;

@@ -63,7 +63,22 @@ class RunLengthEncoder {
   };
 
   /// Feeds one level; returns the completed run when the level changed.
-  std::optional<Run> push(bool level) noexcept;
+  std::optional<Run> push(bool level) noexcept {
+    if (!started_) {
+      started_ = true;
+      current_ = level;
+      count_ = 1;
+      return std::nullopt;
+    }
+    if (level == current_) {
+      ++count_;
+      return std::nullopt;
+    }
+    const Run completed{current_, count_};
+    current_ = level;
+    count_ = 1;
+    return completed;
+  }
 
   /// Duration of the currently open run.
   std::size_t open_run() const noexcept { return count_; }

@@ -73,4 +73,72 @@ class Debouncer {
   bool primed_ = false;
 };
 
+// The per-sample steps are defined here so the decision loops inline them.
+
+inline bool AdaptiveSlicer::push(double x) noexcept {
+  if (!primed_) {
+    hi_ = lo_ = x;
+    primed_ = true;
+    return level_;
+  }
+
+  // Fast capture outside the band, gated tracking inside.
+  if (x > hi_) {
+    hi_ += params_.capture_alpha * (x - hi_);
+  } else if (x < lo_) {
+    lo_ += params_.capture_alpha * (x - lo_);
+  } else {
+    const double mid = 0.5 * (hi_ + lo_);
+    if (x >= mid) {
+      hi_ += params_.track_alpha * (x - hi_);
+    } else {
+      lo_ += params_.track_alpha * (x - lo_);
+    }
+  }
+  // Slow leak so stale levels from a strong burst decay during silence.
+  hi_ += params_.leak_alpha * (x - hi_);
+  lo_ += params_.leak_alpha * (x - lo_);
+  if (lo_ > hi_) lo_ = hi_;
+
+  const double separation = hi_ - lo_;
+  if (separation < params_.floor) return level_;  // squelched: hold
+
+  const double mid = 0.5 * (hi_ + lo_);
+  const double band = params_.hysteresis * separation;
+  if (!level_ && x >= mid + band) {
+    level_ = true;
+  } else if (level_ && x <= mid - band) {
+    level_ = false;
+  }
+  return level_;
+}
+
+inline bool Debouncer::push(bool level) noexcept {
+  if (!primed_) {
+    primed_ = true;
+    stable_ = candidate_ = level;
+    count_ = hold_;
+    return stable_;
+  }
+  if (level == stable_) {
+    candidate_ = stable_;
+    count_ = 0;
+    return stable_;
+  }
+  if (level == candidate_) {
+    if (++count_ >= hold_) {
+      stable_ = candidate_;
+      count_ = 0;
+    }
+  } else {
+    candidate_ = level;
+    count_ = 1;
+    if (count_ >= hold_) {
+      stable_ = candidate_;
+      count_ = 0;
+    }
+  }
+  return stable_;
+}
+
 }  // namespace arachnet::dsp

@@ -25,9 +25,11 @@ std::uint64_t steady_now_ns() noexcept {
 }  // namespace
 
 FdmaRxChain::Channel::Channel(double hz, double chip_rate,
+                              double axis_alpha,
                               dsp::AdaptiveSlicer::Params sp,
                               std::size_t debounce)
     : subcarrier_hz(hz),
+      axis(axis_alpha),
       slicer(sp),
       debouncer(debounce),
       framer([this](const phy::UlPacket& pkt) {
@@ -43,11 +45,11 @@ FdmaRxChain::Channel::Channel(double hz, double chip_rate,
           [this] { framer.reset(); }) {}
 
 FdmaRxChain::Channel::Channel(double hz, double iq_rate, double chip_rate,
-                              std::vector<double> coeffs,
+                              std::vector<double> coeffs, double axis_alpha,
                               dsp::AdaptiveSlicer::Params sp,
                               std::size_t debounce,
                               dsp::KernelPolicy kernel_policy)
-    : Channel(hz, chip_rate, sp, debounce) {
+    : Channel(hz, chip_rate, axis_alpha, sp, debounce) {
   kernels = kernel_policy;
   nco_step = -2.0 * std::numbers::pi * hz / iq_rate;
   if (kernels == dsp::KernelPolicy::kSimd) {
@@ -59,32 +61,26 @@ FdmaRxChain::Channel::Channel(double hz, double iq_rate, double chip_rate,
 }
 
 FdmaRxChain::Channel::Channel(double hz, double chip_rate,
+                              double axis_alpha,
                               dsp::AdaptiveSlicer::Params sp,
                               std::size_t debounce,
                               std::size_t lane_decimation,
                               std::int64_t lane_delay_samples)
-    : Channel(hz, chip_rate, sp, debounce) {
+    : Channel(hz, chip_rate, axis_alpha, sp, debounce) {
   lane_decim = lane_decimation;
   lane_delay = lane_delay_samples;
 }
 
 void FdmaRxChain::Channel::decide(std::complex<double> shifted,
-                                  double axis_alpha, double rate) {
+                                  double rate) {
   // Axis projection and the decision chain. The subcarrier fundamental
   // flips polarity with the FM0 chip, so after the shift the chip value
-  // lives on a fixed line through the origin in the IQ plane.
-  pseudo_variance += axis_alpha * (shifted * shifted - pseudo_variance);
-  const double angle = 0.5 * std::arg(pseudo_variance);
-  std::complex<double> axis{std::cos(angle), std::sin(angle)};
-  if (axis.real() * prev_axis.real() + axis.imag() * prev_axis.imag() <
-      0.0) {
-    axis = -axis;
-  }
-  prev_axis = axis;
-  const double envelope =
-      shifted.real() * axis.real() + shifted.imag() * axis.imag();
-
-  const bool level = debouncer.push(slicer.push(envelope));
+  // lives on a fixed line through the origin in the IQ plane. A non-finite
+  // sample (see dsp::AxisTracker::push) updates nothing: the held level
+  // extends the current run.
+  const auto envelope = axis.push(shifted);
+  const bool level =
+      envelope ? debouncer.push(slicer.push(*envelope)) : debouncer.level();
   if (const auto run = runs.push(level)) {
     fm0.push_run(static_cast<double>(run->samples) / rate);
   }
@@ -109,8 +105,7 @@ void FdmaRxChain::Channel::publish(std::size_t samples,
 }
 
 void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
-                                         std::size_t n, double axis_alpha,
-                                         double iq_rate,
+                                         std::size_t n, double iq_rate,
                                          std::uint64_t base_index) {
   ARACHNET_TRACE_SPAN("fdma.channel");
   const std::uint64_t prev_bits = bits;
@@ -131,7 +126,7 @@ void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
       cursor = base_index + i;
       decide({static_cast<double>(mixed_f[2 * i]),
               static_cast<double>(mixed_f[2 * i + 1])},
-             axis_alpha, iq_rate);
+             iq_rate);
     }
     publish(n, prev_bits, prev_frames, prev_crc);
     return;
@@ -150,14 +145,13 @@ void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
   // Stage 3: the per-sample decision chain.
   for (std::size_t i = 0; i < n; ++i) {
     cursor = base_index + i;
-    decide(mixed[i], axis_alpha, iq_rate);
+    decide(mixed[i], iq_rate);
   }
   publish(n, prev_bits, prev_frames, prev_crc);
 }
 
 void FdmaRxChain::Channel::process_lane(const std::complex<double>* lane,
-                                        std::size_t n, double axis_alpha,
-                                        double lane_rate,
+                                        std::size_t n, double lane_rate,
                                         std::uint64_t frame_base) {
   ARACHNET_TRACE_SPAN("fdma.channel");
   const std::uint64_t prev_bits = bits;
@@ -174,7 +168,7 @@ void FdmaRxChain::Channel::process_lane(const std::complex<double>* lane,
     cursor = t > static_cast<std::uint64_t>(lane_delay)
                  ? t - static_cast<std::uint64_t>(lane_delay)
                  : 0;
-    decide(lane[i], axis_alpha, lane_rate);
+    decide(lane[i], lane_rate);
   }
   publish(n, prev_bits, prev_frames, prev_crc);
 }
@@ -351,15 +345,16 @@ std::unique_ptr<FdmaRxChain::Channel> FdmaRxChain::make_channel(
     double subcarrier_hz) const {
   return std::make_unique<Channel>(subcarrier_hz, iq_rate_,
                                    params_.chip_rate, channel_coeffs_,
-                                   slicer_params_, debounce_,
+                                   axis_alpha_, slicer_params_, debounce_,
                                    params_.kernels);
 }
 
 std::unique_ptr<FdmaRxChain::Channel> FdmaRxChain::make_lane_channel(
     double subcarrier_hz) const {
   return std::make_unique<Channel>(subcarrier_hz, params_.chip_rate,
-                                   lane_slicer_params_, lane_debounce_,
-                                   chzr_->decimation(), lane_delay_);
+                                   lane_axis_alpha_, lane_slicer_params_,
+                                   lane_debounce_, chzr_->decimation(),
+                                   lane_delay_);
 }
 
 std::vector<double> FdmaRxChain::subcarriers() const {
@@ -502,8 +497,7 @@ void FdmaRxChain::process(const double* samples, std::size_t n) {
     if (frames != 0) {
       const std::uint64_t frame_base = chzr_->frames_produced() - frames;
       pool_->run(channels_.size(), [&](std::size_t c) {
-        channels_[c]->process_lane(chzr_->lane(c), frames,
-                                   lane_axis_alpha_, lane_rate_,
+        channels_[c]->process_lane(chzr_->lane(c), frames, lane_rate_,
                                    frame_base);
       });
       if (timed) {
@@ -518,8 +512,8 @@ void FdmaRxChain::process(const double* samples, std::size_t n) {
                                    1e-3);
     }
     pool_->run(channels_.size(), [&](std::size_t c) {
-      channels_[c]->process_block(iq_buf_.data(), iq_buf_.size(),
-                                  axis_alpha_, iq_rate_, iq_index_);
+      channels_[c]->process_block(iq_buf_.data(), iq_buf_.size(), iq_rate_,
+                                  iq_index_);
     });
     if (timed) {
       h_stage_decode_us_->record(

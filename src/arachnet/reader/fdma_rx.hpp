@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "arachnet/dsp/axis_tracker.hpp"
 #include "arachnet/dsp/ddc.hpp"
 #include "arachnet/dsp/fir.hpp"
 #include "arachnet/dsp/kernels/channelizer.hpp"
@@ -218,15 +219,16 @@ class FdmaRxChain {
   struct Channel {
     /// Per-channel (mixer) mode.
     Channel(double hz, double iq_rate, double chip_rate,
-            std::vector<double> coeffs, dsp::AdaptiveSlicer::Params sp,
-            std::size_t debounce, dsp::KernelPolicy kernels);
+            std::vector<double> coeffs, double axis_alpha,
+            dsp::AdaptiveSlicer::Params sp, std::size_t debounce,
+            dsp::KernelPolicy kernels);
     /// Channelizer-lane mode: stages 1-2 live in the shared filterbank.
     /// `lane_delay` is the extra group delay (in full-rate IQ samples) of
     /// the channelizer prototype over the per-channel LPF, subtracted from
     /// packet timestamps so both banks date packets alike.
-    Channel(double hz, double chip_rate, dsp::AdaptiveSlicer::Params sp,
-            std::size_t debounce, std::size_t lane_decimation,
-            std::int64_t lane_delay);
+    Channel(double hz, double chip_rate, double axis_alpha,
+            dsp::AdaptiveSlicer::Params sp, std::size_t debounce,
+            std::size_t lane_decimation, std::int64_t lane_delay);
     Channel(const Channel&) = delete;
     Channel& operator=(const Channel&) = delete;
 
@@ -234,20 +236,17 @@ class FdmaRxChain {
     /// over a contiguous IQ block. `base_index` is the absolute IQ index
     /// of `iq[0]` (for packet timestamps and the deterministic merge).
     void process_block(const std::complex<double>* iq, std::size_t n,
-                       double axis_alpha, double iq_rate,
-                       std::uint64_t base_index);
+                       double iq_rate, std::uint64_t base_index);
 
     /// Lane mode: runs the decision chain over `n` channelizer frames.
     /// `frame_base` is the absolute frame index of `lane[0]`.
     void process_lane(const std::complex<double>* lane, std::size_t n,
-                      double axis_alpha, double lane_rate,
-                      std::uint64_t frame_base);
+                      double lane_rate, std::uint64_t frame_base);
 
     /// Stage 3, shared by both modes: axis projection and the
     /// slicer -> FM0 -> framer decision chain for one baseband sample.
     /// `cursor` must hold the packet-timestamp IQ index before the call.
-    void decide(std::complex<double> shifted, double axis_alpha,
-                double rate);
+    void decide(std::complex<double> shifted, double rate);
 
     /// Publishes the working counters (cross-thread stats readers) and
     /// adds the per-block deltas to the registry counters.
@@ -255,8 +254,8 @@ class FdmaRxChain {
                  std::uint64_t prev_frames, std::uint64_t prev_crc);
 
    private:
-    Channel(double hz, double chip_rate, dsp::AdaptiveSlicer::Params sp,
-            std::size_t debounce);
+    Channel(double hz, double chip_rate, double axis_alpha,
+            dsp::AdaptiveSlicer::Params sp, std::size_t debounce);
 
    public:
     double subcarrier_hz;
@@ -272,8 +271,7 @@ class FdmaRxChain {
     std::vector<float> mixed_f;  ///< interleaved per-block scratch
     std::size_t lane_decim = 0;  ///< 0 = per-channel mode
     std::int64_t lane_delay = 0;
-    std::complex<double> pseudo_variance{0.0, 0.0};
-    std::complex<double> prev_axis{1.0, 0.0};
+    dsp::AxisTracker axis;
     dsp::AdaptiveSlicer slicer;
     dsp::Debouncer debouncer;
     dsp::RunLengthEncoder runs;

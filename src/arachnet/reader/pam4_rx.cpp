@@ -1,6 +1,8 @@
 #include "arachnet/reader/pam4_rx.hpp"
 
-#include <cmath>
+#include <algorithm>
+
+#include "arachnet/dsp/axis_tracker.hpp"
 
 namespace arachnet::reader {
 
@@ -33,8 +35,7 @@ std::vector<double> Pam4Receiver::symbol_amplitudes(
     const auto d = iq[i] - leak;
     c2 += d * d;
   }
-  const double angle = 0.5 * std::arg(c2);
-  const std::complex<double> axis{std::cos(angle), std::sin(angle)};
+  const std::complex<double> axis = dsp::half_angle_axis(c2);
 
   // Per-symbol interior means.
   std::vector<double> amps;
@@ -46,8 +47,7 @@ std::vector<double> Pam4Receiver::symbol_amplitudes(
     std::size_t n = 0;
     for (auto i = static_cast<std::size_t>(lo);
          i < static_cast<std::size_t>(hi) && i < iq.size(); ++i) {
-      const auto d = iq[i] - leak;
-      sum += d.real() * axis.real() + d.imag() * axis.imag();
+      sum += dsp::project(iq[i] - leak, axis);
       ++n;
     }
     amps.push_back(n ? sum / static_cast<double>(n) : 0.0);

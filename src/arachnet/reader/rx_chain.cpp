@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
+#include <optional>
 
 namespace arachnet::reader {
 namespace {
@@ -66,7 +68,7 @@ RxChain::RxChain(Params params)
       ddc_(resolve_ddc(params)),
       slicer_(resolve_slicer(params)),
       debouncer_(resolve_debounce(params)),
-      axis_alpha_(resolve_axis_alpha(params)),
+      axis_(resolve_axis_alpha(params), slicer_.params().floor),
       leak_alpha_(resolve_leak_alpha(params)),
       fm0_(Fm0StreamDecoder::Params{.chip_duration_s = 1.0 / params.chip_rate,
                                     .tolerance = 0.35},
@@ -83,64 +85,49 @@ RxChain::RxChain(Params params)
       }) {}
 
 void RxChain::on_iq(std::complex<double> iq) {
+  // A NaN or Inf (or absurdly large) sample updates no estimator: fed to
+  // the leak EMA, the axis or the slicer levels it would stick there and
+  // silence the chain for good. It still takes its place in time — the
+  // held decision level extends the current run.
+  const bool finite = dsp::AxisTracker::finite(iq);
   // Optional one-shot frequency-offset calibration (paper lists a
   // "frequency offset calibration" block): estimate from the leak-dominated
   // early samples, then derotate the live stream.
   if (params_.freq_cal_samples > 0 && !freq_calibrated_) {
-    cal_buffer_.push_back(iq);
+    if (finite) cal_buffer_.push_back(iq);
     if (cal_buffer_.size() >= params_.freq_cal_samples) {
       freq_offset_hz_ =
           dsp::estimate_frequency_offset(cal_buffer_, ddc_.output_rate_hz());
       freq_calibrated_ = true;
+      derotator_.set(0.0, derotation_step());
       cal_buffer_.clear();
       cal_buffer_.shrink_to_fit();
     }
     return;  // calibration samples are not decoded
   }
-  if (freq_calibrated_ && freq_offset_hz_ != 0.0) {
-    const double phase = -2.0 * 3.14159265358979323846 * freq_offset_hz_ *
-                         static_cast<double>(iq_sample_index_) /
-                         ddc_.output_rate_hz();
-    iq *= std::complex<double>{std::cos(phase), std::sin(phase)};
-  }
+  // Derotation by -offset, phase-locked to iq_sample_index_ (a phasor
+  // recurrence: no per-sample cos/sin).
+  if (freq_calibrated_ && freq_offset_hz_ != 0.0) iq *= derotator_.next();
   ++iq_sample_index_;
 
-  if (params_.retain_iq_points) iq_points_.push_back(iq);
-
   // Leak cancellation + axis projection. A slow complex EMA converges on
-  // the static carrier-leak phasor (plus the mean reflection level). The
-  // tag's OOK then lives on a 1-D line in the IQ plane whose direction is
-  // half the angle of the complex pseudo-variance E[(iq-m)^2]; projecting
-  // the residual onto that axis recovers full modulation depth regardless
-  // of the leak/reflection phase relation (no quadrature fading).
-  if (!leak_primed_) {
-    leak_estimate_ = iq;
-    leak_primed_ = true;
-  } else {
-    const double alpha = iq_sample_index_ < params_.leak_warmup_samples
-                             ? params_.leak_warmup_alpha
-                             : leak_alpha_;
-    leak_estimate_ += alpha * (iq - leak_estimate_);
+  // the static carrier-leak phasor (plus the mean reflection level); the
+  // shared axis step (dsp::AxisTracker) projects the residual onto the
+  // tag's modulation line.
+  std::optional<double> envelope;
+  if (finite) {
+    if (params_.retain_iq_points) iq_points_.push_back(iq);
+    if (!leak_primed_) {
+      leak_estimate_ = iq;
+      leak_primed_ = true;
+    } else {
+      const double alpha = iq_sample_index_ < params_.leak_warmup_samples
+                               ? params_.leak_warmup_alpha
+                               : leak_alpha_;
+      leak_estimate_ += alpha * (iq - leak_estimate_);
+    }
+    envelope = axis_.push(iq - leak_estimate_);
   }
-  const std::complex<double> residual = iq - leak_estimate_;
-  // Only modulated samples carry axis information: updating on noise-only
-  // samples (low OOK state, inter-packet silence) would let the axis decay
-  // and spin between plateaus. Gate on the squelch floor.
-  if (std::abs(residual) >= slicer_.params().floor) {
-    pseudo_variance_ +=
-        axis_alpha_ * (residual * residual - pseudo_variance_);
-  }
-  const double axis_angle = 0.5 * std::arg(pseudo_variance_);
-  std::complex<double> axis{std::cos(axis_angle), std::sin(axis_angle)};
-  // The half-angle is only defined modulo pi; keep the axis direction
-  // continuous so the envelope polarity cannot flip mid-packet.
-  if (axis.real() * prev_axis_.real() + axis.imag() * prev_axis_.imag() <
-      0.0) {
-    axis = -axis;
-  }
-  prev_axis_ = axis;
-  const double envelope =
-      residual.real() * axis.real() + residual.imag() * axis.imag();
   // The filter/leak start-up transient would poison the slicer's primed
   // levels; keep the decision path muted until the warmup completes.
   if (iq_sample_index_ <= params_.leak_warmup_samples) {
@@ -151,7 +138,8 @@ void RxChain::on_iq(std::complex<double> iq) {
     }
     return;
   }
-  const bool level = debouncer_.push(slicer_.push(envelope));
+  const bool level = envelope ? debouncer_.push(slicer_.push(*envelope))
+                              : debouncer_.level();
   if (const auto run = runs_.push(level)) {
     const double duration =
         static_cast<double>(run->samples) / ddc_.output_rate_hz();
@@ -177,6 +165,10 @@ void RxChain::process(const double* samples, std::size_t n) {
   sample_count_ = base + n;
 }
 
+double RxChain::derotation_step() const noexcept {
+  return -2.0 * std::numbers::pi * freq_offset_hz_ / ddc_.output_rate_hz();
+}
+
 bool RxChain::collision_detected(sim::Rng& rng) const {
   return dsp::detect_collision_iq(iq_points_, rng);
 }
@@ -187,12 +179,12 @@ void RxChain::resync() {
   runs_.reset();
   fm0_.reset();
   framer_.reset();
-  pseudo_variance_ = {0.0, 0.0};
-  prev_axis_ = {1.0, 0.0};
+  axis_.reset();
   // Restart the leak warmup: the next leak_warmup_samples IQ samples
   // (the quiet reply gap) re-estimate the baseline with the fast alpha
   // while the decision path stays muted.
   iq_sample_index_ = 0;
+  derotator_.set(0.0, derotation_step());
 }
 
 void RxChain::reset() {
@@ -208,8 +200,7 @@ void RxChain::reset() {
   cal_buffer_.clear();
   iq_sample_index_ = 0;
   leak_estimate_ = {0.0, 0.0};
-  pseudo_variance_ = {0.0, 0.0};
-  prev_axis_ = {1.0, 0.0};
+  axis_.reset();
   leak_primed_ = false;
 }
 

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "arachnet/dsp/axis_tracker.hpp"
 #include "arachnet/dsp/cluster.hpp"
 #include "arachnet/dsp/ddc.hpp"
 #include "arachnet/dsp/fir.hpp"
+#include "arachnet/dsp/kernels/nco.hpp"
 #include "arachnet/dsp/schmitt.hpp"
 #include "arachnet/dsp/slicer.hpp"
 #include "arachnet/phy/framer.hpp"
@@ -126,12 +128,14 @@ class RxChain {
 
  private:
   void on_iq(std::complex<double> iq);
+  /// Per-IQ-sample phase step of the frequency-offset derotation.
+  double derotation_step() const noexcept;
 
   Params params_;
   dsp::Ddc ddc_;
   dsp::AdaptiveSlicer slicer_;
   dsp::Debouncer debouncer_;
-  double axis_alpha_ = 0.01;
+  dsp::AxisTracker axis_;
   double leak_alpha_ = 0.0;
   dsp::RunLengthEncoder runs_;
   Fm0StreamDecoder fm0_;
@@ -142,11 +146,10 @@ class RxChain {
   std::size_t sample_count_ = 0;
   std::size_t iq_sample_index_ = 0;
   std::complex<double> leak_estimate_{0.0, 0.0};
-  std::complex<double> pseudo_variance_{0.0, 0.0};
-  std::complex<double> prev_axis_{1.0, 0.0};
   bool leak_primed_ = false;
   double freq_offset_hz_ = 0.0;
   bool freq_calibrated_ = false;
+  dsp::PhasorNco derotator_;
   std::vector<std::complex<double>> cal_buffer_;
   /// Scratch for the DDC output, reused across process()
   /// calls (no steady-state allocation).

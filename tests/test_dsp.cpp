@@ -1,16 +1,19 @@
 // Tests for the reader DSP blocks: FFT, Welch PSD + band SNR, FIR design,
 // DDC, frequency-offset estimation, Schmitt trigger / adaptive slicer /
-// debouncer / run-length coding, IQ k-means clustering, and the SPSC ring
-// buffer with back-pressure.
+// debouncer / run-length coding, the modulation-axis tracker against its
+// trig reference, IQ k-means clustering, and the SPSC ring buffer with
+// back-pressure.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <numbers>
 #include <thread>
 #include <vector>
 
+#include "arachnet/dsp/axis_tracker.hpp"
 #include "arachnet/dsp/cluster.hpp"
 #include "arachnet/dsp/ddc.hpp"
 #include "arachnet/dsp/fft.hpp"
@@ -424,6 +427,135 @@ TEST(RunLength, EncodesRuns) {
   EXPECT_EQ(runs[1], (std::pair<bool, std::size_t>{true, 2}));
   EXPECT_EQ(runs[2], (std::pair<bool, std::size_t>{false, 1}));
   EXPECT_EQ(rle.open_run(), 4u);
+}
+
+// ------------------------------------------------------------- AxisTracker
+
+// The reference the algebraic half-angle form replaces.
+std::complex<double> polar_half_angle(std::complex<double> pv) {
+  return std::polar(1.0, 0.5 * std::arg(pv));
+}
+
+void expect_matches_reference(std::complex<double> pv) {
+  const auto got = half_angle_axis(pv);
+  const auto want = polar_half_angle(pv);
+  EXPECT_NEAR(got.real(), want.real(), 1e-12) << "pv=" << pv;
+  EXPECT_NEAR(got.imag(), want.imag(), 1e-12) << "pv=" << pv;
+  EXPECT_NEAR(std::hypot(got.real(), got.imag()), 1.0, 1e-15) << "pv=" << pv;
+}
+
+TEST(AxisTracker, HalfAngleMatchesPolarAcrossScalesAndQuadrants) {
+  // |pv| from 1e-300 to 1e300 (the fast path and both fallback ends) in
+  // all four quadrants, and next to the negative real axis, where
+  // cos(arg/2) is the small component the algebraic form must not lose.
+  Rng rng{41};
+  for (int e = -300; e <= 300; e += 5) {
+    const double mag = std::pow(10.0, e) * rng.uniform(1.0, 9.9);
+    for (int k = 0; k < 16; ++k) {
+      const double theta =
+          -std::numbers::pi + (k + rng.uniform()) * std::numbers::pi / 8.0;
+      expect_matches_reference(std::polar(mag, theta));
+    }
+    for (const double off : {1e-3, 1e-8, 1e-13}) {
+      expect_matches_reference(std::polar(mag, std::numbers::pi - off));
+      expect_matches_reference(std::polar(mag, -std::numbers::pi + off));
+    }
+  }
+}
+
+TEST(AxisTracker, HalfAngleOnTheRealAxesAndAtZero) {
+  // Both real half-axes with a signed-zero or ever smaller imaginary part,
+  // down to the subnormals: the sign of y picks the +-pi/2 branch exactly
+  // as std::arg does.
+  for (const double x : {1.0, -1.0, 3e-120, -3e-120, 7e150, -7e150}) {
+    for (const double y : {0.0, -0.0, 1e-3, -1e-3, 1e-200, -1e-200,
+                           1e-310, -1e-310, 5e-324, -5e-324}) {
+      expect_matches_reference({x, y * std::abs(x)});
+      expect_matches_reference({x, y});
+    }
+  }
+  EXPECT_EQ(half_angle_axis({1.0, 0.0}), std::complex<double>(1.0, 0.0));
+  EXPECT_EQ(half_angle_axis({-4.0, 0.0}), std::complex<double>(0.0, 1.0));
+  EXPECT_EQ(half_angle_axis({-4.0, -0.0}), std::complex<double>(0.0, -1.0));
+  EXPECT_EQ(half_angle_axis({0.0, 0.0}), std::complex<double>(1.0, 0.0));
+}
+
+TEST(AxisTracker, NonFinitePseudoVarianceGivesTheDocumentedAxis) {
+  // Infinite components fall back to std::arg's direction; NaN stays NaN.
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(half_angle_axis({inf, 0.0}), std::complex<double>(1.0, 0.0));
+  EXPECT_EQ(half_angle_axis({inf, 5.0}), polar_half_angle({inf, 5.0}));
+  EXPECT_EQ(half_angle_axis({-inf, 1.0}), polar_half_angle({-inf, 1.0}));
+  EXPECT_EQ(half_angle_axis({inf, -inf}), polar_half_angle({inf, -inf}));
+  EXPECT_NEAR(std::abs(half_angle_axis({-inf, inf})), 1.0, 1e-15);
+  for (const std::complex<double> pv :
+       {std::complex<double>{nan, 0.0}, {1.0, nan}, {nan, inf}}) {
+    const auto axis = half_angle_axis(pv);
+    EXPECT_TRUE(std::isnan(axis.real()) && std::isnan(axis.imag()));
+  }
+}
+
+TEST(AxisTracker, FollowsTheTrigReferenceThroughTheContinuityFlip) {
+  // The tracker against the trig step it replaces, on a residual whose
+  // line spins twice round the plane: its pseudo-variance crosses the
+  // negative real axis four times, and each crossing jumps the half-angle
+  // branch by pi for the continuity flip to undo. The flipped axis (sign
+  // included) and the projection must follow the reference step for step;
+  // the squelch floor gates both alike.
+  const double alpha = 0.05;
+  const double floor = 0.02;
+  AxisTracker tracker{alpha, floor};
+  std::complex<double> pv{0.0, 0.0};
+  std::complex<double> prev{1.0, 0.0};
+  Rng rng{43};
+  int flips = 0;
+  for (int i = 0; i < 8000; ++i) {
+    const double line = 4.0 * std::numbers::pi * i / 8000.0;
+    const double level = (i / 37) % 2 == 0 ? 0.3 : -0.3;
+    const std::complex<double> s =
+        std::polar(level, line) +
+        std::complex<double>{rng.normal(0.0, 0.01), rng.normal(0.0, 0.01)};
+    if (std::abs(s) >= floor) pv += alpha * (s * s - pv);
+    std::complex<double> axis = polar_half_angle(pv);
+    if (axis.real() * prev.real() + axis.imag() * prev.imag() < 0.0) {
+      axis = -axis;
+      ++flips;
+    }
+    prev = axis;
+    const auto envelope = tracker.push(s);
+    ASSERT_TRUE(envelope.has_value());
+    ASSERT_NEAR(tracker.axis().real(), axis.real(), 1e-12) << "sample " << i;
+    ASSERT_NEAR(tracker.axis().imag(), axis.imag(), 1e-12) << "sample " << i;
+    ASSERT_NEAR(*envelope, s.real() * axis.real() + s.imag() * axis.imag(),
+                1e-12)
+        << "sample " << i;
+  }
+  EXPECT_GE(flips, 4);
+}
+
+TEST(AxisTracker, NonFiniteSampleChangesNothing) {
+  AxisTracker tracker{0.1};
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(tracker.push({0.2 * (i % 2 == 0 ? 1 : -1), 0.1}));
+  }
+  const auto pv = tracker.pseudo_variance();
+  const auto axis = tracker.axis();
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::complex<double> bad :
+       {std::complex<double>{nan, 0.0}, {0.0, nan}, {inf, 0.0}, {0.0, -inf},
+        {1e200, 0.0}, {-3e150, 3e150}}) {
+    EXPECT_FALSE(AxisTracker::finite(bad)) << bad;
+    EXPECT_FALSE(tracker.push(bad).has_value()) << bad;
+    EXPECT_EQ(tracker.pseudo_variance(), pv);
+    EXPECT_EQ(tracker.axis(), axis);
+  }
+  EXPECT_TRUE(AxisTracker::finite({1e100, -1e100}));
+  EXPECT_TRUE(tracker.push({0.2, 0.1}).has_value());
+  tracker.reset();
+  EXPECT_EQ(tracker.pseudo_variance(), std::complex<double>(0.0, 0.0));
+  EXPECT_EQ(tracker.axis(), std::complex<double>(1.0, 0.0));
 }
 
 // ----------------------------------------------------------------- Cluster

@@ -287,6 +287,40 @@ TEST(RxChain, AmbientVehicleVibrationDoesNotBreakDecoding) {
   EXPECT_GE(decoded, 4);
 }
 
+TEST(RxChain, FrequencyCalibrationHoldsAnOffsetCarrierStill) {
+  // A carrier 12 Hz off the DDC's mixer leaves the leak phasor spinning at
+  // baseband, which the leak estimate frozen after each slot's warmup
+  // cannot cancel. The one-shot calibration estimates the offset from the
+  // first IQ samples; from then on the derotation holds the leak still, so
+  // every slot decodes (slotted operation: resync() at each slot start).
+  UplinkWaveformSynth::Params wp;
+  wp.carrier_hz = 90e3 + 12.0;
+  WaveHarness h;
+  h.synth = UplinkWaveformSynth{wp};
+  RxChain::Params cal;
+  cal.freq_cal_samples = 2000;
+  RxChain calibrated{cal};
+  RxChain uncalibrated{RxChain::Params{}};
+  int decoded_cal = 0;
+  int decoded_uncal = 0;
+  for (int i = 0; i < 6; ++i) {
+    const UlPacket pkt{.tid = 4, .payload = static_cast<std::uint16_t>(i)};
+    const auto wave = h.synth.synthesize(
+        {h.source(pkt, 0.1, 375.0, 0.1, 0.4 * i)}, 0.35, h.rng);
+    for (RxChain* rx : {&calibrated, &uncalibrated}) {
+      rx->resync();
+      rx->clear_packets();
+      rx->process(wave);
+    }
+    for (const auto& p : calibrated.packets()) decoded_cal += p.packet == pkt;
+    for (const auto& p : uncalibrated.packets()) {
+      decoded_uncal += p.packet == pkt;
+    }
+  }
+  EXPECT_EQ(decoded_cal, 6);
+  EXPECT_EQ(decoded_uncal, 0) << "the offset must matter";
+}
+
 // ------------------------------------------------ FdmaRxChain reentrancy
 
 TEST(FdmaRx, AddChannelWhileProcessingThrows) {

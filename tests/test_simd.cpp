@@ -7,16 +7,21 @@
 // channelizer outputs agree to float32 tolerance, and — the load-bearing
 // guarantee — RxChain and the FDMA bank (both bank modes, 4 to 32
 // channels) decode the identical packets under both policies, on the
-// hardware tier and on the forced portable tier.
+// hardware tier and on the forced portable tier. Last, DecisionPin.*
+// holds the scalar reference's decodes to recorded values, which catches
+// a change to the decision chain that both policies share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <numbers>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "arachnet/acoustic/deployment.hpp"
@@ -423,6 +428,34 @@ TEST(KernelParity, SynthesizerSimdMatchesScalar) {
 
 // ---------------------------------------------------- parity: RxChain
 
+// The Fig. 12 operating points: Tags 8/4/11 at 375/750/1500 bps.
+constexpr int kFig12Tags[] = {8, 4, 11};
+constexpr double kFig12Rates[] = {375.0, 750.0, 1500.0};
+
+// One Fig. 12 link (deployed amplitude and phase) as bench_fig12_uplink
+// renders it: a 50 ms leak warm-up, then six bursts of one packet each.
+std::vector<double> fig12_link(int tid, double rate) {
+  const auto deployment = acoustic::Deployment::onvo_l60();
+  acoustic::UplinkWaveformSynth link{acoustic::UplinkWaveformSynth::Params{}};
+  sim::Rng rng{static_cast<std::uint64_t>(tid) * 1000 +
+               static_cast<std::uint64_t>(rate)};
+  auto wave = link.synthesize({}, 0.05, rng);
+  for (int i = 0; i < 6; ++i) {
+    acoustic::BackscatterSource src;
+    src.chips = phy::Fm0Encoder::encode_frame(
+        phy::UlPacket{.tid = static_cast<std::uint8_t>(tid & 0xF),
+                      .payload = static_cast<std::uint16_t>(0x100 + i)}
+            .serialize());
+    src.chip_rate = rate;
+    src.start_s = 0.01;
+    src.amplitude = deployment.backscatter_rx_amplitude(tid);
+    src.phase_rad = deployment.backscatter_phase(tid);
+    const auto burst = link.synthesize({src}, 0.02 + 84.0 / rate, rng);
+    wave.insert(wave.end(), burst.begin(), burst.end());
+  }
+  return wave;
+}
+
 // Feeds `wave` to a scalar and a simd RxChain in awkward chunks (coprime
 // with the decimation, so the block path crosses many phase alignments)
 // and checks the contract: the same packets, bit count and CRC failures,
@@ -494,38 +527,95 @@ TEST(KernelParity, RxChainDecodesIdenticalPacketsAcrossPolicies) {
   }
   EXPECT_GE(expect_rx_parity(reader::RxChain::Params{}, wave), 3u);
 
-  // The paper's Fig. 12 links (Tags 8/4/11, deployed amplitudes and
-  // phases) at 375/750/1500 bps, as bench_fig12_uplink renders them: a
-  // 50 ms leak warm-up, then one packet per burst. Tag 11 at 1500 bps
+  // The paper's Fig. 12 links at 375/750/1500 bps. Tag 11 at 1500 bps
   // sits on the loss knee, so a float32 slicer flip would show here
   // first — as a lost, gained or CRC-failed frame on one side only.
-  const auto deployment = acoustic::Deployment::onvo_l60();
-  for (const int tid : {8, 4, 11}) {
-    for (const double rate : {375.0, 750.0, 1500.0}) {
+  for (const int tid : kFig12Tags) {
+    for (const double rate : kFig12Rates) {
       SCOPED_TRACE(testing::Message() << "tag " << tid << " at " << rate
                                       << " bps");
-      acoustic::UplinkWaveformSynth link{
-          acoustic::UplinkWaveformSynth::Params{}};
-      sim::Rng link_rng{static_cast<std::uint64_t>(tid) * 1000 +
-                        static_cast<std::uint64_t>(rate)};
-      auto link_wave = link.synthesize({}, 0.05, link_rng);
-      for (int i = 0; i < 6; ++i) {
-        acoustic::BackscatterSource src;
-        src.chips = phy::Fm0Encoder::encode_frame(
-            phy::UlPacket{.tid = static_cast<std::uint8_t>(tid & 0xF),
-                          .payload = static_cast<std::uint16_t>(0x100 + i)}
-                .serialize());
-        src.chip_rate = rate;
-        src.start_s = 0.01;
-        src.amplitude = deployment.backscatter_rx_amplitude(tid);
-        src.phase_rad = deployment.backscatter_phase(tid);
-        const auto burst =
-            link.synthesize({src}, 0.02 + 84.0 / rate, link_rng);
-        link_wave.insert(link_wave.end(), burst.begin(), burst.end());
-      }
       reader::RxChain::Params params;
       params.chip_rate = rate;
-      expect_rx_parity(params, link_wave);
+      expect_rx_parity(params, fig12_link(tid, rate));
+    }
+  }
+}
+
+// ------------------------------------------- decisions pinned to a record
+
+// The parity suite runs the same decision chain (axis step, slicer, FM0,
+// framer) on both sides, so it cannot see a change to that chain's math.
+// These tests can: they hold the scalar reference's decodes to values
+// recorded with the original trig-based axis step (cos and sin of half
+// the std::arg angle). The scalar tier is pure double arithmetic, so the
+// record does not depend on the host's SIMD table.
+
+// Bit and CRC-failure counts, then each packet as
+// [channel/]tid:payload@index, where index is the packet timestamp in
+// samples at `rate` (every timestamp is a whole sample, so it is pinned
+// exactly).
+std::string decode_digest(std::uint64_t bits, std::uint64_t crc_failures,
+                          const std::vector<reader::RxPacket>& packets,
+                          double rate, bool with_channel) {
+  std::string out = "bits=" + std::to_string(bits) +
+                    " crc=" + std::to_string(crc_failures);
+  char buf[64];
+  for (const auto& p : packets) {
+    const auto index = std::llround(p.time_s * rate);
+    EXPECT_EQ(p.time_s, static_cast<double>(index) / rate);
+    if (with_channel) {
+      std::snprintf(buf, sizeof(buf), " %zu/", p.channel);
+      out += buf;
+    } else {
+      out += ' ';
+    }
+    std::snprintf(buf, sizeof(buf), "%d:%03x@%lld", p.packet.tid,
+                  p.packet.payload, static_cast<long long>(index));
+    out += buf;
+  }
+  return out;
+}
+
+TEST(DecisionPin, Fig12LinksDecodeTheRecordedPackets) {
+  // Tag 11 at 1500 bps is past the loss knee: bits, no frame.
+  const char* const kRecorded[3][3] = {
+      {"bits=245 crc=0 8:100@136912 8:101@258912 8:102@380912 8:103@502912 "
+       "8:104@624912 8:105@746912",
+       "bits=245 crc=0 8:100@83488 8:101@149488 8:102@215488 8:103@281488 "
+       "8:104@347488 8:105@413488",
+       "bits=245 crc=0 8:100@56784 8:101@94800 8:102@132784 8:103@170800 "
+       "8:104@208784 8:105@246800"},
+      {"bits=245 crc=0 4:100@136912 4:101@258912 4:102@380912 4:103@502912 "
+       "4:104@624912 4:105@746912",
+       "bits=245 crc=0 4:100@83488 4:101@149488 4:102@215504 4:103@281488 "
+       "4:104@347504 4:105@413488",
+       "bits=245 crc=0 4:100@56800 4:101@94784 4:102@132800 4:103@170784 "
+       "4:104@208800 4:105@246784"},
+      {"bits=245 crc=0 11:100@136928 11:101@258928 11:102@380928 "
+       "11:103@502896 11:104@624928 11:105@746912",
+       "bits=245 crc=0 11:100@83504 11:101@149504 11:102@215504 "
+       "11:103@281488 11:104@347520 11:105@413504",
+       "bits=41 crc=0"},
+  };
+  for (std::size_t t = 0; t < 3; ++t) {
+    for (std::size_t r = 0; r < 3; ++r) {
+      const int tid = kFig12Tags[t];
+      const double rate = kFig12Rates[r];
+      SCOPED_TRACE(testing::Message() << "tag " << tid << " at " << rate
+                                      << " bps");
+      reader::RxChain::Params params;
+      params.chip_rate = rate;
+      params.ddc.kernels = dsp::KernelPolicy::kScalar;
+      reader::RxChain rx{params};
+      const auto wave = fig12_link(tid, rate);
+      constexpr std::size_t kChunk = 7777;
+      for (std::size_t off = 0; off < wave.size(); off += kChunk) {
+        rx.process(wave.data() + off, std::min(kChunk, wave.size() - off));
+      }
+      EXPECT_EQ(decode_digest(rx.bits_decoded(), rx.crc_failures(),
+                              rx.packets(), params.ddc.sample_rate_hz,
+                              false),
+                kRecorded[t][r]);
     }
   }
 }
@@ -958,6 +1048,48 @@ TEST(KernelParity, ForcedPortableTierDecodesIdenticalPackets) {
   const auto plan = dsp::PolyphaseChannelizer::plan(62500.0, 375.0, freqs);
   expect_packet_parity(scalar, portable_cz,
                        static_cast<double>(plan.decimation) / 62500.0);
+}
+
+TEST(DecisionPin, FdmaBanksDecodeTheRecordedPackets) {
+  // One capture per bank mode, on the scalar reference: the four-channel
+  // per-channel bank, and the eight-channel channelizer bank at the low
+  // SNR where three of its eight tags decode (marginal decisions).
+  struct Case {
+    Bank bank;
+    std::vector<double> freqs;
+    std::vector<double> wave;
+    const char* recorded;
+  };
+  const auto wide = bank_subcarriers(8, 3375.0);
+  const Case cases[] = {
+      {Bank::kPerChannel, bank_subcarriers(4, 3000.0), fdma4_capture(),
+       "bits=154 crc=0 3/4:503@15368 2/3:502@15373 1/2:501@15377 "
+       "0/1:500@15381"},
+      {Bank::kChannelizer, wide, fdma_capture(wide, 0.18, 5, 0.06),
+       "bits=319 crc=0 2/3:502@15372 0/1:500@15380 1/2:501@15396"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << "bank " << static_cast<int>(c.bank));
+    const auto params =
+        fdma_params(dsp::KernelPolicy::kScalar, 1, c.bank, c.freqs);
+    reader::FdmaRxChain chain{params};
+    ASSERT_EQ(chain.active_bank(), c.bank);
+    constexpr std::size_t kChunk = 7777;
+    for (std::size_t off = 0; off < c.wave.size(); off += kChunk) {
+      chain.process(c.wave.data() + off,
+                    std::min(kChunk, c.wave.size() - off));
+    }
+    std::uint64_t bits = 0;
+    std::uint64_t crc = 0;
+    for (const auto& s : chain.all_channel_stats()) {
+      bits += s.bits;
+      crc += s.crc_failures;
+    }
+    const double iq_rate = params.ddc.sample_rate_hz /
+                           static_cast<double>(params.ddc.decimation);
+    EXPECT_EQ(decode_digest(bits, crc, chain.drain_packets(), iq_rate, true),
+              c.recorded);
+  }
 }
 
 }  // namespace
