@@ -1,4 +1,4 @@
-// Micro-benchmarks for the reader's hot DSP path: FFT, Welch PSD, FIR
+// Micro-benchmarks for the reader's hot DSP path: FFT plans, Welch PSD, FIR
 // filtering, the full DDC, FM0 chip decoding, IQ k-means, and the SPSC
 // ring buffer — the blocks that must sustain 500 kS/s in real time.
 //
@@ -17,7 +17,6 @@
 #include "arachnet/acoustic/waveform_channel.hpp"
 #include "arachnet/dsp/cluster.hpp"
 #include "arachnet/dsp/ddc.hpp"
-#include "arachnet/dsp/fft.hpp"
 #include "arachnet/dsp/fir.hpp"
 #include "arachnet/dsp/kernels/fft_plan.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
@@ -33,20 +32,6 @@
 #include "arachnet/sim/rng.hpp"
 
 using namespace arachnet;
-
-static void BM_Fft(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng{1};
-  std::vector<dsp::cplx> data(n);
-  for (auto& x : data) x = {rng.normal(), rng.normal()};
-  for (auto _ : state) {
-    auto copy = data;
-    dsp::fft(copy);
-    benchmark::DoNotOptimize(copy);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_Fft)->Arg(1024)->Arg(4096)->Arg(16384);
 
 static void BM_WelchPsd(benchmark::State& state) {
   sim::Rng rng{2};

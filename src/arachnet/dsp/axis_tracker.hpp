@@ -46,7 +46,7 @@ namespace arachnet::dsp {
   return s.real() * axis.real() + s.imag() * axis.imag();
 }
 
-/// The modulation-axis step of the uplink decision chain, shared by
+/// The modulation-axis step of reader::DecisionChain, the back end shared by
 /// RxChain and both FDMA bank modes. A backscatter tag's OOK (or the
 /// subcarrier fundamental after its shift to DC) lives on a line through
 /// the origin of the IQ plane whose direction is half the angle of the

@@ -102,29 +102,4 @@ double estimate_frequency_offset(const std::vector<std::complex<double>>& iq,
   return dphi * iq_rate_hz / (2.0 * std::numbers::pi);
 }
 
-std::vector<std::complex<double>> derotate(
-    const std::vector<std::complex<double>>& iq, double iq_rate_hz,
-    double offset_hz, KernelPolicy policy) {
-  std::vector<std::complex<double>> out(iq.size());
-  const double step = -2.0 * std::numbers::pi * offset_hz / iq_rate_hz;
-  if (policy == KernelPolicy::kSimd) {
-    simd::SimdNco nco{0.0, step};
-    std::vector<float> scratch(2 * iq.size());
-    nco.mix(iq.data(), scratch.data(), iq.size());
-    for (std::size_t i = 0; i < iq.size(); ++i) {
-      out[i] = {static_cast<double>(scratch[2 * i]),
-                static_cast<double>(scratch[2 * i + 1])};
-    }
-    return out;
-  }
-  double phase = 0.0;
-  for (std::size_t i = 0; i < iq.size(); ++i) {
-    out[i] = iq[i] * std::complex<double>{std::cos(phase), std::sin(phase)};
-    phase += step;
-    if (phase > 2.0 * std::numbers::pi) phase -= 2.0 * std::numbers::pi;
-    if (phase < -2.0 * std::numbers::pi) phase += 2.0 * std::numbers::pi;
-  }
-  return out;
-}
-
 }  // namespace arachnet::dsp

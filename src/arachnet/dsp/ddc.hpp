@@ -85,9 +85,4 @@ class Ddc {
 double estimate_frequency_offset(const std::vector<std::complex<double>>& iq,
                                  double iq_rate_hz);
 
-/// Derotates IQ by `-offset_hz` (frequency-offset calibration block).
-std::vector<std::complex<double>> derotate(
-    const std::vector<std::complex<double>>& iq, double iq_rate_hz,
-    double offset_hz, KernelPolicy policy = default_kernel_policy());
-
 }  // namespace arachnet::dsp

@@ -75,27 +75,4 @@ class FirFilter {
   std::size_t pos_ = 0;          ///< next write slot in [0, taps)
 };
 
-/// One-pole DC blocker: y[n] = x[n] - x[n-1] + r * y[n-1]. Removes the
-/// static carrier-leak component from the demodulated envelope while
-/// passing the FM0 modulation (which has no DC content by construction).
-class DcBlocker {
- public:
-  /// `r` close to 1 gives a lower cutoff.
-  explicit DcBlocker(double r = 0.999) : r_(r) {}
-
-  double push(double x) noexcept {
-    const double y = x - prev_x_ + r_ * prev_y_;
-    prev_x_ = x;
-    prev_y_ = y;
-    return y;
-  }
-
-  void reset() noexcept { prev_x_ = prev_y_ = 0.0; }
-
- private:
-  double r_;
-  double prev_x_ = 0.0;
-  double prev_y_ = 0.0;
-};
-
 }  // namespace arachnet::dsp

@@ -1,6 +1,7 @@
 #include "arachnet/dsp/kernels/channelizer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -12,8 +13,6 @@ namespace arachnet::dsp {
 namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
-
-bool is_pow2(std::size_t n) noexcept { return n != 0 && (n & (n - 1)) == 0; }
 
 }  // namespace
 
@@ -103,7 +102,7 @@ PolyphaseChannelizer::Plan PolyphaseChannelizer::plan(
 
 PolyphaseChannelizer::PolyphaseChannelizer(Params params)
     : params_(std::move(params)) {
-  if (!is_pow2(params_.fft_size)) {
+  if (!std::has_single_bit(params_.fft_size)) {
     throw std::invalid_argument(
         "PolyphaseChannelizer: fft_size must be a power of two");
   }

@@ -1,6 +1,7 @@
 #include "arachnet/dsp/kernels/fft_plan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -12,14 +13,8 @@
 
 namespace arachnet::dsp {
 
-namespace {
-
-bool pow2(std::size_t n) noexcept { return n != 0 && (n & (n - 1)) == 0; }
-
-}  // namespace
-
 FftPlan::FftPlan(std::size_t n) : n_(n) {
-  if (!pow2(n)) {
+  if (!std::has_single_bit(n)) {
     throw std::invalid_argument("FftPlan: size must be a power of two");
   }
   bitrev_.resize(n);

@@ -9,11 +9,9 @@ namespace arachnet::dsp {
 
 /// Precomputed radix-2 FFT plan for one transform size: the twiddle
 /// factors and the bit-reversal permutation are built once and reused for
-/// every transform of that size. The free fft() recomputed both per call
-/// (and generated the twiddles by repeated multiplication, which also
-/// accumulates rounding error along each butterfly stage); the plan's
-/// table twiddles are each a direct cos/sin evaluation, so plans are both
-/// faster and slightly more accurate.
+/// every transform of that size. Each table twiddle is a direct cos/sin
+/// evaluation (generating them by repeated multiplication would
+/// accumulate rounding error along each butterfly stage).
 ///
 /// Plans are immutable after construction: forward()/inverse() touch only
 /// the caller's buffer, so one plan may be shared across threads (the PSD

@@ -4,7 +4,7 @@ namespace arachnet::dsp {
 
 /// Selects the implementation of the reader's hot DSP loops.
 ///
-/// Every rewired call site (Ddc, derotate, the FDMA channel mixers,
+/// Every rewired call site (Ddc, the FDMA channel mixers,
 /// UplinkWaveformSynth, the polyphase channelizer) keeps its original
 /// per-sample scalar code behind this switch, so the production tier is
 /// testable against it. The contract: under kSimd, decoded packets,

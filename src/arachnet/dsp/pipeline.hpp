@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -12,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "arachnet/dsp/ring_buffer.hpp"
 #include "arachnet/telemetry/metrics.hpp"
 
 namespace arachnet::dsp {
@@ -228,56 +226,6 @@ class WorkerPool {
   std::atomic<std::uint64_t> ticket_{0};
   telemetry::LatencyHistogram* dispatch_hist_ = nullptr;
   std::uint64_t run_publish_ns_ = 0;  // see run(); published via ticket_
-};
-
-/// A two-stage threaded pipeline segment: consumes items of type In from an
-/// input ring buffer, transforms them, and pushes items of type Out to an
-/// output ring buffer. Stages propagate shutdown: when the input closes and
-/// drains, the stage closes its output and exits.
-///
-/// Compose several of these to mirror the reader's real-time chain, where
-/// "each two adjacent blocks share a buffer with a back-pressure mechanism"
-/// (paper Sec. 6.1).
-template <typename In, typename Out>
-class PipelineStage {
- public:
-  /// The transform may emit zero, one, or many outputs per input via the
-  /// `emit` callback (e.g. a decimator emits rarely; a framer emits per
-  /// packet).
-  using Transform = std::function<void(In item, const std::function<void(Out)>& emit)>;
-
-  PipelineStage(std::shared_ptr<RingBuffer<In>> input,
-                std::shared_ptr<RingBuffer<Out>> output, Transform transform)
-      : input_(std::move(input)),
-        output_(std::move(output)),
-        transform_(std::move(transform)) {}
-
-  /// Starts the worker thread.
-  void start() {
-    thread_ = std::thread([this] {
-      const auto emit = [this](Out out) { output_->push(std::move(out)); };
-      while (auto item = input_->pop()) {
-        transform_(std::move(*item), emit);
-      }
-      output_->close();
-    });
-  }
-
-  /// Joins the worker (input must have been closed).
-  void join() {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  ~PipelineStage() { join(); }
-
-  PipelineStage(const PipelineStage&) = delete;
-  PipelineStage& operator=(const PipelineStage&) = delete;
-
- private:
-  std::shared_ptr<RingBuffer<In>> input_;
-  std::shared_ptr<RingBuffer<Out>> output_;
-  Transform transform_;
-  std::thread thread_;
 };
 
 }  // namespace arachnet::dsp

@@ -1,16 +1,15 @@
 #include "arachnet/dsp/psd.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
-#include "arachnet/dsp/fft.hpp"
-
 namespace arachnet::dsp {
 
 WelchPsd::WelchPsd(Params params) : params_(params) {
-  if (!is_pow2(params_.segment_size)) {
+  if (!std::has_single_bit(params_.segment_size)) {
     throw std::invalid_argument("WelchPsd: segment size must be a power of 2");
   }
   if (params_.sample_rate_hz <= 0.0) {
@@ -52,7 +51,7 @@ std::vector<double> WelchPsd::estimate(
   std::vector<double> psd(bins(), 0.0);
   std::size_t segments = 0;
   std::vector<double> windowed(seg);
-  std::vector<cplx> buf;
+  std::vector<FftPlan::cplx> buf;
   for (std::size_t start = 0; start + seg <= signal.size(); start += seg / 2) {
     for (std::size_t i = 0; i < seg; ++i) {
       windowed[i] = signal[start + i] * window_[i];

@@ -18,4 +18,9 @@ void Debouncer::reset() noexcept {
   count_ = 0;
 }
 
+void RunLengthEncoder::reset() noexcept {
+  started_ = false;
+  count_ = 0;
+}
+
 }  // namespace arachnet::dsp

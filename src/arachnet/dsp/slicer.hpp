@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
 namespace arachnet::dsp {
 
-/// Decision-directed two-level slicer for OOK envelopes.
+/// Decision-directed two-level slicer for OOK envelopes: the Schmitt-trigger
+/// block of the reader's decision chain (reader::DecisionChain).
 ///
 /// Tracks the high and low signal levels directly (whichever the sample is
 /// closer to, with fast capture for samples outside the current band) and
@@ -71,6 +73,44 @@ class Debouncer {
   bool candidate_ = false;
   std::size_t count_ = 0;
   bool primed_ = false;
+};
+
+/// Converts a binary level stream into run lengths: emits the duration (in
+/// samples) of each completed constant-level segment.
+class RunLengthEncoder {
+ public:
+  struct Run {
+    bool level;
+    std::size_t samples;
+  };
+
+  /// Feeds one level; returns the completed run when the level changed.
+  std::optional<Run> push(bool level) noexcept {
+    if (!started_) {
+      started_ = true;
+      current_ = level;
+      count_ = 1;
+      return std::nullopt;
+    }
+    if (level == current_) {
+      ++count_;
+      return std::nullopt;
+    }
+    const Run completed{current_, count_};
+    current_ = level;
+    count_ = 1;
+    return completed;
+  }
+
+  /// Duration of the currently open run.
+  std::size_t open_run() const noexcept { return count_; }
+
+  void reset() noexcept;
+
+ private:
+  bool started_ = false;
+  bool current_ = false;
+  std::size_t count_ = 0;
 };
 
 // The per-sample steps are defined here so the decision loops inline them.

@@ -1,6 +1,7 @@
 #include "arachnet/fleet/fleet_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -17,12 +18,6 @@ namespace {
 constexpr std::uint64_t kStreamsPerReader = 4;  ///< split-id namespacing
 constexpr std::uint64_t kStreamSlotNet = 0;
 constexpr std::uint64_t kStreamNoise = 1;
-
-std::size_t next_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
 
 double wall_ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -79,7 +74,7 @@ FleetEngine::FleetEngine(Params params)
       core::SlotNetwork::Params sp = params_.slot;
       sp.seed = stream(kStreamSlotNet).next_u64();
       const int period = static_cast<int>(
-          next_pow2(std::max<std::size_t>(4, 2 * params_.tags_per_reader)));
+          std::bit_ceil(std::max<std::size_t>(4, 2 * params_.tags_per_reader)));
       std::vector<core::SlotNetwork::TagSpec> specs;
       specs.reserve(params_.tags_per_reader);
       for (std::size_t j = 0; j < params_.tags_per_reader; ++j) {

@@ -53,12 +53,15 @@ class BitStreamFramer {
 
 /// Convenience: framer preconfigured for UL packets; parses and validates
 /// the body (CRC) and invokes the handler only for valid packets. Invalid
-/// bodies are counted.
+/// bodies are counted. Pinned: the inner framer's callback captures `this`,
+/// so copy and move are deleted.
 class UlFramer {
  public:
   using PacketHandler = std::function<void(const UlPacket&)>;
 
   explicit UlFramer(PacketHandler on_packet);
+  UlFramer(const UlFramer&) = delete;
+  UlFramer& operator=(const UlFramer&) = delete;
   void push(bool bit);
   void reset();
   std::size_t crc_failures() const noexcept { return crc_failures_; }
@@ -71,12 +74,14 @@ class UlFramer {
   BitStreamFramer framer_;
 };
 
-/// Convenience: framer preconfigured for DL beacons.
+/// Convenience: framer preconfigured for DL beacons. Pinned like UlFramer.
 class DlFramer {
  public:
   using BeaconHandler = std::function<void(const DlBeacon&)>;
 
   explicit DlFramer(BeaconHandler on_beacon);
+  DlFramer(const DlFramer&) = delete;
+  DlFramer& operator=(const DlFramer&) = delete;
   void push(bool bit);
   void reset();
   std::size_t beacons() const noexcept { return beacons_; }

@@ -1,0 +1,128 @@
+#include "arachnet/reader/decision_chain.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
+namespace arachnet::reader {
+
+namespace {
+
+dsp::AdaptiveSlicer::Params slicer_params(const DecisionChain::Rule& rule,
+                                          double floor) {
+  dsp::AdaptiveSlicer::Params sp;
+  sp.track_alpha = rule.track_alpha;
+  sp.leak_alpha = rule.leak_alpha;
+  sp.floor = floor;
+  return sp;
+}
+
+}  // namespace
+
+double per_sample_alpha(double per_chip, double samples_per_chip) {
+  return 1.0 - std::pow(1.0 - per_chip, 1.0 / samples_per_chip);
+}
+
+DecisionChain::Rule DecisionChain::rule(double samples_per_chip) noexcept {
+  // The dynamics must be constant per *chip*, not per sample, or slow links
+  // drain the tracked levels over their long plateaus. The axis locks
+  // within the pilot at every rate.
+  return Rule{
+      .axis_alpha = per_sample_alpha(0.5, samples_per_chip),
+      .track_alpha = per_sample_alpha(0.98, samples_per_chip),
+      .leak_alpha = per_sample_alpha(0.04, samples_per_chip),
+      .debounce = static_cast<std::size_t>(
+          std::max(1.0, 0.12 * samples_per_chip)),
+  };
+}
+
+DecisionChain::DecisionChain(Params params, PacketSink on_packet)
+    : DecisionChain(params, rule(params.rate_hz / params.chip_rate),
+                    std::move(on_packet)) {}
+
+DecisionChain::DecisionChain(const Params& params, const Rule& rule,
+                             PacketSink on_packet)
+    : rate_hz_(params.rate_hz),
+      axis_(rule.axis_alpha, params.axis_floor),
+      slicer_(slicer_params(rule, params.slicer_floor)),
+      debouncer_(rule.debounce),
+      fm0_(Fm0StreamDecoder::Params{.chip_duration_s = 1.0 / params.chip_rate,
+                                    .tolerance = 0.35},
+           /*on_bit=*/
+           [this](bool bit) {
+             ++bits_;
+             framer_.push(bit);
+           },
+           /*on_desync=*/[this] { framer_.reset(); }),
+      framer_([this](const phy::UlPacket& pkt) { on_packet_(pkt, stamp_); }),
+      on_packet_(std::move(on_packet)) {}
+
+void DecisionChain::publish(std::size_t samples) {
+  iq_samples_ += samples;
+  const DecisionCounts now = counts();
+  pub_iq_samples_.store(now.iq_samples, std::memory_order_relaxed);
+  pub_bits_.store(now.bits, std::memory_order_relaxed);
+  pub_frames_.store(now.frames_ok, std::memory_order_relaxed);
+  pub_crc_.store(now.crc_failures, std::memory_order_relaxed);
+  // Registry counters, as deltas (one pointer test when unbound).
+  if (m_iq_samples_ != nullptr) {
+    m_iq_samples_->add(now.iq_samples - last_published_.iq_samples);
+    m_bits_->add(now.bits - last_published_.bits);
+    m_frames_->add(now.frames_ok - last_published_.frames_ok);
+    m_crc_->add(now.crc_failures - last_published_.crc_failures);
+  }
+  last_published_ = now;
+}
+
+void DecisionChain::bind(telemetry::Counter* iq_samples,
+                         telemetry::Counter* bits,
+                         telemetry::Counter* frames_ok,
+                         telemetry::Counter* crc_failures) {
+  m_iq_samples_ = iq_samples;
+  m_bits_ = bits;
+  m_frames_ = frames_ok;
+  m_crc_ = crc_failures;
+}
+
+DecisionCounts DecisionChain::counts() const noexcept {
+  return DecisionCounts{
+      .iq_samples = iq_samples_,
+      .bits = bits_,
+      .frames_ok = frames_base_ + framer_.packets(),
+      .crc_failures = crc_base_ + framer_.crc_failures(),
+  };
+}
+
+DecisionCounts DecisionChain::published() const noexcept {
+  return DecisionCounts{
+      .iq_samples = pub_iq_samples_.load(std::memory_order_relaxed),
+      .bits = pub_bits_.load(std::memory_order_relaxed),
+      .frames_ok = pub_frames_.load(std::memory_order_relaxed),
+      .crc_failures = pub_crc_.load(std::memory_order_relaxed),
+  };
+}
+
+void DecisionChain::carry_counts(const DecisionChain& old) {
+  const DecisionCounts c = old.counts();
+  iq_samples_ = c.iq_samples;
+  bits_ = c.bits;
+  frames_base_ = c.frames_ok - framer_.packets();
+  crc_base_ = c.crc_failures - framer_.crc_failures();
+  last_published_ = old.last_published_;
+  const DecisionCounts p = old.published();
+  pub_iq_samples_.store(p.iq_samples, std::memory_order_relaxed);
+  pub_bits_.store(p.bits, std::memory_order_relaxed);
+  pub_frames_.store(p.frames_ok, std::memory_order_relaxed);
+  pub_crc_.store(p.crc_failures, std::memory_order_relaxed);
+}
+
+void DecisionChain::reset() {
+  axis_.reset();
+  slicer_.reset();
+  debouncer_.reset();
+  runs_.reset();
+  fm0_.reset();
+  framer_.reset();
+}
+
+}  // namespace arachnet::reader

@@ -1,0 +1,153 @@
+#pragma once
+
+#include <atomic>
+#include <complex>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <optional>
+
+#include "arachnet/dsp/axis_tracker.hpp"
+#include "arachnet/dsp/slicer.hpp"
+#include "arachnet/phy/framer.hpp"
+#include "arachnet/phy/packet.hpp"
+#include "arachnet/reader/fm0_stream_decoder.hpp"
+#include "arachnet/telemetry/metrics.hpp"
+
+namespace arachnet::reader {
+
+/// Converts a per-chip dynamics target (e.g. "98% level acquisition per
+/// chip") into the per-sample EMA alpha that achieves it at
+/// `samples_per_chip`.
+double per_sample_alpha(double per_chip, double samples_per_chip);
+
+/// Decode counters of one decision chain, monotonic since construction.
+struct DecisionCounts {
+  std::uint64_t iq_samples = 0;    ///< baseband samples consumed
+  std::uint64_t bits = 0;          ///< FM0 bits recovered (pre-framing)
+  std::uint64_t frames_ok = 0;     ///< CRC-valid packets
+  std::uint64_t crc_failures = 0;  ///< framed bodies that failed CRC
+};
+
+/// The uplink decision back end, shared by RxChain and every FdmaRxChain
+/// channel on both banks. It takes one leak-free baseband sample stream
+/// through modulation-axis projection -> Schmitt trigger (AdaptiveSlicer)
+/// -> debouncer -> run-length timing -> FM0 bit recovery -> preamble
+/// framing -> CRC: the decision half of the paper's Sec. 6.1 reader chain,
+/// which the FDMA extension (Sec. 6.3) runs once per subcarrier.
+///
+/// Its dynamics follow one per-chip rule (rule()), so the chain behaves
+/// alike at every sample rate and chip rate. Each packet carries the stamp
+/// the caller passed with the sample that completed it (RxChain: the raw
+/// DAQ sample index; the FDMA bank: the absolute IQ index).
+///
+/// Counters are working values on the decode thread; publish() copies them
+/// once per block to relaxed atomics for readers on any thread, and adds
+/// the deltas to the registry counters bound with bind().
+///
+/// Pinned: the FM0 decoder's and the framer's callbacks capture `this`, so
+/// copy and move are deleted.
+class DecisionChain {
+ public:
+  /// Receives each CRC-valid packet with the stamp of its last sample.
+  using PacketSink =
+      std::function<void(const phy::UlPacket& packet, std::uint64_t stamp)>;
+
+  /// The per-chip rule as per-sample rates.
+  struct Rule {
+    double axis_alpha = 0.0;   ///< ~50% axis convergence per chip
+    double track_alpha = 0.0;  ///< ~98% slicer level acquisition per chip
+    double leak_alpha = 0.0;   ///< ~4% slicer level decay per chip
+    std::size_t debounce = 1;  ///< hold: glitches < ~12% of a chip vanish
+  };
+  static Rule rule(double samples_per_chip) noexcept;
+
+  struct Params {
+    double rate_hz = 0.0;    ///< baseband sample rate
+    double chip_rate = 0.0;  ///< FM0 chips per second
+    double slicer_floor = 0.0;  ///< AdaptiveSlicer squelch separation
+    /// Smallest |s| that updates the axis estimate (0 = every sample).
+    double axis_floor = 0.0;
+  };
+
+  DecisionChain(Params params, PacketSink on_packet);
+  DecisionChain(const DecisionChain&) = delete;
+  DecisionChain& operator=(const DecisionChain&) = delete;
+
+  /// Runs one sample through the whole chain: decide(project(s), stamp).
+  void step(std::complex<double> s, std::uint64_t stamp) {
+    decide(project(s), stamp);
+  }
+
+  /// The axis half of a step: tracks the modulation axis and returns the
+  /// projection of `s` on it. A sample that is not finite (see
+  /// dsp::AxisTracker::push) changes nothing and returns nullopt.
+  std::optional<double> project(std::complex<double> s) noexcept {
+    return axis_.push(s);
+  }
+
+  /// The decision half of a step: slicer -> debouncer -> run-length -> FM0
+  /// -> framer on one projected sample; `stamp` dates a packet this sample
+  /// completes. nullopt (a sample that is not finite) updates no estimator:
+  /// the held decision level extends the current run.
+  void decide(std::optional<double> envelope, std::uint64_t stamp) {
+    const bool level = envelope ? debouncer_.push(slicer_.push(*envelope))
+                                : debouncer_.level();
+    if (const auto run = runs_.push(level)) {
+      stamp_ = stamp;
+      fm0_.push_run(static_cast<double>(run->samples) / rate_hz_);
+    }
+  }
+
+  /// Counts `samples` baseband samples, then publishes every counter.
+  /// Call once per block, on the decode thread.
+  void publish(std::size_t samples);
+
+  /// Registry counters that publish() advances (nullptr = unbound).
+  void bind(telemetry::Counter* iq_samples, telemetry::Counter* bits,
+            telemetry::Counter* frames_ok, telemetry::Counter* crc_failures);
+
+  /// Working counters (decode thread).
+  DecisionCounts counts() const noexcept;
+
+  /// Counters as of the last publish() (any thread).
+  DecisionCounts published() const noexcept;
+
+  /// Continues counting from `old`'s counters, as published: a chain that
+  /// replaces `old` reports and publishes no count twice.
+  void carry_counts(const DecisionChain& old);
+
+  /// Clears the decision state (axis, levels, runs, FM0 phase, partial
+  /// frame); counters are kept.
+  void reset();
+
+ private:
+  DecisionChain(const Params& params, const Rule& rule, PacketSink on_packet);
+
+  double rate_hz_;
+  dsp::AxisTracker axis_;
+  dsp::AdaptiveSlicer slicer_;
+  dsp::Debouncer debouncer_;
+  dsp::RunLengthEncoder runs_;
+  Fm0StreamDecoder fm0_;
+  phy::UlFramer framer_;
+  PacketSink on_packet_;
+  std::uint64_t stamp_ = 0;  ///< stamp of the run being decoded
+  std::uint64_t iq_samples_ = 0;
+  std::uint64_t bits_ = 0;
+  /// Frames and CRC failures counted before carry_counts(); the framer
+  /// counts from zero.
+  std::uint64_t frames_base_ = 0;
+  std::uint64_t crc_base_ = 0;
+  DecisionCounts last_published_;
+  std::atomic<std::uint64_t> pub_iq_samples_{0};
+  std::atomic<std::uint64_t> pub_bits_{0};
+  std::atomic<std::uint64_t> pub_frames_{0};
+  std::atomic<std::uint64_t> pub_crc_{0};
+  telemetry::Counter* m_iq_samples_ = nullptr;
+  telemetry::Counter* m_bits_ = nullptr;
+  telemetry::Counter* m_frames_ = nullptr;
+  telemetry::Counter* m_crc_ = nullptr;
+};
+
+}  // namespace arachnet::reader

@@ -22,113 +22,45 @@ std::uint64_t steady_now_ns() noexcept {
           .count());
 }
 
+/// The back end of a channel whose front end delivers `rate_hz`.
+DecisionChain::Params channel_decision(double rate_hz, double chip_rate) {
+  return DecisionChain::Params{
+      .rate_hz = rate_hz, .chip_rate = chip_rate, .slicer_floor = 0.001};
+}
+
 }  // namespace
 
-FdmaRxChain::Channel::Channel(double hz, double chip_rate,
-                              double axis_alpha,
-                              dsp::AdaptiveSlicer::Params sp,
-                              std::size_t debounce)
+FdmaRxChain::Channel::Channel(double hz,
+                              DecisionChain::Params decision_params)
     : subcarrier_hz(hz),
-      axis(axis_alpha),
-      slicer(sp),
-      debouncer(debounce),
-      framer([this](const phy::UlPacket& pkt) {
-        packets.push_back(pkt);
-        packet_iq_index.push_back(cursor);
-      }),
-      fm0(Fm0StreamDecoder::Params{.chip_duration_s = 1.0 / chip_rate,
-                                   .tolerance = 0.35},
-          [this](bool bit) {
-            ++bits;
-            framer.push(bit);
-          },
-          [this] { framer.reset(); }) {}
-
-FdmaRxChain::Channel::Channel(double hz, double iq_rate, double chip_rate,
-                              std::vector<double> coeffs, double axis_alpha,
-                              dsp::AdaptiveSlicer::Params sp,
-                              std::size_t debounce,
-                              dsp::KernelPolicy kernel_policy)
-    : Channel(hz, chip_rate, axis_alpha, sp, debounce) {
-  kernels = kernel_policy;
-  nco_step = -2.0 * std::numbers::pi * hz / iq_rate;
-  if (kernels == dsp::KernelPolicy::kSimd) {
-    nco_s.set(0.0, nco_step);
-    slpf.emplace(coeffs);
-  } else {
-    lpf.emplace(std::move(coeffs));
-  }
-}
-
-FdmaRxChain::Channel::Channel(double hz, double chip_rate,
-                              double axis_alpha,
-                              dsp::AdaptiveSlicer::Params sp,
-                              std::size_t debounce,
-                              std::size_t lane_decimation,
-                              std::int64_t lane_delay_samples)
-    : Channel(hz, chip_rate, axis_alpha, sp, debounce) {
-  lane_decim = lane_decimation;
-  lane_delay = lane_delay_samples;
-}
-
-void FdmaRxChain::Channel::decide(std::complex<double> shifted,
-                                  double rate) {
-  // Axis projection and the decision chain. The subcarrier fundamental
-  // flips polarity with the FM0 chip, so after the shift the chip value
-  // lives on a fixed line through the origin in the IQ plane. A non-finite
-  // sample (see dsp::AxisTracker::push) updates nothing: the held level
-  // extends the current run.
-  const auto envelope = axis.push(shifted);
-  const bool level =
-      envelope ? debouncer.push(slicer.push(*envelope)) : debouncer.level();
-  if (const auto run = runs.push(level)) {
-    fm0.push_run(static_cast<double>(run->samples) / rate);
-  }
-}
-
-void FdmaRxChain::Channel::publish(std::size_t samples,
-                                   std::uint64_t prev_bits,
-                                   std::uint64_t prev_frames,
-                                   std::uint64_t prev_crc) {
-  // Publish counters for cross-thread stats readers (block granularity).
-  pub_iq_samples.store(iq_samples, std::memory_order_relaxed);
-  pub_bits.store(bits, std::memory_order_relaxed);
-  pub_frames.store(frames_base + framer.packets(), std::memory_order_relaxed);
-  pub_crc.store(crc_base + framer.crc_failures(), std::memory_order_relaxed);
-  // Registry counters, as per-block deltas (one pointer test when unbound).
-  if (m_iq != nullptr) {
-    m_iq->add(samples);
-    m_bits->add(bits - prev_bits);
-    m_frames->add(framer.packets() - prev_frames);
-    m_crc->add(framer.crc_failures() - prev_crc);
-  }
-}
+      decision(decision_params,
+               [this](const phy::UlPacket& pkt, std::uint64_t stamp) {
+                 packets.push_back(pkt);
+                 packet_iq_index.push_back(stamp);
+               }) {}
 
 void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
-                                         std::size_t n, double iq_rate,
+                                         std::size_t n,
                                          std::uint64_t base_index) {
   ARACHNET_TRACE_SPAN("fdma.channel");
-  const std::uint64_t prev_bits = bits;
-  const std::uint64_t prev_frames = framer.packets();
-  const std::uint64_t prev_crc = framer.crc_failures();
-  iq_samples += n;
   // Stage 1 (batch): shift this channel's subcarrier band to DC. The
   // carrier leak sits at baseband DC, i.e. at -f_sc after the shift —
   // outside the channel low-pass, so no explicit leak cancellation is
-  // needed here.
+  // needed here. The subcarrier fundamental flips polarity with the FM0
+  // chip, so after the shift the chip value lives on a fixed line through
+  // the origin: the back end's axis finds it.
   if (kernels == dsp::KernelPolicy::kSimd) {
-    // float32 lanes through mixer and LPF; the decision chain reads the
+    // float32 lanes through mixer and LPF; the back end reads the
     // interleaved buffer widened back to double per sample.
     mixed_f.resize(2 * n);
     nco_s.mix(iq, mixed_f.data(), n);
     slpf->process(mixed_f.data(), mixed_f.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
-      cursor = base_index + i;
-      decide({static_cast<double>(mixed_f[2 * i]),
-              static_cast<double>(mixed_f[2 * i + 1])},
-             iq_rate);
+      decision.step({static_cast<double>(mixed_f[2 * i]),
+                     static_cast<double>(mixed_f[2 * i + 1])},
+                    base_index + i);
     }
-    publish(n, prev_bits, prev_frames, prev_crc);
+    decision.publish(n);
     return;
   }
   mixed.resize(n);
@@ -142,35 +74,27 @@ void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
   }
   // Stage 2 (batch): channel low-pass over the contiguous block.
   lpf->process(mixed.data(), mixed.data(), n);
-  // Stage 3: the per-sample decision chain.
-  for (std::size_t i = 0; i < n; ++i) {
-    cursor = base_index + i;
-    decide(mixed[i], iq_rate);
-  }
-  publish(n, prev_bits, prev_frames, prev_crc);
+  // Stage 3: the per-sample decision back end.
+  for (std::size_t i = 0; i < n; ++i) decision.step(mixed[i], base_index + i);
+  decision.publish(n);
 }
 
 void FdmaRxChain::Channel::process_lane(const std::complex<double>* lane,
-                                        std::size_t n, double lane_rate,
+                                        std::size_t n,
                                         std::uint64_t frame_base) {
   ARACHNET_TRACE_SPAN("fdma.channel");
-  const std::uint64_t prev_bits = bits;
-  const std::uint64_t prev_frames = framer.packets();
-  const std::uint64_t prev_crc = framer.crc_failures();
-  iq_samples += n;
   // Stages 1-2 already ran in the shared channelizer; only the decision
-  // chain remains, at the lane rate. Frame F's newest full-rate IQ sample
-  // is (F+1)*decim - 1; subtracting the prototype's extra group delay
-  // dates packets like the per-channel bank (within one lane sample).
+  // back end remains, at the lane rate. Frame F's newest full-rate IQ
+  // sample is (F+1)*decim - 1; subtracting the prototype's extra group
+  // delay dates packets like the per-channel bank (within one lane
+  // sample).
+  const auto delay = static_cast<std::uint64_t>(lane_delay);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t t =
         (frame_base + i + 1) * static_cast<std::uint64_t>(lane_decim) - 1;
-    cursor = t > static_cast<std::uint64_t>(lane_delay)
-                 ? t - static_cast<std::uint64_t>(lane_delay)
-                 : 0;
-    decide(lane[i], lane_rate);
+    decision.step(lane[i], t > delay ? t - delay : 0);
   }
-  publish(n, prev_bits, prev_frames, prev_crc);
+  decision.publish(n);
 }
 
 FdmaRxChain::FdmaRxChain(Params params)
@@ -203,13 +127,6 @@ FdmaRxChain::FdmaRxChain(Params params)
   if (params_.channels.empty()) {
     throw std::invalid_argument("FdmaRxChain: no channels");
   }
-  const double samples_per_chip = iq_rate_ / params_.chip_rate;
-  axis_alpha_ = per_sample_alpha(0.5, samples_per_chip);
-  slicer_params_.floor = 0.001;
-  slicer_params_.track_alpha = per_sample_alpha(0.98, samples_per_chip);
-  slicer_params_.leak_alpha = per_sample_alpha(0.04, samples_per_chip);
-  debounce_ =
-      static_cast<std::size_t>(std::max(1.0, 0.12 * samples_per_chip));
   // Channel low-pass: passes the FM0 main lobe, rejects the neighbour
   // subcarrier one spacing away. The tap count scales with the IQ rate so
   // the transition width stays ~2.2 chip rates regardless of the DDC
@@ -300,14 +217,11 @@ bool FdmaRxChain::engage_channelizer(const std::vector<double>& freqs) {
   grid_origin_hz_ = plan.grid_origin_hz;
   grid_spacing_hz_ = plan.grid_spacing_hz;
   lane_rate_ = chzr_->lane_rate_hz();
-  const double lane_spc = lane_rate_ / params_.chip_rate;
-  lane_axis_alpha_ = per_sample_alpha(0.5, lane_spc);
-  lane_slicer_params_.floor = 0.001;
-  lane_slicer_params_.track_alpha = per_sample_alpha(0.98, lane_spc);
-  lane_slicer_params_.leak_alpha = per_sample_alpha(0.04, lane_spc);
-  lane_debounce_ =
-      static_cast<std::size_t>(std::max(1.0, 0.12 * lane_spc));
-  // Cursor compensation so lane packets carry per-channel-equivalent
+  const std::size_t debounce =
+      DecisionChain::rule(iq_rate_ / params_.chip_rate).debounce;
+  const std::size_t lane_debounce =
+      DecisionChain::rule(lane_rate_ / params_.chip_rate).debounce;
+  // Stamp compensation so lane packets carry per-channel-equivalent
   // timestamps: the channelizer prototype's extra group delay, plus the
   // debouncer-latency difference (each debouncer confirms a transition
   // hold-1 samples late — lane samples are decimation full-rate samples
@@ -316,8 +230,8 @@ bool FdmaRxChain::engage_channelizer(const std::vector<double>& freqs) {
   lane_delay_ =
       static_cast<std::int64_t>((plan.taps - 1) / 2) -
       static_cast<std::int64_t>((channel_coeffs_.size() - 1) / 2) +
-      static_cast<std::int64_t>((lane_debounce_ - 1) * plan.decimation) -
-      static_cast<std::int64_t>(debounce_ - 1);
+      static_cast<std::int64_t>((lane_debounce - 1) * plan.decimation) -
+      static_cast<std::int64_t>(debounce - 1);
   ARACHNET_LOG_DEBUG("fdma", "channelizer engaged",
                      {"fft_size", plan.fft_size},
                      {"decimation", plan.decimation},
@@ -335,26 +249,32 @@ void FdmaRxChain::bind_channel_metrics(std::size_t index) {
     return &params_.metrics->counter(
         telemetry::scoped_name(params_.metrics_scope, name));
   };
-  ch.m_iq = bind("iq_samples");
-  ch.m_bits = bind("bits");
-  ch.m_frames = bind("frames");
-  ch.m_crc = bind("crc_failures");
+  ch.decision.bind(bind("iq_samples"), bind("bits"), bind("frames"),
+                   bind("crc_failures"));
 }
 
 std::unique_ptr<FdmaRxChain::Channel> FdmaRxChain::make_channel(
     double subcarrier_hz) const {
-  return std::make_unique<Channel>(subcarrier_hz, iq_rate_,
-                                   params_.chip_rate, channel_coeffs_,
-                                   axis_alpha_, slicer_params_, debounce_,
-                                   params_.kernels);
+  auto ch = std::make_unique<Channel>(
+      subcarrier_hz, channel_decision(iq_rate_, params_.chip_rate));
+  ch->kernels = params_.kernels;
+  ch->nco_step = -2.0 * std::numbers::pi * subcarrier_hz / iq_rate_;
+  if (ch->kernels == dsp::KernelPolicy::kSimd) {
+    ch->nco_s.set(0.0, ch->nco_step);
+    ch->slpf.emplace(channel_coeffs_);
+  } else {
+    ch->lpf.emplace(channel_coeffs_);
+  }
+  return ch;
 }
 
 std::unique_ptr<FdmaRxChain::Channel> FdmaRxChain::make_lane_channel(
     double subcarrier_hz) const {
-  return std::make_unique<Channel>(subcarrier_hz, params_.chip_rate,
-                                   lane_axis_alpha_, lane_slicer_params_,
-                                   lane_debounce_, chzr_->decimation(),
-                                   lane_delay_);
+  auto ch = std::make_unique<Channel>(
+      subcarrier_hz, channel_decision(lane_rate_, params_.chip_rate));
+  ch->lane_decim = chzr_->decimation();
+  ch->lane_delay = lane_delay_;
+  return ch;
 }
 
 std::vector<double> FdmaRxChain::subcarriers() const {
@@ -406,17 +326,7 @@ void FdmaRxChain::fallback_to_per_channel(const char* reason) {
     // DSP state (slicer levels, partial packet) restarts.
     fresh->packets = std::move(old.packets);
     fresh->packet_iq_index = std::move(old.packet_iq_index);
-    fresh->drained = old.drained;
-    fresh->cursor = old.cursor;
-    fresh->iq_samples = old.iq_samples;
-    fresh->bits = old.bits;
-    fresh->frames_base = old.frames_base + old.framer.packets();
-    fresh->crc_base = old.crc_base + old.framer.crc_failures();
-    fresh->pub_iq_samples.store(fresh->iq_samples,
-                                std::memory_order_relaxed);
-    fresh->pub_bits.store(fresh->bits, std::memory_order_relaxed);
-    fresh->pub_frames.store(fresh->frames_base, std::memory_order_relaxed);
-    fresh->pub_crc.store(fresh->crc_base, std::memory_order_relaxed);
+    fresh->decision.carry_counts(old.decision);
     channels_[i] = std::move(fresh);
     bind_channel_metrics(i);
   }
@@ -497,8 +407,7 @@ void FdmaRxChain::process(const double* samples, std::size_t n) {
     if (frames != 0) {
       const std::uint64_t frame_base = chzr_->frames_produced() - frames;
       pool_->run(channels_.size(), [&](std::size_t c) {
-        channels_[c]->process_lane(chzr_->lane(c), frames, lane_rate_,
-                                   frame_base);
+        channels_[c]->process_lane(chzr_->lane(c), frames, frame_base);
       });
       if (timed) {
         h_stage_decode_us_->record(
@@ -512,7 +421,7 @@ void FdmaRxChain::process(const double* samples, std::size_t n) {
                                    1e-3);
     }
     pool_->run(channels_.size(), [&](std::size_t c) {
-      channels_[c]->process_block(iq_buf_.data(), iq_buf_.size(), iq_rate_,
+      channels_[c]->process_block(iq_buf_.data(), iq_buf_.size(),
                                   iq_index_);
     });
     if (timed) {
@@ -538,7 +447,7 @@ std::size_t FdmaRxChain::drain_packets(std::vector<RxPacket>& out) {
   out.clear();
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     auto& ch = *channels_[c];
-    for (std::size_t i = ch.drained; i < ch.packets.size(); ++i) {
+    for (std::size_t i = 0; i < ch.packets.size(); ++i) {
       out.push_back(RxPacket{
           ch.packets[i],
           static_cast<double>(ch.packet_iq_index[i]) / iq_rate_, c});
@@ -549,7 +458,6 @@ std::size_t FdmaRxChain::drain_packets(std::vector<RxPacket>& out) {
     // steady state neither grows nor allocates.
     ch.packets.clear();
     ch.packet_iq_index.clear();
-    ch.drained = 0;
   }
   // Deterministic cross-channel order: completion sample, then channel.
   // The comparator is a strict total order over this set — within one
@@ -569,20 +477,18 @@ void FdmaRxChain::clear_packets() {
   for (auto& ch : channels_) {
     ch->packets.clear();
     ch->packet_iq_index.clear();
-    ch->drained = 0;
   }
 }
 
 FdmaRxChain::ChannelStats FdmaRxChain::channel_stats(
     std::size_t channel) const {
   const auto& ch = *channels_.at(channel);
-  ChannelStats s;
-  s.subcarrier_hz = ch.subcarrier_hz;
-  s.iq_samples = ch.pub_iq_samples.load(std::memory_order_relaxed);
-  s.bits = ch.pub_bits.load(std::memory_order_relaxed);
-  s.frames_ok = ch.pub_frames.load(std::memory_order_relaxed);
-  s.crc_failures = ch.pub_crc.load(std::memory_order_relaxed);
-  return s;
+  const DecisionCounts c = ch.decision.published();
+  return ChannelStats{.subcarrier_hz = ch.subcarrier_hz,
+                      .iq_samples = c.iq_samples,
+                      .bits = c.bits,
+                      .frames_ok = c.frames_ok,
+                      .crc_failures = c.crc_failures};
 }
 
 std::vector<FdmaRxChain::ChannelStats> FdmaRxChain::all_channel_stats()

@@ -8,18 +8,14 @@
 #include <string>
 #include <vector>
 
-#include "arachnet/dsp/axis_tracker.hpp"
 #include "arachnet/dsp/ddc.hpp"
 #include "arachnet/dsp/fir.hpp"
 #include "arachnet/dsp/kernels/channelizer.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
 #include "arachnet/dsp/kernels/simd/stages.hpp"
 #include "arachnet/dsp/pipeline.hpp"
-#include "arachnet/dsp/schmitt.hpp"
-#include "arachnet/dsp/slicer.hpp"
-#include "arachnet/phy/framer.hpp"
 #include "arachnet/phy/packet.hpp"
-#include "arachnet/reader/fm0_stream_decoder.hpp"
+#include "arachnet/reader/decision_chain.hpp"
 #include "arachnet/reader/rx_chain.hpp"
 #include "arachnet/telemetry/metrics.hpp"
 
@@ -29,8 +25,9 @@ namespace arachnet::reader {
 /// down-converter. Each tag mixes its FM0 chips with a distinct square
 /// subcarrier (phy::SubcarrierModulator), placing its energy at
 /// carrier +/- f_sc; each channel shifts one such band to DC, low-pass
-/// filters it against the neighbours, and runs the usual
-/// slicer -> FM0 -> framer chain. Tags on different subcarriers decode
+/// filters it against the neighbours, and runs the shared decision back end
+/// (DecisionChain, the same one RxChain runs). Tags on different
+/// subcarriers decode
 /// simultaneously — the paper's FDMA extension path (Sec. 6.3).
 ///
 /// Two front-end structures live behind Params::bank (see BankPolicy):
@@ -134,10 +131,10 @@ class FdmaRxChain {
   /// active, a subcarrier on the existing grid (origin + k*spacing, free
   /// FFT bin) becomes a new lane and the channelizer stays engaged; an
   /// off-grid subcarrier triggers a logged fallback that rebuilds the bank
-  /// on the per-channel path. The fallback preserves every decoded packet,
-  /// drain cursor and counter; only the in-flight DSP state (partially
-  /// decoded packet, slicer levels) restarts, so decoding resumes after a
-  /// brief re-acquisition.
+  /// on the per-channel path. The fallback preserves every undrained
+  /// packet and every counter, published and registry alike; only the
+  /// in-flight DSP state (partially decoded packet, slicer levels)
+  /// restarts, so decoding resumes after a brief re-acquisition.
   ///
   /// Not thread-safe: like process(), this mutates the channel list and
   /// must not run concurrently with process(), drain_packets(), packets(),
@@ -184,7 +181,7 @@ class FdmaRxChain {
   /// number of packets drained. Same deterministic order as above.
   std::size_t drain_packets(std::vector<RxPacket>& out);
 
-  /// Clears decoded packets on all channels (and the drain cursors).
+  /// Clears decoded packets on all channels.
   void clear_packets();
 
   /// Thread-safe snapshot of one channel's counters.
@@ -207,57 +204,30 @@ class FdmaRxChain {
   const Params& params() const noexcept { return params_; }
 
  private:
-  /// One subcarrier's full decode state. Pinned: the fm0/framer callbacks
-  /// capture `this`, so the object is heap-allocated and must never be
-  /// copied or moved — enforced by deleting both (construction in
-  /// make_channel()/make_lane_channel() is the only way to obtain one).
+  /// One subcarrier: a front end, the decision back end and the packets
+  /// decoded since the last drain. Pinned: the back end's packet sink
+  /// captures `this`, so the object is heap-allocated and must never be
+  /// copied or moved (make_channel()/make_lane_channel() build it).
   ///
-  /// Two front-end modes share the decision chain: per-channel mode owns
-  /// an NCO + LPF (stages 1-2) and consumes full-rate IQ; lane mode
-  /// (lane_decim != 0) consumes one already-filtered decimated lane of the
-  /// shared channelizer.
+  /// Two front ends feed the back end: per-channel mode owns an NCO + LPF
+  /// and consumes full-rate IQ; lane mode (lane_decim != 0) consumes one
+  /// already-filtered decimated lane of the shared channelizer.
   struct Channel {
-    /// Per-channel (mixer) mode.
-    Channel(double hz, double iq_rate, double chip_rate,
-            std::vector<double> coeffs, double axis_alpha,
-            dsp::AdaptiveSlicer::Params sp, std::size_t debounce,
-            dsp::KernelPolicy kernels);
-    /// Channelizer-lane mode: stages 1-2 live in the shared filterbank.
-    /// `lane_delay` is the extra group delay (in full-rate IQ samples) of
-    /// the channelizer prototype over the per-channel LPF, subtracted from
-    /// packet timestamps so both banks date packets alike.
-    Channel(double hz, double chip_rate, double axis_alpha,
-            dsp::AdaptiveSlicer::Params sp, std::size_t debounce,
-            std::size_t lane_decimation, std::int64_t lane_delay);
+    Channel(double hz, DecisionChain::Params decision_params);
     Channel(const Channel&) = delete;
     Channel& operator=(const Channel&) = delete;
 
-    /// Runs NCO mix -> FIR -> axis projection -> slicer -> FM0 -> framer
-    /// over a contiguous IQ block. `base_index` is the absolute IQ index
-    /// of `iq[0]` (for packet timestamps and the deterministic merge).
+    /// Per-channel mode: NCO mix -> FIR -> back end over a contiguous IQ
+    /// block. `base_index` is the absolute IQ index of `iq[0]` (for packet
+    /// timestamps and the deterministic merge).
     void process_block(const std::complex<double>* iq, std::size_t n,
-                       double iq_rate, std::uint64_t base_index);
+                       std::uint64_t base_index);
 
-    /// Lane mode: runs the decision chain over `n` channelizer frames.
+    /// Lane mode: runs the back end over `n` channelizer frames.
     /// `frame_base` is the absolute frame index of `lane[0]`.
     void process_lane(const std::complex<double>* lane, std::size_t n,
-                      double lane_rate, std::uint64_t frame_base);
+                      std::uint64_t frame_base);
 
-    /// Stage 3, shared by both modes: axis projection and the
-    /// slicer -> FM0 -> framer decision chain for one baseband sample.
-    /// `cursor` must hold the packet-timestamp IQ index before the call.
-    void decide(std::complex<double> shifted, double rate);
-
-    /// Publishes the working counters (cross-thread stats readers) and
-    /// adds the per-block deltas to the registry counters.
-    void publish(std::size_t samples, std::uint64_t prev_bits,
-                 std::uint64_t prev_frames, std::uint64_t prev_crc);
-
-   private:
-    Channel(double hz, double chip_rate, double axis_alpha,
-            dsp::AdaptiveSlicer::Params sp, std::size_t debounce);
-
-   public:
     double subcarrier_hz;
     dsp::KernelPolicy kernels = dsp::default_kernel_policy();
     double nco_phase = 0.0;  ///< scalar-path mixer state
@@ -265,40 +235,18 @@ class FdmaRxChain {
     std::optional<dsp::FirFilter<std::complex<double>>> lpf;  ///< scalar LPF
     std::vector<std::complex<double>> mixed;  ///< scalar per-block scratch
     // Simd-path mixer state: float32 lanes end-to-end through the LPF,
-    // widened back to double at the decision chain.
+    // widened back to double at the back end.
     dsp::simd::SimdNco nco_s;
     std::optional<dsp::simd::FirSimdFilter> slpf;
     std::vector<float> mixed_f;  ///< interleaved per-block scratch
     std::size_t lane_decim = 0;  ///< 0 = per-channel mode
+    /// Extra group delay (in full-rate IQ samples) of the channelizer
+    /// prototype over the per-channel LPF, subtracted from lane packet
+    /// timestamps so both banks date packets alike.
     std::int64_t lane_delay = 0;
-    dsp::AxisTracker axis;
-    dsp::AdaptiveSlicer slicer;
-    dsp::Debouncer debouncer;
-    dsp::RunLengthEncoder runs;
-    phy::UlFramer framer;
-    Fm0StreamDecoder fm0;
+    DecisionChain decision;
     std::vector<phy::UlPacket> packets;
     std::vector<std::uint64_t> packet_iq_index;  ///< parallel to `packets`
-    std::size_t drained = 0;          ///< drain_packets() cursor
-    std::uint64_t cursor = 0;         ///< absolute IQ index being decoded
-    std::uint64_t iq_samples = 0;     ///< working counter (decode thread)
-    std::uint64_t bits = 0;           ///< working counter (decode thread)
-    /// Counts carried over a bank rebuild (channelizer fallback): the new
-    /// framer restarts from zero, so published frame/CRC totals add these.
-    std::uint64_t frames_base = 0;
-    std::uint64_t crc_base = 0;
-    // Published at block granularity for cross-thread stats readers.
-    std::atomic<std::uint64_t> pub_iq_samples{0};
-    std::atomic<std::uint64_t> pub_bits{0};
-    std::atomic<std::uint64_t> pub_frames{0};
-    std::atomic<std::uint64_t> pub_crc{0};
-    // Registry counters (nullable; bound once at channel creation). Each
-    // channel is processed by exactly one worker task per block, so the
-    // per-block delta adds never contend on the same counter.
-    telemetry::Counter* m_iq = nullptr;
-    telemetry::Counter* m_bits = nullptr;
-    telemetry::Counter* m_frames = nullptr;
-    telemetry::Counter* m_crc = nullptr;
   };
 
   std::unique_ptr<Channel> make_channel(double subcarrier_hz) const;
@@ -312,7 +260,7 @@ class FdmaRxChain {
   /// cannot use it.
   bool engage_channelizer(const std::vector<double>& freqs);
   /// Rebuilds every channel on the per-channel path, preserving decoded
-  /// packets, drain cursors and counters (see add_channel()).
+  /// packets and counters (see add_channel()).
   void fallback_to_per_channel(const char* reason);
   /// True when `hz` extends the engaged channelizer's uniform grid.
   bool on_grid(double hz) const noexcept;
@@ -320,21 +268,15 @@ class FdmaRxChain {
   Params params_;
   dsp::Ddc ddc_;
   double iq_rate_;
-  double axis_alpha_;
   std::vector<double> channel_coeffs_;
-  dsp::AdaptiveSlicer::Params slicer_params_{};
-  std::size_t debounce_ = 1;
   std::size_t workers_ = 1;
   std::unique_ptr<dsp::WorkerPool> pool_;
   std::vector<std::unique_ptr<Channel>> channels_;
   std::uint64_t iq_index_ = 0;  ///< absolute IQ samples produced so far
-  // Channelizer front-end (null = per-channel path) and the lane-rate
-  // decision-chain parameters derived from its decimation.
+  // Channelizer front-end (null = per-channel path), its lane rate and
+  // the lane packets' timestamp correction (see Channel::lane_delay).
   std::unique_ptr<dsp::PolyphaseChannelizer> chzr_;
   double lane_rate_ = 0.0;
-  double lane_axis_alpha_ = 0.0;
-  dsp::AdaptiveSlicer::Params lane_slicer_params_{};
-  std::size_t lane_debounce_ = 1;
   std::int64_t lane_delay_ = 0;
   double grid_origin_hz_ = 0.0;
   double grid_spacing_hz_ = 0.0;

@@ -114,7 +114,7 @@ void RealtimeReader::worker_loop() {
       // decode list: a long-running session must not accumulate decoded
       // packets forever (the list once grew without bound, leaking memory
       // block after block). Only successful pushes count as emitted (same
-      // accounting as the FDMA branch); chain_frames_total_ keeps the
+      // accounting as the FDMA branch); the chain's own counters keep the
       // monotonic frame count across the clears.
       const auto& packets = chain_.packets();
       for (const auto& pkt : packets) {
@@ -124,13 +124,9 @@ void RealtimeReader::worker_loop() {
           ++dropped;
         }
       }
-      chain_frames_total_ += packets.size();
       chain_.clear_packets();
       chain_buffered_.store(chain_.packets().size(),
                             std::memory_order_relaxed);
-      chain_bits_.store(chain_.bits_decoded(), std::memory_order_relaxed);
-      chain_frames_.store(chain_frames_total_, std::memory_order_relaxed);
-      chain_crc_.store(chain_.crc_failures(), std::memory_order_relaxed);
     }
     if (emitted != 0) {
       packets_emitted_.fetch_add(emitted, std::memory_order_relaxed);
@@ -208,13 +204,13 @@ RealtimeReader::Stats RealtimeReader::stats() const {
   if (fdma_) {
     s.channels = fdma_->all_channel_stats();
   } else {
-    FdmaRxChain::ChannelStats ch;
-    ch.subcarrier_hz = 0.0;  // baseband OOK, no subcarrier
-    ch.iq_samples = 0;
-    ch.bits = chain_bits_.load(std::memory_order_relaxed);
-    ch.frames_ok = chain_frames_.load(std::memory_order_relaxed);
-    ch.crc_failures = chain_crc_.load(std::memory_order_relaxed);
-    s.channels.push_back(ch);
+    // Baseband OOK: no subcarrier.
+    const DecisionCounts c = chain_.published_counts();
+    s.channels.push_back({.subcarrier_hz = 0.0,
+                          .iq_samples = c.iq_samples,
+                          .bits = c.bits,
+                          .frames_ok = c.frames_ok,
+                          .crc_failures = c.crc_failures});
   }
   return s;
 }

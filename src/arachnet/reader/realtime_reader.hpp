@@ -149,22 +149,9 @@ class RealtimeReader {
   std::vector<RxPacket> drained_;
   std::atomic<std::uint64_t> samples_processed_{0};
   std::atomic<bool> resync_requested_{false};
-  // Single-channel counters, published by the worker at block granularity.
-  std::atomic<std::uint64_t> chain_bits_{0};
-  std::atomic<std::uint64_t> chain_frames_{0};
-  std::atomic<std::uint64_t> chain_crc_{0};
   /// Packets left in chain_.packets() after a block's drain (the leak
   /// regression observable behind Stats::chain_buffered_packets).
   std::atomic<std::uint64_t> chain_buffered_{0};
-  /// Monotonic total of single-chain decoded frames: the worker drains
-  /// chain_.packets() after every block (long-running sessions must not
-  /// accumulate every decoded packet forever), so the chain's own vector
-  /// size no longer doubles as the frame count. Worker-thread only;
-  /// published through chain_frames_. Every decoded packet counts here
-  /// whether or not its emission later dropped — packets_emitted_ counts
-  /// successful pushes only (it once doubled as both, so a packet dropped
-  /// on a full output queue was still reported as emitted).
-  std::uint64_t chain_frames_total_ = 0;
   /// Packets successfully pushed to the output (cross-thread, stats()).
   std::atomic<std::uint64_t> packets_emitted_{0};
   /// Packets lost to a full (drop_on_full_output) or closed output.

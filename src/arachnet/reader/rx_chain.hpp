@@ -5,16 +5,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "arachnet/dsp/axis_tracker.hpp"
 #include "arachnet/dsp/cluster.hpp"
 #include "arachnet/dsp/ddc.hpp"
-#include "arachnet/dsp/fir.hpp"
 #include "arachnet/dsp/kernels/nco.hpp"
-#include "arachnet/dsp/schmitt.hpp"
-#include "arachnet/dsp/slicer.hpp"
-#include "arachnet/phy/framer.hpp"
 #include "arachnet/phy/packet.hpp"
-#include "arachnet/reader/fm0_stream_decoder.hpp"
+#include "arachnet/reader/decision_chain.hpp"
 #include "arachnet/sim/rng.hpp"
 
 namespace arachnet::reader {
@@ -27,46 +22,43 @@ struct RxPacket {
                            ///< channel chain)
 };
 
-/// Converts a per-chip dynamics target (e.g. "98% level acquisition per
-/// chip") into the per-sample EMA alpha that achieves it at
-/// `samples_per_chip`. Shared by RxChain's resolve_* helpers and the FDMA
-/// bank so the two chains cannot drift apart.
-double per_sample_alpha(double per_chip, double samples_per_chip);
-
 /// The reader's uplink receive chain — the paper's real-time software path
 /// (Sec. 6.1): down conversion -> low-pass filtering and decimation ->
-/// envelope extraction with DC (carrier-leak) removal -> Schmitt trigger ->
-/// run-length timing -> FM0 bit recovery -> preamble framing -> CRC check.
+/// optional frequency-offset calibration -> carrier-leak removal -> the
+/// shared decision back end (DecisionChain: axis projection -> Schmitt
+/// trigger -> run-length timing -> FM0 bit recovery -> preamble framing ->
+/// CRC check).
+///
+/// Fixed settings, the same for every caller:
+///  - the DDC low-pass cutoff follows the chip rate,
+///    clamp(3.5 * chip_rate, 1.5 kHz, 12.5 kHz) — narrow for slow links to
+///    cut noise, wide for fast links to avoid inter-symbol interference;
+///  - the slicer squelch floor is 0.002 at the 1.5 kHz cutoff and grows
+///    with the square root of the cutoff, as the baseband noise does;
+///  - for the first 300 IQ samples after construction, resync() or reset()
+///    the leak EMA runs at alpha 0.05 to converge past the filter start-up
+///    transient, while the decision path stays muted (the axis still
+///    trains).
 ///
 /// Also retains the slot's decimated IQ points so the MAC layer can run the
 /// cluster-based capture-effect collision detector.
+///
+/// Pinned: the back end's callbacks capture this chain, so copy and move
+/// are deleted (construct it in place).
 class RxChain {
  public:
   struct Params {
+    /// Sample rate, carrier, decimation, taps and kernel policy of the
+    /// down-converter; its cutoff_hz is replaced by the chip-rate rule
+    /// above.
     dsp::Ddc::Params ddc{};
     double chip_rate = phy::kDefaultUlRawBitRate;
-    /// Match the DDC low-pass bandwidth to the chip rate (narrow for slow
-    /// links to cut noise, wide for fast links to avoid inter-symbol
-    /// interference). Overrides ddc.cutoff_hz with
-    /// clamp(3.5 * chip_rate, 1.5 kHz, 12.5 kHz).
-    bool auto_bandwidth = true;
-    dsp::AdaptiveSlicer::Params slicer{};
-    /// Leak-cancellation tracking rate after warmup. Zero (the default)
-    /// freezes the leak estimate: within one slot the baseline is static.
-    /// Across slots it shifts with the set of absorptive tags parked on
-    /// the channel — slotted operation calls resync() at each slot start,
-    /// re-estimating the baseline in the tag's 20 ms reply gap.
+    /// Leak-cancellation tracking per chip after the warm-up. Zero (the
+    /// default) freezes the leak estimate: within one slot the baseline is
+    /// static. Across slots it shifts with the set of absorptive tags
+    /// parked on the channel — slotted operation calls resync() at each
+    /// slot start, re-estimating the baseline in the tag's 20 ms reply gap.
     double leak_ema_alpha = 0.0;
-    /// During the first `leak_warmup_samples` IQ samples the leak EMA uses
-    /// `leak_warmup_alpha` so it converges past the filter start-up
-    /// transient before weak packets can arrive.
-    std::size_t leak_warmup_samples = 300;
-    double leak_warmup_alpha = 0.05;
-    /// Modulation-axis tracking rate: EMA of the complex pseudo-variance
-    /// of (iq - leak); its half-angle is the 1-D axis the tag's OOK lives
-    /// on. Projecting onto it keeps modulation depth independent of the
-    /// reflection phase (the quadrature-fading problem).
-    double axis_ema_alpha = 0.01;
     /// Frequency-offset calibration: when nonzero, a one-shot offset
     /// estimate is applied after this many IQ samples.
     std::size_t freq_cal_samples = 0;
@@ -80,6 +72,8 @@ class RxChain {
   };
 
   explicit RxChain(Params params);
+  RxChain(const RxChain&) = delete;
+  RxChain& operator=(const RxChain&) = delete;
 
   /// Processes a block of raw DAQ samples; decoded packets are appended to
   /// the internal list (see packets()).
@@ -97,10 +91,20 @@ class RxChain {
   void clear_packets() { packets_.clear(); }
 
   /// CRC failures observed by the framer.
-  std::size_t crc_failures() const noexcept { return framer_.crc_failures(); }
+  std::size_t crc_failures() const noexcept {
+    return decision_.counts().crc_failures;
+  }
 
   /// FM0 bits recovered so far (pre-framing).
-  std::uint64_t bits_decoded() const noexcept { return bits_decoded_; }
+  std::uint64_t bits_decoded() const noexcept {
+    return decision_.counts().bits;
+  }
+
+  /// Decode counters as of the last process() call; safe to read from any
+  /// thread. iq_samples counts every IQ sample the DDC produced.
+  DecisionCounts published_counts() const noexcept {
+    return decision_.published();
+  }
 
   /// Decimated IQ points accumulated since the last clear — input to the
   /// IQ-cluster collision detector.
@@ -115,7 +119,7 @@ class RxChain {
   /// Number of raw samples consumed.
   std::size_t samples_consumed() const noexcept { return sample_count_; }
 
-  /// Re-baselines at a slot boundary: re-runs the leak warmup on the
+  /// Re-baselines at a slot boundary: re-runs the leak warm-up on the
   /// guaranteed-quiet reply gap (tags wait 20 ms after the beacon), and
   /// clears the modulation-axis estimate and decision state. Filter state
   /// is kept. Call at the start of each uplink slot in slotted operation.
@@ -127,21 +131,15 @@ class RxChain {
   const Params& params() const noexcept { return params_; }
 
  private:
-  void on_iq(std::complex<double> iq);
+  void on_iq(std::complex<double> iq, std::uint64_t stamp);
   /// Per-IQ-sample phase step of the frequency-offset derotation.
   double derotation_step() const noexcept;
 
   Params params_;
   dsp::Ddc ddc_;
-  dsp::AdaptiveSlicer slicer_;
-  dsp::Debouncer debouncer_;
-  dsp::AxisTracker axis_;
   double leak_alpha_ = 0.0;
-  dsp::RunLengthEncoder runs_;
-  Fm0StreamDecoder fm0_;
-  phy::UlFramer framer_;
+  DecisionChain decision_;
   std::vector<RxPacket> packets_;
-  std::uint64_t bits_decoded_ = 0;
   std::vector<std::complex<double>> iq_points_;
   std::size_t sample_count_ = 0;
   std::size_t iq_sample_index_ = 0;

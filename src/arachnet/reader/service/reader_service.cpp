@@ -319,7 +319,8 @@ void ReaderService::process_group(Group& group) {
     const std::uint64_t t_decoded = steady_now_ns();
     s->samples_processed.fetch_add(n, std::memory_order_relaxed);
     // Drain the chain's decode list every block (the RealtimeReader leak
-    // discipline): frames_total stays monotonic across the clears.
+    // discipline); the chain's own counters stay monotonic across the
+    // clears.
     const auto& pkts = s->chain->packets();
     std::uint64_t emitted = 0;
     std::uint64_t dropped = 0;
@@ -330,10 +331,7 @@ void ReaderService::process_group(Group& group) {
         ++dropped;  // full or closed output: the consumer's loss, counted
       }
     }
-    s->frames_total.fetch_add(pkts.size(), std::memory_order_relaxed);
     s->chain->clear_packets();
-    s->crc_failures.store(s->chain->crc_failures(),
-                          std::memory_order_relaxed);
     if (emitted != 0) {
       s->packets_emitted.fetch_add(emitted, std::memory_order_relaxed);
       packets_emitted_.fetch_add(emitted, std::memory_order_relaxed);

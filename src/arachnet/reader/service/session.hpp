@@ -118,8 +118,6 @@ struct Session {
     samples_processed.store(0, std::memory_order_relaxed);
     packets_emitted.store(0, std::memory_order_relaxed);
     packets_dropped.store(0, std::memory_order_relaxed);
-    frames_total.store(0, std::memory_order_relaxed);
-    crc_failures.store(0, std::memory_order_relaxed);
     stage_wait_ns.store(0, std::memory_order_relaxed);
     stage_process_ns.store(0, std::memory_order_relaxed);
     stage_emit_ns.store(0, std::memory_order_relaxed);
@@ -157,8 +155,9 @@ struct Session {
     s.samples_processed = samples_processed.load(std::memory_order_relaxed);
     s.packets_emitted = packets_emitted.load(std::memory_order_relaxed);
     s.packets_dropped = packets_dropped.load(std::memory_order_relaxed);
-    s.frames_ok = frames_total.load(std::memory_order_relaxed);
-    s.crc_failures = crc_failures.load(std::memory_order_relaxed);
+    const DecisionCounts decoded = chain->published_counts();
+    s.frames_ok = decoded.frames_ok;
+    s.crc_failures = decoded.crc_failures;
     s.stage_wait_ns = stage_wait_ns.load(std::memory_order_relaxed);
     s.stage_process_ns = stage_process_ns.load(std::memory_order_relaxed);
     s.stage_emit_ns = stage_emit_ns.load(std::memory_order_relaxed);
@@ -194,11 +193,6 @@ struct Session {
   std::atomic<std::uint64_t> samples_processed{0};
   std::atomic<std::uint64_t> packets_emitted{0};
   std::atomic<std::uint64_t> packets_dropped{0};
-  /// Monotonic decoded-frame total across the per-block drains (the
-  /// chain's packet list is cleared every block — same leak discipline
-  /// as RealtimeReader's single-chain mode).
-  std::atomic<std::uint64_t> frames_total{0};
-  std::atomic<std::uint64_t> crc_failures{0};
   /// Cumulative stage-latency attribution (see SessionStats); written by
   /// the one pool worker holding this session's batch, read anywhere.
   std::atomic<std::uint64_t> stage_wait_ns{0};

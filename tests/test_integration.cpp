@@ -1,18 +1,16 @@
 // Cross-module integration tests: the MAC protocol running over the real
 // waveform channel and receive chain (collisions detected from IQ
-// clusters, feedback resolving them), the threaded reader pipeline with
+// clusters, feedback resolving them), the threaded real-time reader with
 // back-pressure, and the firmware + sensing stack end to end.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 
 #include "arachnet/acoustic/deployment.hpp"
 #include "arachnet/acoustic/waveform_channel.hpp"
 #include "arachnet/core/reader_controller.hpp"
 #include "arachnet/core/tag_firmware.hpp"
 #include "arachnet/core/tag_state_machine.hpp"
-#include "arachnet/dsp/pipeline.hpp"
 #include "arachnet/phy/fm0.hpp"
 #include "arachnet/reader/realtime_reader.hpp"
 #include "arachnet/reader/rx_chain.hpp"
@@ -143,67 +141,6 @@ TEST(WaveformMac, SingleCleanSlotDecodesAndAcks) {
   const auto cmd = reader.close_slot(
       {.decoded_tid = 7, .collision_detected = false});
   EXPECT_TRUE(cmd.ack);
-}
-
-// --------------------------------------------------- threaded reader path
-
-TEST(ThreadedPipeline, DdcStageStreamsWithBackPressure) {
-  // Producer -> DDC stage -> magnitude-sum stage, connected by bounded
-  // ring buffers (the paper's block/back-pressure architecture). The
-  // output must equal the single-threaded reference.
-  using Block = std::vector<double>;
-  using IqBlock = std::vector<std::complex<double>>;
-
-  // Reference computation.
-  sim::Rng rng{12};
-  std::vector<Block> blocks;
-  for (int b = 0; b < 24; ++b) {
-    Block block(4096);
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      block[i] = std::cos(2.0 * 3.14159265 * 90e3 *
-                          (b * 4096.0 + i) / 500e3) +
-                 rng.normal(0.0, 0.01);
-    }
-    blocks.push_back(std::move(block));
-  }
-  dsp::Ddc reference{dsp::Ddc::Params{}};
-  double ref_sum = 0.0;
-  std::size_t ref_count = 0;
-  for (const auto& b : blocks) {
-    for (const auto& iq : reference.process(b)) {
-      ref_sum += std::abs(iq);
-      ++ref_count;
-    }
-  }
-
-  // Threaded version with deliberately tiny buffers to force back-pressure.
-  auto raw = std::make_shared<dsp::RingBuffer<Block>>(2);
-  auto iqs = std::make_shared<dsp::RingBuffer<IqBlock>>(2);
-  auto sums = std::make_shared<dsp::RingBuffer<double>>(64);
-  auto ddc = std::make_shared<dsp::Ddc>(dsp::Ddc::Params{});
-  dsp::PipelineStage<Block, IqBlock> ddc_stage{
-      raw, iqs,
-      [ddc](Block block, const std::function<void(IqBlock)>& emit) {
-        emit(ddc->process(block));
-      }};
-  dsp::PipelineStage<IqBlock, double> mag_stage{
-      iqs, sums,
-      [](IqBlock block, const std::function<void(double)>& emit) {
-        double sum = 0.0;
-        for (const auto& iq : block) sum += std::abs(iq);
-        emit(sum);
-      }};
-  ddc_stage.start();
-  mag_stage.start();
-  for (auto& b : blocks) raw->push(std::move(b));
-  raw->close();
-  ddc_stage.join();
-  mag_stage.join();
-
-  double threaded_sum = 0.0;
-  while (const auto v = sums->try_pop()) threaded_sum += *v;
-  EXPECT_NEAR(threaded_sum, ref_sum, 1e-9 * (1.0 + std::abs(ref_sum)));
-  EXPECT_GT(ref_count, 0u);
 }
 
 // --------------------------------------------- firmware + sensing stack

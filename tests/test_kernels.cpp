@@ -13,6 +13,7 @@
 #include <iterator>
 #include <limits>
 #include <numbers>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "arachnet/phy/subcarrier.hpp"
 #include "arachnet/reader/fdma_rx.hpp"
 #include "arachnet/sim/rng.hpp"
+#include "arachnet/telemetry/metrics.hpp"
 
 namespace {
 
@@ -463,14 +465,42 @@ TEST(Channelizer, FdmaBankPacketsIdenticalAcrossSplitCalls) {
   }
 }
 
+// Reads channel `c`'s `fdma.ch<c>.*` registry counters in ChannelStats form.
+reader::FdmaRxChain::ChannelStats registry_stats(
+    telemetry::MetricsRegistry& registry, std::size_t c) {
+  const auto value = [&](const char* suffix) {
+    return registry
+        .counter("fdma.ch" + std::to_string(c) + "." + suffix)
+        .value();
+  };
+  reader::FdmaRxChain::ChannelStats s;
+  s.iq_samples = value("iq_samples");
+  s.bits = value("bits");
+  s.frames_ok = value("frames");
+  s.crc_failures = value("crc_failures");
+  return s;
+}
+
+void expect_same_counts(const reader::FdmaRxChain::ChannelStats& a,
+                        const reader::FdmaRxChain::ChannelStats& b,
+                        std::size_t c) {
+  EXPECT_EQ(a.iq_samples, b.iq_samples) << "channel " << c;
+  EXPECT_EQ(a.bits, b.bits) << "channel " << c;
+  EXPECT_EQ(a.frames_ok, b.frames_ok) << "channel " << c;
+  EXPECT_EQ(a.crc_failures, b.crc_failures) << "channel " << c;
+}
+
 TEST(Channelizer, OnGridAddKeepsChannelizerOffGridAddFallsBack) {
   // The add_channel() grid contract: an on-grid subcarrier becomes a new
   // lane (channelizer stays engaged), an off-grid one triggers the logged
-  // per-channel fallback — and neither loses anything already decoded.
+  // per-channel fallback — and neither loses anything already decoded or
+  // counted.
   using Bank = reader::FdmaRxChain::BankPolicy;
+  telemetry::MetricsRegistry registry;
   auto params = fdma_params(dsp::default_kernel_policy(), 2,
                             Bank::kChannelizer);
   params.max_subcarrier_hz = 12000.0;  // headroom for the adds below
+  params.metrics = &registry;
   reader::FdmaRxChain bank{params};
   ASSERT_EQ(bank.active_bank(), Bank::kChannelizer);
 
@@ -478,7 +508,6 @@ TEST(Channelizer, OnGridAddKeepsChannelizerOffGridAddFallsBack) {
   bank.process(wave.data(), wave.size());
   const auto before = bank.drain_packets();
   ASSERT_GE(before.size(), 4u);
-  const auto stats_before = bank.all_channel_stats();
 
   // On grid: 3000 + 4*1500 = 9000. Still the channelizer.
   bank.add_channel({9000.0});
@@ -490,17 +519,21 @@ TEST(Channelizer, OnGridAddKeepsChannelizerOffGridAddFallsBack) {
   ASSERT_GE(with_lane.size(), 5u);
   EXPECT_TRUE(std::any_of(with_lane.begin(), with_lane.end(),
                           [](const auto& p) { return p.channel == 4; }));
+  const auto stats_lane = bank.all_channel_stats();
+  for (std::size_t c = 0; c < stats_lane.size(); ++c) {
+    ASSERT_GT(stats_lane[c].frames_ok, 0u) << "channel " << c;
+    expect_same_counts(registry_stats(registry, c), stats_lane[c], c);
+  }
 
   // Off grid: 10312.5 sits between grid steps (4.875 steps from the
-  // origin) -> fallback, state preserved. Still a legal subcarrier: a
-  // multiple of half the chip rate, one passband away from 9000.
+  // origin) -> fallback. Still a legal subcarrier: a multiple of half the
+  // chip rate, one passband away from 9000. Every channel's counters carry
+  // over exactly.
   bank.add_channel({10312.5});
   EXPECT_EQ(bank.active_bank(), Bank::kPerChannel);
   ASSERT_EQ(bank.channel_count(), 6u);
-  for (std::size_t c = 0; c < stats_before.size(); ++c) {
-    const auto s = bank.channel_stats(c);
-    EXPECT_GE(s.frames_ok, stats_before[c].frames_ok) << "channel " << c;
-    EXPECT_GE(s.bits, stats_before[c].bits) << "channel " << c;
+  for (std::size_t c = 0; c < stats_lane.size(); ++c) {
+    expect_same_counts(bank.channel_stats(c), stats_lane[c], c);
   }
   // Nothing drained twice, nothing lost: the per-channel bank keeps
   // decoding every channel (including the off-grid newcomer).
@@ -513,6 +546,16 @@ TEST(Channelizer, OnGridAddKeepsChannelizerOffGridAddFallsBack) {
     EXPECT_TRUE(std::any_of(after.begin(), after.end(),
                             [&](const auto& p) { return p.channel == c; }))
         << "channel " << c << " stopped decoding after the fallback";
+    // The registry continued from the carried counts: it still equals the
+    // channel's own counters, so nothing was counted twice or dropped.
+    const auto s = bank.channel_stats(c);
+    expect_same_counts(registry_stats(registry, c), s, c);
+    if (c < stats_lane.size()) {
+      EXPECT_EQ(s.iq_samples, stats_lane[c].iq_samples +
+                                  wave6.size() / params.ddc.decimation)
+          << "channel " << c;
+      EXPECT_GT(s.frames_ok, stats_lane[c].frames_ok) << "channel " << c;
+    }
   }
 }
 

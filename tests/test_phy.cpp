@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <type_traits>
 #include <vector>
 
 #include "arachnet/phy/bits.hpp"
@@ -301,6 +302,15 @@ TEST(Packet, DurationsMatchPaperScale) {
 }
 
 // ------------------------------------------------------------------ Framers
+
+// The UL and DL framers hand `this` to their inner framer's callback: a
+// copy or a move would count into the original. They are pinned.
+template <typename T>
+constexpr bool kPinned =
+    !std::is_copy_constructible_v<T> && !std::is_move_constructible_v<T> &&
+    !std::is_copy_assignable_v<T> && !std::is_move_assignable_v<T>;
+static_assert(kPinned<UlFramer>);
+static_assert(kPinned<DlFramer>);
 
 TEST(Framer, UlFramerFindsPacketInNoise) {
   Rng rng{99};

@@ -1,16 +1,23 @@
-// Tests for the reader receive path: FM0 stream decoder semantics and the
-// full waveform-to-packet chain, including multi-rate operation, weak links,
-// back-to-back packets, and IQ-cluster collision detection.
+// Tests for the reader receive path: FM0 stream decoder semantics, the
+// shared decision back end (per-chip rule, packet stamps, counter
+// publication), and the full waveform-to-packet chain, including multi-rate
+// operation, weak links, back-to-back packets, and IQ-cluster collision
+// detection.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <complex>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "arachnet/acoustic/waveform_channel.hpp"
 #include "arachnet/phy/fm0.hpp"
 #include "arachnet/phy/packet.hpp"
+#include "arachnet/reader/decision_chain.hpp"
 #include "arachnet/reader/fdma_rx.hpp"
 #include "arachnet/reader/fm0_stream_decoder.hpp"
 #include "arachnet/reader/realtime_reader.hpp"
@@ -26,6 +33,7 @@ using acoustic::UplinkWaveformSynth;
 using phy::BitVector;
 using phy::Fm0Encoder;
 using phy::UlPacket;
+using reader::DecisionChain;
 using reader::Fm0StreamDecoder;
 using reader::RxChain;
 using sim::Rng;
@@ -112,6 +120,106 @@ TEST(Fm0Stream, ToleratesTimingJitter) {
     h.decoder.push_run(run);
     EXPECT_NE(h.bits.find(data.to_string()), std::string::npos);
   }
+}
+
+// ---------------------------------------------------------- DecisionChain
+
+// The decision back end and every chain built on it hand `this` to their
+// FM0 decoder and framer callbacks: a copy or a move would decode into the
+// original's framer. They are pinned.
+template <typename T>
+constexpr bool kPinned =
+    !std::is_copy_constructible_v<T> && !std::is_move_constructible_v<T> &&
+    !std::is_copy_assignable_v<T> && !std::is_move_assignable_v<T>;
+static_assert(kPinned<DecisionChain>);
+static_assert(kPinned<RxChain>);
+
+TEST(DecisionChain, RuleMeetsThePerChipTargets) {
+  for (const double spc : {2.5, 50.0, 200.0}) {
+    const auto r = DecisionChain::rule(spc);
+    // What is left after one chip of samples: 2% of a level step, 96% of
+    // a held level, half the axis error.
+    EXPECT_NEAR(std::pow(1.0 - r.track_alpha, spc), 0.02, 1e-12);
+    EXPECT_NEAR(std::pow(1.0 - r.leak_alpha, spc), 0.96, 1e-12);
+    EXPECT_NEAR(std::pow(1.0 - r.axis_alpha, spc), 0.5, 1e-12);
+  }
+  EXPECT_EQ(DecisionChain::rule(2.5).debounce, 1u);  // never below one
+  EXPECT_EQ(DecisionChain::rule(50.0).debounce, 6u);
+  EXPECT_EQ(DecisionChain::rule(200.0).debounce, 24u);
+}
+
+// Renders one framed packet as bipolar FM0 chips on a rotated axis, with
+// `spc` samples per chip and silence on both sides.
+std::vector<std::complex<double>> chip_samples(const UlPacket& pkt,
+                                               std::size_t spc) {
+  const std::complex<double> axis = std::polar(0.1, 0.7);
+  std::vector<std::complex<double>> s(40 * spc, 0.0);
+  const auto chips = Fm0Encoder::encode_frame(pkt.serialize());
+  for (std::size_t i = 0; i < chips.size(); ++i) {
+    s.insert(s.end(), spc, chips[i] ? axis : -axis);
+  }
+  s.insert(s.end(), 40 * spc, 0.0);
+  return s;
+}
+
+TEST(DecisionChain, StampsPacketsAndPublishesCountsOncePerBlock) {
+  constexpr std::size_t kSpc = 20;
+  const UlPacket pkt{.tid = 5, .payload = 0x3B7};
+  const auto samples = chip_samples(pkt, kSpc);
+  std::vector<std::pair<UlPacket, std::uint64_t>> got;
+  DecisionChain chain{{.rate_hz = 375.0 * kSpc,
+                       .chip_rate = 375.0,
+                       .slicer_floor = 0.001},
+                      [&](const UlPacket& p, std::uint64_t stamp) {
+                        got.emplace_back(p, stamp);
+                      }};
+  telemetry::MetricsRegistry registry;
+  chain.bind(&registry.counter("iq"), &registry.counter("bits"),
+             &registry.counter("frames"), &registry.counter("crc"));
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    chain.step(samples[i], 1000 + i);
+  }
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].first, pkt);
+  // Stamped by a sample inside the frame, at or after its last data chip.
+  const std::size_t frame_end = samples.size() - 40 * kSpc;
+  EXPECT_GE(got[0].second, 1000 + frame_end - 2 * kSpc);
+  EXPECT_LT(got[0].second, 1000 + frame_end + kSpc);
+
+  // Nothing is published until the block ends.
+  EXPECT_EQ(chain.published().frames_ok, 0u);
+  chain.publish(samples.size());
+  const auto c = chain.published();
+  EXPECT_EQ(c.iq_samples, samples.size());
+  EXPECT_EQ(c.frames_ok, 1u);
+  EXPECT_EQ(c.crc_failures, 0u);
+  EXPECT_GE(c.bits, pkt.serialize().size());
+  EXPECT_EQ(c.bits, chain.counts().bits);
+  EXPECT_EQ(registry.counter("iq").value(), c.iq_samples);
+  EXPECT_EQ(registry.counter("bits").value(), c.bits);
+  EXPECT_EQ(registry.counter("frames").value(), 1u);
+
+  // A chain that replaces this one continues its counts: same published
+  // values, and the registry counts nothing twice.
+  DecisionChain next{{.rate_hz = 375.0 * kSpc,
+                      .chip_rate = 375.0,
+                      .slicer_floor = 0.001},
+                     [&](const UlPacket& p, std::uint64_t stamp) {
+                       got.emplace_back(p, stamp);
+                     }};
+  next.bind(&registry.counter("iq"), &registry.counter("bits"),
+            &registry.counter("frames"), &registry.counter("crc"));
+  next.carry_counts(chain);
+  EXPECT_EQ(next.published().bits, c.bits);
+  EXPECT_EQ(next.published().frames_ok, 1u);
+  for (std::size_t i = 0; i < samples.size(); ++i) next.step(samples[i], i);
+  next.publish(samples.size());
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(next.published().iq_samples, 2 * samples.size());
+  EXPECT_EQ(next.published().frames_ok, 2u);
+  EXPECT_EQ(registry.counter("iq").value(), 2 * samples.size());
+  EXPECT_EQ(registry.counter("frames").value(), 2u);
+  EXPECT_EQ(registry.counter("bits").value(), next.published().bits);
 }
 
 // ----------------------------------------------------------------- RxChain

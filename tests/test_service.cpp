@@ -158,6 +158,31 @@ TEST(RealtimeReaderLifecycle, SingleChainDecodeListStaysBounded) {
   EXPECT_EQ(got, static_cast<std::size_t>(kPackets));
 }
 
+TEST(RealtimeReaderLifecycle, SingleChainStatsCountIqSamples) {
+  // Regression: stats() reported iq_samples = 0 for the single chain,
+  // while FDMA mode reports each channel's real count. The single chain
+  // consumes one IQ sample per DDC decimation step.
+  sim::Rng rng{7};
+  acoustic::UplinkWaveformSynth synth{acoustic::UplinkWaveformSynth::Params{}};
+
+  reader::RealtimeReader::Params params;
+  params.input_capacity = 64;
+  reader::RealtimeReader rtr{params};
+  rtr.start();
+  submit_blocks(packet_wave(0xB01, rng, synth), [&](std::vector<double> b) {
+    ASSERT_TRUE(rtr.submit(std::move(b)));
+  });
+  rtr.stop();
+
+  const auto stats = rtr.stats();
+  ASSERT_EQ(stats.channels.size(), 1u);
+  EXPECT_EQ(stats.channels[0].iq_samples,
+            stats.samples_processed / params.chain.ddc.decimation);
+  EXPECT_GT(stats.channels[0].iq_samples, 0u);
+  EXPECT_EQ(stats.channels[0].frames_ok, 1u);
+  EXPECT_EQ(stats.channels[0].crc_failures, 0u);
+}
+
 TEST(RealtimeReaderLifecycle, RestartAfterStopProcessesNewBlocks) {
   // Regression: start() after stop() silently no-oped (closed queues were
   // never reopened), so a paused reader could never resume. A stop/start

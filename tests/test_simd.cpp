@@ -3,7 +3,7 @@
 // clamp, the float32 SimdNco against a long-double phase reference over
 // 10^8 samples and at near-Nyquist steps, and the float32 FIR stages
 // against the scalar FirFilter (including denormal and NaN blocks). Then
-// the parity contract, KernelParity.*: Ddc, derotate, synthesizer and
+// the parity contract, KernelParity.*: Ddc, synthesizer and
 // channelizer outputs agree to float32 tolerance, and — the load-bearing
 // guarantee — RxChain and the FDMA bank (both bank modes, 4 to 32
 // channels) decode the identical packets under both policies, on the
@@ -320,7 +320,7 @@ TEST(FirSimd, NanBlockFlushesInsteadOfPoisoningState) {
   }
 }
 
-// ------------------------------------------------ parity: Ddc, derotate
+// ------------------------------------------------------- parity: Ddc
 
 // Packet timestamp tolerance for kSimd decodes: float32 can move a slicer
 // crossing by a decimated sample or two, and two channelizer lane samples
@@ -357,20 +357,6 @@ TEST(KernelParity, DdcSimdMatchesScalarIq) {
       EXPECT_NEAR(iq_v[i].real(), iq_s[i].real(), 1e-5);
       EXPECT_NEAR(iq_v[i].imag(), iq_s[i].imag(), 1e-5);
     }
-  }
-}
-
-TEST(KernelParity, DerotateSimdMatchesScalar) {
-  sim::Rng rng{38};
-  std::vector<cplx> iq(5000);
-  for (auto& v : iq) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-  const auto a = dsp::derotate(iq, 31250.0, 12.7, dsp::KernelPolicy::kScalar);
-  const auto b = dsp::derotate(iq, 31250.0, 12.7, dsp::KernelPolicy::kSimd);
-  // Tolerance: ~1e-4 rad of in-chunk float32 phasor drift scaled by the
-  // unit-normal sample magnitudes (|x| reaches ~4 at n=5000).
-  for (std::size_t i = 0; i < iq.size(); ++i) {
-    EXPECT_NEAR(a[i].real(), b[i].real(), 5e-5);
-    EXPECT_NEAR(a[i].imag(), b[i].imag(), 5e-5);
   }
 }
 
