@@ -23,8 +23,9 @@ missing row fails too (a silently dropped audit would otherwise pass).
 Usage: check_alloc_gate.py BENCH_ext_throughput.json [BENCH_service_soak.json ...]
 """
 
-import json
 import sys
+
+import sidecar
 
 
 def main() -> int:
@@ -36,19 +37,10 @@ def main() -> int:
     for path in sys.argv[1:]:
         rows = {}
         bench = path
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if rec.get("schema") != "arachnet.bench.v1":
-                    print(f"unexpected schema in record: {rec}",
-                          file=sys.stderr)
-                    return 2
-                bench = rec.get("bench", bench)
-                if rec.get("name", "").startswith("alloc."):
-                    rows[rec["name"]] = rec["value"]
+        for rec in sidecar.records(path):
+            bench = rec.get("bench", bench)
+            if rec.get("name", "").startswith("alloc."):
+                rows[rec["name"]] = rec["value"]
 
         steady = rows.get("alloc.steady_state_count")
         warmup = rows.get("alloc.warmup_count")

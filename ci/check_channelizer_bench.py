@@ -28,35 +28,18 @@ google-benchmark rows above).
 Usage: check_channelizer_bench.py BENCH_micro_dsp.json [BENCH_ext_throughput.json ...]
 """
 
-import json
 import sys
 
+import sidecar
+
 COUNTS = [4, 8, 16, 32]
-
-
-def load(paths):
-    metrics = {}
-    for path in paths:
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if rec.get("schema") != "arachnet.bench.v1":
-                    print(f"unexpected schema in record: {rec}",
-                          file=sys.stderr)
-                    sys.exit(2)
-                if "value" in rec:  # histograms/percentiles carry none
-                    metrics[rec["name"]] = rec["value"]
-    return metrics
 
 
 def main() -> int:
     if len(sys.argv) < 2:
         print(__doc__, file=sys.stderr)
         return 2
-    metrics = load(sys.argv[1:])
+    metrics = sidecar.load(*sys.argv[1:])
 
     failed = False
 

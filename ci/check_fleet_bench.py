@@ -26,33 +26,18 @@ the fleet engine's scaling and coordination contract:
 Usage: check_fleet_bench.py BENCH_fleet.json
 """
 
-import json
 import sys
 
+import sidecar
+
 MIN_EFFICIENCY_4 = 0.7
-
-
-def load(path):
-    metrics = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("schema") != "arachnet.bench.v1":
-                print(f"unexpected schema in record: {rec}", file=sys.stderr)
-                sys.exit(2)
-            if "value" in rec:
-                metrics[rec["name"]] = rec["value"]
-    return metrics
 
 
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    m = load(sys.argv[1])
+    m = sidecar.load(sys.argv[1])
 
     required = [
         "fleet.host_cores", "fleet.shard_determinism", "fleet.parity",

@@ -29,8 +29,9 @@ Asserts the kernel-tier invariants the DSP layer promises:
 Usage: check_kernel_bench.py BENCH_micro_dsp.json [BENCH_ext_throughput.json ...]
 """
 
-import json
 import sys
+
+import sidecar
 
 SCALAR_SIMD_PAIRS = [
     ("BM_DdcScalar.real_time", "BM_DdcSimd.real_time"),
@@ -56,20 +57,7 @@ def main() -> int:
         print(__doc__, file=sys.stderr)
         return 2
 
-    metrics = {}
-    for path in sys.argv[1:]:
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if rec.get("schema") != "arachnet.bench.v1":
-                    print(f"unexpected schema in record: {rec}",
-                          file=sys.stderr)
-                    return 2
-                if "value" in rec:  # histograms/percentiles carry none
-                    metrics[rec["name"]] = rec["value"]
+    metrics = sidecar.load(*sys.argv[1:])
 
     failed = False
 

@@ -27,6 +27,8 @@ import json
 import math
 import sys
 
+import sidecar
+
 MAX_OVERHEAD_PCT = 3.0
 MONITOR_SCHEMA = "arachnet.monitor.v1"
 
@@ -38,22 +40,6 @@ STAGE_ROWS = [
     "soak.stage.emit_ms.p50",
     "soak.stage.emit_ms.p99",
 ]
-
-
-def load_bench(path):
-    metrics = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("schema") != "arachnet.bench.v1":
-                print(f"unexpected schema in record: {rec}", file=sys.stderr)
-                sys.exit(2)
-            if "value" in rec:
-                metrics[rec["name"]] = rec["value"]
-    return metrics
 
 
 def check_monitor_jsonl(path, failures):
@@ -89,7 +75,7 @@ def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
-    m = load_bench(sys.argv[1])
+    m = sidecar.load(sys.argv[1])
 
     failures = []
     required = [

@@ -28,8 +28,9 @@ asserts the ReaderService scaling contract:
 Usage: check_service_soak.py BENCH_service_soak.json
 """
 
-import json
 import sys
+
+import sidecar
 
 MIN_SESSIONS = 8
 MAX_PACED_DROP_RATE = 0.05
@@ -38,27 +39,11 @@ MIN_CAPACITY_PER_CORE = 1.0
 MAX_RSS_GROWTH_KIB = 262144
 
 
-def load(path):
-    metrics = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("schema") != "arachnet.bench.v1":
-                print(f"unexpected schema in record: {rec}", file=sys.stderr)
-                sys.exit(2)
-            if "value" in rec:
-                metrics[rec["name"]] = rec["value"]
-    return metrics
-
-
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    m = load(sys.argv[1])
+    m = sidecar.load(sys.argv[1])
 
     required = [
         "soak.sessions", "soak.workers", "soak.blocks_processed",

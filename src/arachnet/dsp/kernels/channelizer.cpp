@@ -39,19 +39,6 @@ PolyphaseChannelizer::Plan PolyphaseChannelizer::plan(
     p.reason = "no subcarriers";
     return p;
   }
-  std::vector<double> sorted = subcarriers_hz;
-  std::sort(sorted.begin(), sorted.end());
-  double spacing = 0.0;
-  if (sorted.size() >= 2) {
-    spacing = sorted[1] - sorted[0];
-    for (std::size_t i = 1; i + 1 < sorted.size(); ++i) {
-      if (std::abs((sorted[i + 1] - sorted[i]) - spacing) >
-          1e-6 * spacing) {
-        p.reason = "subcarriers are not on a uniform grid";
-        return p;
-      }
-    }
-  }
   // Lane rate: keep >= 16 samples per chip after decimation (the decision
   // chain needs margin over the debouncer and FM0 run quantization), so
   // D = largest power of two with fs/D >= 16*chip_rate — and decimating by
@@ -72,7 +59,7 @@ PolyphaseChannelizer::Plan PolyphaseChannelizer::plan(
     fft_size *= 2;
   }
   std::vector<std::size_t> bins;
-  for (double hz : sorted) {
+  for (double hz : subcarriers_hz) {
     const std::size_t b = bin_for(hz, sample_rate_hz, fft_size);
     if (b < 1 || b >= fft_size / 2) {
       p.reason = "subcarrier maps to the DC or Nyquist bin";
@@ -94,8 +81,6 @@ PolyphaseChannelizer::Plan PolyphaseChannelizer::plan(
                 sample_rate_hz / (2.0 * static_cast<double>(fft_size));
   p.fft_size = fft_size;
   p.decimation = decim;
-  p.grid_origin_hz = sorted.front();
-  p.grid_spacing_hz = spacing;
   p.viable = true;
   return p;
 }
@@ -140,61 +125,41 @@ PolyphaseChannelizer::PolyphaseChannelizer(Params params)
     work_f_.assign(2 * (taps - 1), 0.0f);
     spec_f_.resize(2 * params_.fft_size);
   }
-  const std::vector<double> centers = std::move(params_.center_hz);
-  params_.center_hz.clear();
-  for (double hz : centers) add_lane(hz);
-}
-
-bool PolyphaseChannelizer::lane_fits(double center_hz) const noexcept {
-  const std::size_t b =
-      bin_for(center_hz, params_.sample_rate_hz, params_.fft_size);
-  if (b < 1 || b >= params_.fft_size / 2) return false;
-  return std::find(bins_.begin(), bins_.end(), b) == bins_.end();
-}
-
-void PolyphaseChannelizer::seed_lane_nco(double center_hz, std::size_t bin) {
   // The lane rotation e^{-j*w*t} is only ever evaluated at frame instants
-  // t_F = (F+1)*D - 1, so it reduces to one phasor stepping -w*D per
-  // frame. Seed it for the *next* frame this instance will produce —
-  // identical to a from-construction seed at -w*(D-1) when no frames have
-  // run yet, and phase-aligned for lanes added mid-stream.
-  const double w = kTwoPi * center_hz / params_.sample_rate_hz;
+  // t_F = (F+1)*D - 1, so it reduces to one phasor per lane, seeded at
+  // t_0 = D-1 and stepping -w*D per frame.
   const double d = static_cast<double>(params_.decimation);
-  const double t_next =
-      (static_cast<double>(frames_produced_) + 1.0) * d - 1.0;
-  const double phase0 = -std::fmod(w * t_next, kTwoPi);
-  const double step = -std::fmod(w * d, kTwoPi);
-  lane_nco_.emplace_back(phase0, step);
-  // Float32 twin (kept in sync even when the float path is inactive so
-  // Params carry no mode coupling). The float32 frame reads bin b of the
-  // forward FFT of the reversed-prototype buckets, which is Y_b times
-  // e^{-j*2*pi*((L-1)*b mod C)/C} (DESIGN.md §7); the lane's phase, and
-  // so its double master, carries the inverse of that constant.
   const std::size_t c = params_.fft_size;
-  const std::size_t turn = (params_.prototype.size() - 1) % c * bin % c;
-  LaneF32 lf;
-  lf.phase = phase0 + kTwoPi * static_cast<double>(turn) /
-                          static_cast<double>(c);
-  lf.step = step;
-  lf.re = static_cast<float>(std::cos(lf.phase));
-  lf.im = static_cast<float>(std::sin(lf.phase));
-  lf.rre = static_cast<float>(std::cos(step));
-  lf.rim = static_cast<float>(std::sin(step));
-  lf.pos = fft_->bitrev(bin);
-  lane_f32_.push_back(lf);
-}
-
-std::size_t PolyphaseChannelizer::add_lane(double center_hz) {
-  if (!lane_fits(center_hz)) {
-    throw std::invalid_argument(
-        "PolyphaseChannelizer: lane bin unusable or already taken");
+  for (double hz : params_.center_hz) {
+    const std::size_t bin = bin_for(hz, params_.sample_rate_hz, c);
+    if (bin < 1 || bin >= c / 2 ||
+        std::find(bins_.begin(), bins_.end(), bin) != bins_.end()) {
+      throw std::invalid_argument(
+          "PolyphaseChannelizer: lane bin unusable or already taken");
+    }
+    bins_.push_back(bin);
+    const double w = kTwoPi * hz / params_.sample_rate_hz;
+    const double phase0 = -std::fmod(w * (d - 1.0), kTwoPi);
+    const double step = -std::fmod(w * d, kTwoPi);
+    lane_nco_.emplace_back(phase0, step);
+    // Float32 twin (kept in sync even when the float path is inactive so
+    // Params carry no mode coupling). The float32 frame reads bin b of the
+    // forward FFT of the reversed-prototype buckets, which is Y_b times
+    // e^{-j*2*pi*((L-1)*b mod C)/C} (DESIGN.md §7); the lane's phase, and
+    // so its double master, carries the inverse of that constant.
+    const std::size_t turn = (params_.prototype.size() - 1) % c * bin % c;
+    LaneF32 lf;
+    lf.phase = phase0 + kTwoPi * static_cast<double>(turn) /
+                            static_cast<double>(c);
+    lf.step = step;
+    lf.re = static_cast<float>(std::cos(lf.phase));
+    lf.im = static_cast<float>(std::sin(lf.phase));
+    lf.rre = static_cast<float>(std::cos(step));
+    lf.rim = static_cast<float>(std::sin(step));
+    lf.pos = fft_->bitrev(bin);
+    lane_f32_.push_back(lf);
   }
-  bins_.push_back(
-      bin_for(center_hz, params_.sample_rate_hz, params_.fft_size));
-  seed_lane_nco(center_hz, bins_.back());
-  lanes_.emplace_back();
-  params_.center_hz.push_back(center_hz);
-  return lane_nco_.size() - 1;
+  lanes_.resize(bins_.size());
 }
 
 std::size_t PolyphaseChannelizer::process(const cplx* in, std::size_t n) {

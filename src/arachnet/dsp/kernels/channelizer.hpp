@@ -72,8 +72,9 @@ class PolyphaseChannelizer {
     /// design_lowpass). Passband must cover the signal bandwidth plus the
     /// worst-case bin residual fs/(2C).
     std::vector<double> prototype;
-    /// Per-lane center frequencies in Hz. Each maps to its nearest bin;
-    /// bins must be distinct and inside (0, fs/2).
+    /// Per-lane center frequencies in Hz, fixed for the instance's life.
+    /// Each maps to its nearest bin; bins must be distinct and inside
+    /// (0, fs/2).
     std::vector<double> center_hz;
     /// Under kSimd the frontend runs the float32 frame by default: the
     /// bucket fold, the bit-reversed forward FFT and the residual lane
@@ -100,10 +101,6 @@ class PolyphaseChannelizer {
     std::size_t decimation = 0;
     std::size_t taps = 0;
     double cutoff_hz = 0.0;
-    /// The arithmetic grid the subcarriers sit on: f = origin + k*spacing.
-    /// spacing is 0 for a single subcarrier (no grid to extend).
-    double grid_origin_hz = 0.0;
-    double grid_spacing_hz = 0.0;
   };
 
   /// Sizes a channelizer for a set of subcarriers carrying chips at
@@ -112,9 +109,10 @@ class PolyphaseChannelizer {
   /// per chip, prototype length ~3.3*fs/(1.1*chip_rate) (clamped odd to
   /// [255, 1023]) with cutoff 1.4*chip_rate + fs/(2C). Not viable when a
   /// rate is non-finite or non-positive (or fs/chip_rate exceeds 2^24),
-  /// the subcarriers are off a uniform grid, collide in a bin, map outside
-  /// (0, fs/2), or the IQ rate leaves no room to decimate (D < 2); the
-  /// reason string says which.
+  /// the subcarriers collide in a bin, map outside (0, fs/2), or the IQ
+  /// rate leaves no room to decimate (D < 2); the reason string says which.
+  /// The subcarriers need not sit on a uniform grid: every lane has its own
+  /// bin and residual phasor.
   static Plan plan(double sample_rate_hz, double chip_rate,
                    const std::vector<double>& subcarriers_hz);
 
@@ -122,6 +120,9 @@ class PolyphaseChannelizer {
   static std::size_t bin_for(double hz, double sample_rate_hz,
                              std::size_t fft_size) noexcept;
 
+  /// Builds every lane, seeded for frame 0. Throws std::invalid_argument
+  /// on a bad size, rate or prototype, or a lane whose bin is at DC or
+  /// Nyquist or taken by another lane.
   explicit PolyphaseChannelizer(Params params);
 
   /// Consumes `n` IQ samples, producing one frame of every lane per
@@ -136,16 +137,6 @@ class PolyphaseChannelizer {
 
   /// Frames produced by the last process() call.
   std::size_t frames() const noexcept { return last_frames_; }
-
-  /// True when `center_hz` maps to an unused bin inside (0, fs/2) — i.e. a
-  /// lane for it could be added without disturbing the existing ones.
-  bool lane_fits(double center_hz) const noexcept;
-
-  /// Adds a lane mid-stream, phase-aligned with the running frame clock
-  /// (its first output matches what a from-the-start lane would produce,
-  /// modulo the prototype history it never saw). Returns the lane index.
-  /// Throws if the lane does not fit (see lane_fits()).
-  std::size_t add_lane(double center_hz);
 
   std::size_t lane_count() const noexcept { return lane_nco_.size(); }
   std::size_t fft_size() const noexcept { return params_.fft_size; }
@@ -179,7 +170,6 @@ class PolyphaseChannelizer {
   };
   static constexpr std::size_t kF32ReseedFrames = 4096;
 
-  void seed_lane_nco(double center_hz, std::size_t bin);
   std::size_t process_f32(const cplx* in, std::size_t n);
 
   Params params_;
@@ -193,8 +183,8 @@ class PolyphaseChannelizer {
   std::vector<cplx> spec_;  ///< size C: branch sums, FFT'd in place
   // Float32 frame (engaged when use_f32_): reversed float32 prototype,
   // interleaved float32 window mirror (replaces work_), bucket scratch,
-  // and the per-lane phasors. lane_nco_ stays seeded in parallel so the
-  // two paths share add_lane()/frame-clock semantics.
+  // and the per-lane phasors. lane_nco_ stays seeded in parallel, so both
+  // paths share one frame clock.
   bool use_f32_ = false;
   std::vector<float> proto_f_;    ///< prototype reversed, duplicated (hd)
   std::vector<float> work_f_;     ///< interleaved history + current block

@@ -174,12 +174,6 @@ class FleetEngine {
 
   Stats stats() const;
 
-  /// Wall-clock milliseconds of each epoch run so far (timing only; never
-  /// feeds back into simulation state).
-  const std::vector<double>& epoch_wall_ms() const noexcept {
-    return epoch_wall_ms_;
-  }
-
   std::uint64_t epoch() const noexcept { return epoch_; }
   std::size_t reader_count() const noexcept { return shards_.size(); }
   std::size_t shard_width() const noexcept { return shard_width_; }
@@ -244,7 +238,6 @@ class FleetEngine {
   std::vector<BusMessage> inbox_packets_;
   std::uint64_t tdma_muted_total_ = 0;
   std::vector<FleetPacket> log_;
-  std::vector<double> epoch_wall_ms_;
   // Aggregate counters (coordinator-thread only).
   std::uint64_t packets_ = 0;
   std::uint64_t dup_suppressed_ = 0;

@@ -88,8 +88,8 @@ DecisionCounts DecisionChain::counts() const noexcept {
   return DecisionCounts{
       .iq_samples = iq_samples_,
       .bits = bits_,
-      .frames_ok = frames_base_ + framer_.packets(),
-      .crc_failures = crc_base_ + framer_.crc_failures(),
+      .frames_ok = framer_.packets(),
+      .crc_failures = framer_.crc_failures(),
   };
 }
 
@@ -100,20 +100,6 @@ DecisionCounts DecisionChain::published() const noexcept {
       .frames_ok = pub_frames_.load(std::memory_order_relaxed),
       .crc_failures = pub_crc_.load(std::memory_order_relaxed),
   };
-}
-
-void DecisionChain::carry_counts(const DecisionChain& old) {
-  const DecisionCounts c = old.counts();
-  iq_samples_ = c.iq_samples;
-  bits_ = c.bits;
-  frames_base_ = c.frames_ok - framer_.packets();
-  crc_base_ = c.crc_failures - framer_.crc_failures();
-  last_published_ = old.last_published_;
-  const DecisionCounts p = old.published();
-  pub_iq_samples_.store(p.iq_samples, std::memory_order_relaxed);
-  pub_bits_.store(p.bits, std::memory_order_relaxed);
-  pub_frames_.store(p.frames_ok, std::memory_order_relaxed);
-  pub_crc_.store(p.crc_failures, std::memory_order_relaxed);
 }
 
 void DecisionChain::reset() {

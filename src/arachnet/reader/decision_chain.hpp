@@ -113,10 +113,6 @@ class DecisionChain {
   /// Counters as of the last publish() (any thread).
   DecisionCounts published() const noexcept;
 
-  /// Continues counting from `old`'s counters, as published: a chain that
-  /// replaces `old` reports and publishes no count twice.
-  void carry_counts(const DecisionChain& old);
-
   /// Clears the decision state (axis, levels, runs, FM0 phase, partial
   /// frame); counters are kept.
   void reset();
@@ -135,10 +131,6 @@ class DecisionChain {
   std::uint64_t stamp_ = 0;  ///< stamp of the run being decoded
   std::uint64_t iq_samples_ = 0;
   std::uint64_t bits_ = 0;
-  /// Frames and CRC failures counted before carry_counts(); the framer
-  /// counts from zero.
-  std::uint64_t frames_base_ = 0;
-  std::uint64_t crc_base_ = 0;
   DecisionCounts last_published_;
   std::atomic<std::uint64_t> pub_iq_samples_{0};
   std::atomic<std::uint64_t> pub_bits_{0};

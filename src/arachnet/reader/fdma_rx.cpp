@@ -108,8 +108,8 @@ FdmaRxChain::FdmaRxChain(Params params)
         }
         dsp::Ddc::Params ddc = params.ddc;
         // The main down-converter must pass the highest subcarrier plus
-        // its modulation sidebands (or the provisioned headroom).
-        double top = params.max_subcarrier_hz;
+        // its modulation sidebands.
+        double top = 0.0;
         for (const auto& c : params.channels) {
           // Non-finite specs must reach validate_subcarrier() for their
           // proper diagnostic, not blow up the filter design here.
@@ -146,8 +146,8 @@ FdmaRxChain::FdmaRxChain(Params params)
   // workers_ - 1 extra threads.
   pool_ = std::make_unique<dsp::WorkerPool>(workers_ - 1);
 
-  // Validate the whole initial spec list before building anything (each
-  // spec against the ones accepted so far).
+  // Validate the whole spec list before building anything (each spec
+  // against the ones accepted so far).
   std::vector<double> freqs;
   freqs.reserve(params_.channels.size());
   for (const auto& spec : params_.channels) {
@@ -214,8 +214,6 @@ bool FdmaRxChain::engage_channelizer(const std::vector<double>& freqs) {
           .center_hz = freqs,
           .kernels = params_.kernels,
           .fold = params_.chzr_fold});
-  grid_origin_hz_ = plan.grid_origin_hz;
-  grid_spacing_hz_ = plan.grid_spacing_hz;
   lane_rate_ = chzr_->lane_rate_hz();
   const std::size_t debounce =
       DecisionChain::rule(iq_rate_ / params_.chip_rate).debounce;
@@ -277,13 +275,6 @@ std::unique_ptr<FdmaRxChain::Channel> FdmaRxChain::make_lane_channel(
   return ch;
 }
 
-std::vector<double> FdmaRxChain::subcarriers() const {
-  std::vector<double> freqs;
-  freqs.reserve(channels_.size());
-  for (const auto& ch : channels_) freqs.push_back(ch->subcarrier_hz);
-  return freqs;
-}
-
 void FdmaRxChain::validate_subcarrier(
     double hz, const std::vector<double>& existing) const {
   if (!std::isfinite(hz)) {
@@ -293,10 +284,6 @@ void FdmaRxChain::validate_subcarrier(
   if (hz <= 0.0) {
     throw std::invalid_argument(
         "FdmaRxChain: subcarrier must be positive");
-  }
-  if (hz + 3.0 * params_.chip_rate > ddc_.params().cutoff_hz + 1e-9) {
-    throw std::invalid_argument(
-        "FdmaRxChain: subcarrier outside the provisioned DDC passband");
   }
   for (double f : existing) {
     if (f == hz) {
@@ -309,78 +296,8 @@ void FdmaRxChain::validate_subcarrier(
   }
 }
 
-bool FdmaRxChain::on_grid(double hz) const noexcept {
-  if (grid_spacing_hz_ <= 0.0) return false;  // single lane: no grid yet
-  const double steps = (hz - grid_origin_hz_) / grid_spacing_hz_;
-  return std::abs(steps - std::round(steps)) < 1e-6;
-}
-
-void FdmaRxChain::fallback_to_per_channel(const char* reason) {
-  ARACHNET_LOG_INFO("fdma", "channelizer fallback to per-channel",
-                    {"reason", reason},
-                    {"channels", channels_.size()});
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    auto& old = *channels_[i];
-    auto fresh = make_channel(old.subcarrier_hz);
-    // Everything already decoded survives the rebuild; only the in-flight
-    // DSP state (slicer levels, partial packet) restarts.
-    fresh->packets = std::move(old.packets);
-    fresh->packet_iq_index = std::move(old.packet_iq_index);
-    fresh->decision.carry_counts(old.decision);
-    channels_[i] = std::move(fresh);
-    bind_channel_metrics(i);
-  }
-  chzr_.reset();
-  if (g_bank_policy_ != nullptr) g_bank_policy_->set(0.0);
-}
-
-void FdmaRxChain::add_channel(ChannelSpec spec) {
-  if (processing_.load(std::memory_order_acquire)) {
-    // Documented non-reentrancy, enforced: growing the channel list while
-    // the worker fan-out walks it is memory corruption, not a race worth
-    // losing silently. Callers (the fleet planner's dynamic channel
-    // re-assignment in particular) must serialize against process().
-    throw std::logic_error(
-        "FdmaRxChain::add_channel: process() is in flight; serialize "
-        "channel re-assignment against the processing thread");
-  }
-  validate_subcarrier(spec.subcarrier_hz, subcarriers());
-  if (chzr_ != nullptr) {
-    if (on_grid(spec.subcarrier_hz) &&
-        chzr_->lane_fits(spec.subcarrier_hz)) {
-      chzr_->add_lane(spec.subcarrier_hz);
-      channels_.push_back(make_lane_channel(spec.subcarrier_hz));
-    } else {
-      fallback_to_per_channel("added subcarrier breaks the uniform grid");
-      channels_.push_back(make_channel(spec.subcarrier_hz));
-    }
-  } else {
-    channels_.push_back(make_channel(spec.subcarrier_hz));
-  }
-  params_.channels.push_back(spec);
-  bind_channel_metrics(channels_.size() - 1);
-  ARACHNET_LOG_INFO("fdma", "channel added",
-                    {"subcarrier_hz", spec.subcarrier_hz},
-                    {"channels", channels_.size()});
-}
-
-namespace {
-
-/// RAII arm/disarm of the process-in-flight flag (exception-safe: a
-/// throwing decode must not leave add_channel locked out forever).
-struct ProcessingGuard {
-  explicit ProcessingGuard(std::atomic<bool>& flag) : flag_(flag) {
-    flag_.store(true, std::memory_order_release);
-  }
-  ~ProcessingGuard() { flag_.store(false, std::memory_order_release); }
-  std::atomic<bool>& flag_;
-};
-
-}  // namespace
-
 void FdmaRxChain::process(const double* samples, std::size_t n) {
   ARACHNET_TRACE_SPAN("fdma.process");
-  ProcessingGuard in_flight{processing_};
   // Stage timing (front-end = DDC + shared channelizer on the caller
   // thread; decode = per-channel fan-out) is metrics-gated so the
   // uninstrumented path pays nothing.

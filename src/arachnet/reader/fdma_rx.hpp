@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <complex>
 #include <cstdint>
 #include <memory>
@@ -27,19 +26,23 @@ namespace arachnet::reader {
 /// carrier +/- f_sc; each channel shifts one such band to DC, low-pass
 /// filters it against the neighbours, and runs the shared decision back end
 /// (DecisionChain, the same one RxChain runs). Tags on different
-/// subcarriers decode
-/// simultaneously — the paper's FDMA extension path (Sec. 6.3).
+/// subcarriers decode simultaneously — the paper's FDMA extension path
+/// (Sec. 6.3). The subcarrier set is fixed at construction.
 ///
 /// Two front-end structures live behind Params::bank (see BankPolicy):
 ///  - per-channel: C independent NCO-mix + full-rate-FIR stages,
-///    O(N * C * taps) per IQ block — the reference path, and the only one
-///    that handles arbitrary subcarrier placements;
+///    O(N * C * taps) per IQ block — the reference path;
 ///  - channelizer: one shared dsp::PolyphaseChannelizer front-end,
-///    O(N * taps/C + N * logC) — engaged when the subcarriers sit on a
-///    uniform grid, it replaces every channel's mixer+LPF and feeds the
-///    same decision back-ends at the decimated lane rate. Decoded packet
-///    streams are identical across bank policies (payloads and CRC
-///    verdicts exactly; timestamps within one lane sample).
+///    O(N * taps/C + N * logC) — it replaces every channel's mixer+LPF and
+///    feeds the same decision back-ends at the decimated lane rate. Each
+///    lane has its own FFT bin and residual phasor, so any subcarrier set
+///    the planner accepts works, uniform grid or not. Decoded packet
+///    streams are identical across bank policies: payloads, channels and
+///    CRC verdicts exactly, timestamps within 2 lane samples. A sweep of
+///    400 random subcarrier sets measured at most 1.5 lane samples on
+///    every channel but the highest, which sits on the main DDC's
+///    roll-off and can part at the decode margin (DESIGN.md §7, parity
+///    contract).
 ///
 /// Threading model: the main DDC (and, in channelizer mode, the shared
 /// filterbank) runs on the calling thread, then each sample block fans out
@@ -53,10 +56,11 @@ class FdmaRxChain {
   /// Front-end structure for the subcarrier bank.
   enum class BankPolicy {
     kPerChannel,   ///< independent mixer + LPF per channel (reference)
-    kChannelizer,  ///< shared polyphase FFT filterbank (uniform grids);
-                   ///< falls back to per-channel with a logged reason if
-                   ///< the configuration cannot use it
-    kAuto,         ///< channelizer when the grid qualifies and the bank
+    kChannelizer,  ///< shared polyphase FFT filterbank; falls back to
+                   ///< per-channel with a logged reason when the plan is
+                   ///< not viable (two subcarriers in one FFT bin, a bin
+                   ///< at DC or Nyquist, no room to decimate)
+    kAuto,         ///< channelizer when the plan is viable and the bank
                    ///< has >= 4 channels (below that the shared FFT does
                    ///< not pay for itself), else per-channel
   };
@@ -79,16 +83,12 @@ class FdmaRxChain {
   };
 
   struct Params {
-    dsp::Ddc::Params ddc{};   ///< cutoff must cover the highest subcarrier
+    dsp::Ddc::Params ddc{};   ///< cutoff is set from the highest subcarrier
     double chip_rate = phy::kDefaultUlRawBitRate;  ///< finite, > 0
     std::vector<ChannelSpec> channels;
     /// Worker threads for the per-block channel fan-out. 0 = auto (one per
     /// hardware thread); 1 = strictly sequential on the calling thread.
     std::size_t workers = 0;
-    /// When nonzero, the main down-converter passband is provisioned for
-    /// this subcarrier instead of the highest initial channel, leaving
-    /// headroom for add_channel() to place channels above the initial set.
-    double max_subcarrier_hz = 0.0;
     /// Optional metrics registry. When set, the chain registers per-channel
     /// decode counters (`fdma.ch<i>.{iq_samples,bits,frames,crc_failures}`),
     /// a worker-pool dispatch-latency histogram (`fdma.dispatch_us`), the
@@ -119,40 +119,6 @@ class FdmaRxChain {
   };
 
   explicit FdmaRxChain(Params params);
-
-  /// Adds a subcarrier channel at runtime (e.g. when a new tag is
-  /// commissioned). Validates spacing against the existing bank and that
-  /// the subcarrier fits the provisioned down-converter passband. Existing
-  /// channels keep their DSP state: each channel is pinned on the heap, so
-  /// growing the bank past the channel list's capacity cannot invalidate
-  /// the decoder callbacks (the regression behind this API).
-  ///
-  /// Channelizer-grid interaction: when the channelizer front-end is
-  /// active, a subcarrier on the existing grid (origin + k*spacing, free
-  /// FFT bin) becomes a new lane and the channelizer stays engaged; an
-  /// off-grid subcarrier triggers a logged fallback that rebuilds the bank
-  /// on the per-channel path. The fallback preserves every undrained
-  /// packet and every counter, published and registry alike; only the
-  /// in-flight DSP state (partially decoded packet, slicer levels)
-  /// restarts, so decoding resumes after a brief re-acquisition.
-  ///
-  /// Not thread-safe: like process(), this mutates the channel list and
-  /// must not run concurrently with process(), drain_packets(), packets(),
-  /// or the channel_stats() readers. When the chain is owned by a
-  /// RealtimeReader (which processes on its worker thread), stop the
-  /// reader — or otherwise serialize against its worker — before calling.
-  /// The contract is enforced: add_channel() throws std::logic_error when
-  /// a process() call is in flight (the fleet planner re-assigns channels
-  /// dynamically, and an unsynchronized call must fail loudly, not corrupt
-  /// the channel list mid-fan-out). The check is one relaxed atomic flag,
-  /// so it is always on, not just in debug builds.
-  void add_channel(ChannelSpec spec);
-
-  /// True while a process() call is in flight (the add_channel guard;
-  /// useful for callers that want to poll instead of catching).
-  bool processing_now() const noexcept {
-    return processing_.load(std::memory_order_relaxed);
-  }
 
   /// Processes raw DAQ samples. Not reentrant: one processing thread at a
   /// time (the worker fan-out happens internally).
@@ -195,8 +161,8 @@ class FdmaRxChain {
   /// Threads used for the channel fan-out (1 = sequential).
   std::size_t worker_count() const noexcept { return workers_; }
 
-  /// The front-end actually running right now: kChannelizer while the
-  /// shared filterbank is engaged, kPerChannel otherwise (never kAuto).
+  /// The front-end the bank runs: kChannelizer when the shared filterbank
+  /// engaged at construction, kPerChannel otherwise (never kAuto).
   BankPolicy active_bank() const noexcept {
     return chzr_ ? BankPolicy::kChannelizer : BankPolicy::kPerChannel;
   }
@@ -253,17 +219,11 @@ class FdmaRxChain {
   std::unique_ptr<Channel> make_lane_channel(double subcarrier_hz) const;
   void validate_subcarrier(double hz,
                            const std::vector<double>& existing) const;
-  std::vector<double> subcarriers() const;
   void bind_channel_metrics(std::size_t index);
-  /// Tries to stand up the channelizer front-end for the initial channel
-  /// set; returns false (with a logged reason) when the configuration
+  /// Tries to stand up the channelizer front-end for the channel set;
+  /// returns false (with a logged reason) when the configuration
   /// cannot use it.
   bool engage_channelizer(const std::vector<double>& freqs);
-  /// Rebuilds every channel on the per-channel path, preserving decoded
-  /// packets and counters (see add_channel()).
-  void fallback_to_per_channel(const char* reason);
-  /// True when `hz` extends the engaged channelizer's uniform grid.
-  bool on_grid(double hz) const noexcept;
 
   Params params_;
   dsp::Ddc ddc_;
@@ -278,8 +238,6 @@ class FdmaRxChain {
   std::unique_ptr<dsp::PolyphaseChannelizer> chzr_;
   double lane_rate_ = 0.0;
   std::int64_t lane_delay_ = 0;
-  double grid_origin_hz_ = 0.0;
-  double grid_spacing_hz_ = 0.0;
   // Registry instruments (nullable; bound once in the constructor).
   telemetry::Gauge* g_bank_policy_ = nullptr;
   telemetry::Counter* c_chzr_frames_ = nullptr;
@@ -291,9 +249,6 @@ class FdmaRxChain {
   /// Per-block IQ scratch, reused across process() calls so the steady
   /// state allocates nothing.
   std::vector<std::complex<double>> iq_buf_;
-  /// Set for the duration of process(); add_channel() refuses while it is
-  /// up (documented non-reentrancy, now enforced).
-  std::atomic<bool> processing_{false};
 };
 
 }  // namespace arachnet::reader

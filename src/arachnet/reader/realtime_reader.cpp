@@ -42,7 +42,8 @@ RealtimeReader::Params with_metrics(RealtimeReader::Params params) {
 
 RealtimeReader::RealtimeReader(Params params)
     : params_(with_metrics(std::move(params))),
-      chain_(params_.chain),
+      chain_(params_.fdma ? nullptr
+                          : std::make_unique<RxChain>(params_.chain)),
       fdma_(params_.fdma ? std::make_unique<FdmaRxChain>(*params_.fdma)
                          : nullptr),
       input_(params_.input_capacity),
@@ -106,8 +107,8 @@ void RealtimeReader::worker_loop() {
         }
       }
     } else {
-      if (resync_requested_.exchange(false)) chain_.resync();
-      chain_.process(block.data(), block.size());
+      if (resync_requested_.exchange(false)) chain_->resync();
+      chain_->process(block.data(), block.size());
       if (timed) t_decoded = steady_now_ns();
       samples_processed_.fetch_add(block.size(), std::memory_order_relaxed);
       // Emit every packet decoded this block, then drain the chain's
@@ -116,7 +117,7 @@ void RealtimeReader::worker_loop() {
       // block after block). Only successful pushes count as emitted (same
       // accounting as the FDMA branch); the chain's own counters keep the
       // monotonic frame count across the clears.
-      const auto& packets = chain_.packets();
+      const auto& packets = chain_->packets();
       for (const auto& pkt : packets) {
         if (emit_packet(pkt, &out_stall_ns)) {
           ++emitted;
@@ -124,8 +125,8 @@ void RealtimeReader::worker_loop() {
           ++dropped;
         }
       }
-      chain_.clear_packets();
-      chain_buffered_.store(chain_.packets().size(),
+      chain_->clear_packets();
+      chain_buffered_.store(chain_->packets().size(),
                             std::memory_order_relaxed);
     }
     if (emitted != 0) {
@@ -205,7 +206,7 @@ RealtimeReader::Stats RealtimeReader::stats() const {
     s.channels = fdma_->all_channel_stats();
   } else {
     // Baseband OOK: no subcarrier.
-    const DecisionCounts c = chain_.published_counts();
+    const DecisionCounts c = chain_->published_counts();
     s.channels.push_back({.subcarrier_hz = 0.0,
                           .iq_samples = c.iq_samples,
                           .bits = c.bits,

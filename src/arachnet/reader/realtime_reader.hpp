@@ -138,7 +138,8 @@ class RealtimeReader {
   bool emit_packet(RxPacket pkt, std::uint64_t* stall_ns);
 
   Params params_;
-  RxChain chain_;
+  // Exactly one is built: the chain the configured mode runs.
+  std::unique_ptr<RxChain> chain_;
   std::unique_ptr<FdmaRxChain> fdma_;
   dsp::RingBuffer<InputItem> input_;
   dsp::RingBuffer<RxPacket> output_;
@@ -149,7 +150,7 @@ class RealtimeReader {
   std::vector<RxPacket> drained_;
   std::atomic<std::uint64_t> samples_processed_{0};
   std::atomic<bool> resync_requested_{false};
-  /// Packets left in chain_.packets() after a block's drain (the leak
+  /// Packets left in chain_->packets() after a block's drain (the leak
   /// regression observable behind Stats::chain_buffered_packets).
   std::atomic<std::uint64_t> chain_buffered_{0};
   /// Packets successfully pushed to the output (cross-thread, stats()).

@@ -10,6 +10,9 @@ namespace arachnet::reader::service {
 
 namespace {
 
+/// Max blocks one dispatcher iteration hands to the pool.
+constexpr std::size_t kMaxBatch = 16;
+
 std::uint64_t steady_now_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -258,7 +261,6 @@ ReaderService::Stats ReaderService::stats() const {
 }
 
 void ReaderService::dispatch_loop() {
-  const std::size_t max_batch = params_.max_batch == 0 ? 1 : params_.max_batch;
   for (;;) {
     batch_.clear();
     expired_.clear();
@@ -267,13 +269,13 @@ void ReaderService::dispatch_loop() {
     // (When it blocks on an empty queue, every item it wakes for was
     // pushed after this timestamp and so cannot have expired yet.)
     const std::uint64_t now = steady_now_ns();
-    if (!queue_.pop_batch(max_batch, now, &batch_, &expired_)) break;
+    if (!queue_.pop_batch(kMaxBatch, now, &batch_, &expired_)) break;
     for (auto& item : expired_) drop_item(item, /*expired=*/true);
     if (!batch_.empty()) {
       // Group the batch by session, preserving per-session FIFO order.
       // One group = one pool task, so a session's chain is only ever
       // touched by one worker at a time. Linear scan: batches are small
-      // (≤ max_batch) and groups fewer still.
+      // (≤ kMaxBatch) and groups fewer still.
       std::size_t ngroups = 0;
       for (auto& item : batch_) {
         Group* g = nullptr;

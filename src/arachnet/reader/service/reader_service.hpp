@@ -70,8 +70,6 @@ class ReaderService {
     /// Bounded dispatch-queue capacity (blocks queued for the pool across
     /// all sessions). 0 = 4 × workers.
     std::size_t dispatch_capacity = 0;
-    /// Max blocks one dispatcher iteration hands to the pool.
-    std::size_t max_batch = 16;
     /// Optional registry (must outlive the service): `session.*` fleet
     /// counters, `service.*` latency/depth instruments.
     telemetry::MetricsRegistry* metrics = nullptr;

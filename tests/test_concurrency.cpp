@@ -1,8 +1,8 @@
 // Threaded reader paths: ring-buffer stress, worker-pool fork/join, the
-// parallel FDMA bank's bit-exact parity with the sequential path, and
-// RealtimeReader shutdown ordering. Labeled `concurrency` in CTest so the
-// whole file runs under TSan via `ctest -L concurrency` on a
-// -DARACHNET_SANITIZE=thread build.
+// parallel FDMA bank's bit-exact parity with the sequential path,
+// RealtimeReader shutdown ordering, and FDMA stats read during decode.
+// Labeled `concurrency` in CTest so the whole file runs under TSan via
+// `ctest -L concurrency` on a -DARACHNET_SANITIZE=thread build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -440,6 +440,103 @@ TEST(RealtimeReaderShutdown, FdmaModeDecodesTagsChannelsAndStats) {
     EXPECT_GT(ch.iq_samples, 0u);
   }
   EXPECT_EQ(stats.samples_processed, wave.size());
+}
+
+TEST(RealtimeReaderStats, FdmaCountersPolledWhileDecodingNeverRunBackwards) {
+  // stats() is a thread-safe snapshot, and the bank's channel list is
+  // fixed at construction, so another thread may read it while the worker
+  // decodes. A second thread polls a 4-channel channelizer bank from
+  // before the first block until after stop(): no per-channel counter may
+  // ever decrease, and none may exceed its final value.
+  const std::vector<double> freqs = {3000.0, 4500.0, 6000.0, 7500.0};
+  sim::Rng rng{31};
+  acoustic::UplinkWaveformSynth synth{
+      acoustic::UplinkWaveformSynth::Params{}};
+  std::vector<acoustic::BackscatterSource> srcs;
+  for (std::size_t k = 0; k < freqs.size(); ++k) {
+    const phy::UlPacket pkt{.tid = static_cast<std::uint8_t>(k + 1),
+                            .payload = static_cast<std::uint16_t>(0x640 + k)};
+    phy::SubcarrierModulator mod{{375.0, freqs[k]}};
+    acoustic::BackscatterSource s;
+    s.chips = mod.modulate(phy::Fm0Encoder::encode_frame(pkt.serialize()));
+    s.chip_rate = mod.subchip_rate();
+    s.start_s = 0.03;
+    s.amplitude = 0.15;
+    s.phase_rad = 0.6 + 0.5 * static_cast<double>(k);
+    srcs.push_back(s);
+  }
+  const auto wave = synth.synthesize(srcs, 0.3, rng);
+
+  reader::RealtimeReader::Params params;
+  reader::FdmaRxChain::Params fp;
+  for (double hz : freqs) fp.channels.push_back({hz});
+  fp.workers = 2;
+  fp.bank = reader::FdmaRxChain::BankPolicy::kChannelizer;
+  params.fdma = fp;
+  params.input_capacity = 8;
+  reader::RealtimeReader rtr{params};
+  rtr.start();
+
+  // Counters of one snapshot, flattened: 4 per channel.
+  using Counts = std::array<std::uint64_t, 16>;
+  const auto flatten = [](const reader::RealtimeReader::Stats& s) {
+    Counts c{};
+    for (std::size_t ch = 0; ch < 4 && ch < s.channels.size(); ++ch) {
+      c[4 * ch] = s.channels[ch].iq_samples;
+      c[4 * ch + 1] = s.channels[ch].bits;
+      c[4 * ch + 2] = s.channels[ch].frames_ok;
+      c[4 * ch + 3] = s.channels[ch].crc_failures;
+    }
+    return c;
+  };
+  std::atomic<bool> done{false};
+  Counts highest{};
+  std::size_t polls = 0;
+  bool went_back = false;
+  bool wrong_width = false;
+  std::thread poller([&] {
+    Counts prev{};
+    do {
+      const auto s = rtr.stats();
+      wrong_width |= s.channels.size() != freqs.size();
+      const Counts now = flatten(s);
+      for (std::size_t i = 0; i < now.size(); ++i) {
+        went_back |= now[i] < prev[i];
+        highest[i] = std::max(highest[i], now[i]);
+      }
+      prev = now;
+      ++polls;
+    } while (!done.load());
+  });
+
+  // EXPECT, not ASSERT: an early return would leave the poller unjoined.
+  constexpr int kRepeats = 3;
+  constexpr std::size_t kBlock = 5000;
+  for (int r = 0; r < kRepeats; ++r) {
+    for (std::size_t off = 0; off < wave.size(); off += kBlock) {
+      const std::size_t len = std::min(kBlock, wave.size() - off);
+      EXPECT_TRUE(rtr.submit({wave.begin() + off, wave.begin() + off + len}));
+    }
+  }
+  rtr.stop();
+  done.store(true);
+  poller.join();
+
+  const auto final_stats = rtr.stats();
+  ASSERT_EQ(final_stats.channels.size(), freqs.size());
+  const Counts last = flatten(final_stats);
+  EXPECT_GE(polls, 1u);
+  EXPECT_FALSE(wrong_width);
+  EXPECT_FALSE(went_back) << "a per-channel counter decreased between polls";
+  for (std::size_t i = 0; i < last.size(); ++i) {
+    EXPECT_LE(highest[i], last[i]) << "counter " << i % 4 << " of channel "
+                                   << i / 4;
+  }
+  for (std::size_t ch = 0; ch < freqs.size(); ++ch) {
+    EXPECT_EQ(final_stats.channels[ch].frames_ok,
+              static_cast<std::uint64_t>(kRepeats))
+        << "channel " << ch;
+  }
 }
 
 }  // namespace

@@ -170,73 +170,6 @@ TEST(Fdma, ValidatesConfiguration) {
     bad.chip_rate = chip;
     rejects(bad, "chip_rate");
   }
-  // The passband limit can only bite after construction (the constructor
-  // provisions the DDC around the initial channel list).
-  reader::FdmaRxChain::Params ok;
-  ok.channels = {{3000.0}};
-  reader::FdmaRxChain chain{ok};
-  try {
-    chain.add_channel({20000.0});
-    ADD_FAILURE() << "expected invalid_argument mentioning 'passband'";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string{e.what()}.find("passband"), std::string::npos)
-        << "got: " << e.what();
-  }
-}
-
-TEST(Fdma, ChannelListGrowthKeepsDecoderCallbacksStable) {
-  // Regression for a lifetime hazard in the channel bank: each channel's
-  // Fm0StreamDecoder and UlFramer callbacks capture the channel's `this`.
-  // If channels were stored by value in a std::vector, growing the bank
-  // past the vector's capacity would reallocate and leave every callback
-  // dangling (use-after-free on the next decoded bit). Channels must be
-  // pinned on the heap: grow the bank through several reallocations of the
-  // channel list, then decode on both an original and a late-added channel.
-  sim::Rng rng{17};
-  acoustic::UplinkWaveformSynth synth{acoustic::UplinkWaveformSynth::Params{}};
-  reader::FdmaRxChain::Params fp;
-  fp.channels = {{3000.0}};
-  fp.max_subcarrier_hz = 12000.0;  // provision DDC headroom for growth
-  fp.workers = 1;
-  reader::FdmaRxChain fdma{fp};
-
-  // 1 -> 6 channels: the unique_ptr list reallocates at capacities 1, 2,
-  // and 4. With by-value storage each of these would invalidate earlier
-  // channels' callbacks. 9 kHz is skipped: it is the 3rd harmonic of the
-  // 3 kHz square subcarrier and would legitimately hear that tag.
-  for (double hz : {4500.0, 6000.0, 7500.0, 10500.0, 12000.0}) {
-    fdma.add_channel({hz});
-  }
-  ASSERT_EQ(fdma.channel_count(), 6u);
-  // Out-of-passband and too-close additions are still rejected.
-  EXPECT_THROW(fdma.add_channel({20000.0}), std::invalid_argument);
-  EXPECT_THROW(fdma.add_channel({3200.0}), std::invalid_argument);
-
-  // Decode one tag on the first (pre-growth) channel and one on the last
-  // (post-growth) channel simultaneously.
-  std::vector<acoustic::BackscatterSource> srcs;
-  int k = 0;
-  for (double fsc : {3000.0, 12000.0}) {
-    const phy::UlPacket pkt{.tid = static_cast<std::uint8_t>(k + 1),
-                            .payload = static_cast<std::uint16_t>(0x700 + k)};
-    phy::SubcarrierModulator mod{{375.0, fsc}};
-    acoustic::BackscatterSource s;
-    s.chips = mod.modulate(phy::Fm0Encoder::encode_frame(pkt.serialize()));
-    s.chip_rate = mod.subchip_rate();
-    s.start_s = 0.03;
-    s.amplitude = 0.2;
-    s.phase_rad = 0.8 + k;
-    srcs.push_back(s);
-    ++k;
-  }
-  fdma.process(synth.synthesize(srcs, 0.3, rng));
-
-  ASSERT_FALSE(fdma.packets(0).empty());
-  EXPECT_EQ(fdma.packets(0).front().payload, 0x700);
-  ASSERT_FALSE(fdma.packets(5).empty());
-  EXPECT_EQ(fdma.packets(5).front().payload, 0x701);
-  // The channels in between stayed quiet.
-  for (std::size_t c = 1; c < 5; ++c) EXPECT_TRUE(fdma.packets(c).empty());
 }
 
 // ------------------------------------------------------------------- PAM4

@@ -8,9 +8,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -18,7 +16,6 @@
 #include "arachnet/phy/fm0.hpp"
 #include "arachnet/phy/packet.hpp"
 #include "arachnet/reader/decision_chain.hpp"
-#include "arachnet/reader/fdma_rx.hpp"
 #include "arachnet/reader/fm0_stream_decoder.hpp"
 #include "arachnet/reader/realtime_reader.hpp"
 #include "arachnet/reader/rx_chain.hpp"
@@ -198,28 +195,6 @@ TEST(DecisionChain, StampsPacketsAndPublishesCountsOncePerBlock) {
   EXPECT_EQ(registry.counter("iq").value(), c.iq_samples);
   EXPECT_EQ(registry.counter("bits").value(), c.bits);
   EXPECT_EQ(registry.counter("frames").value(), 1u);
-
-  // A chain that replaces this one continues its counts: same published
-  // values, and the registry counts nothing twice.
-  DecisionChain next{{.rate_hz = 375.0 * kSpc,
-                      .chip_rate = 375.0,
-                      .slicer_floor = 0.001},
-                     [&](const UlPacket& p, std::uint64_t stamp) {
-                       got.emplace_back(p, stamp);
-                     }};
-  next.bind(&registry.counter("iq"), &registry.counter("bits"),
-            &registry.counter("frames"), &registry.counter("crc"));
-  next.carry_counts(chain);
-  EXPECT_EQ(next.published().bits, c.bits);
-  EXPECT_EQ(next.published().frames_ok, 1u);
-  for (std::size_t i = 0; i < samples.size(); ++i) next.step(samples[i], i);
-  next.publish(samples.size());
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(next.published().iq_samples, 2 * samples.size());
-  EXPECT_EQ(next.published().frames_ok, 2u);
-  EXPECT_EQ(registry.counter("iq").value(), 2 * samples.size());
-  EXPECT_EQ(registry.counter("frames").value(), 2u);
-  EXPECT_EQ(registry.counter("bits").value(), next.published().bits);
 }
 
 // ----------------------------------------------------------------- RxChain
@@ -427,44 +402,6 @@ TEST(RxChain, FrequencyCalibrationHoldsAnOffsetCarrierStill) {
   }
   EXPECT_EQ(decoded_cal, 6);
   EXPECT_EQ(decoded_uncal, 0) << "the offset must matter";
-}
-
-// ------------------------------------------------ FdmaRxChain reentrancy
-
-TEST(FdmaRx, AddChannelWhileProcessingThrows) {
-  // The fleet planner re-assigns channels at runtime; an add_channel()
-  // racing a process() call must fail loudly (std::logic_error) instead of
-  // corrupting the channel list mid-fan-out. The guard is an always-on
-  // atomic flag — this holds in release builds too.
-  reader::FdmaRxChain::Params fp;
-  fp.ddc.decimation = 8;
-  fp.workers = 1;
-  fp.channels = {{3000.0}, {4500.0}};
-  fp.max_subcarrier_hz = 9000.0;  // headroom for the post-join add
-  reader::FdmaRxChain bank{fp};
-
-  // ~16 s of silence at 500 kS/s: a multi-second process() window, so the
-  // in-flight check below races a microsecond gap against seconds of work.
-  const std::vector<double> block(static_cast<std::size_t>(1) << 23, 0.0);
-  std::thread worker([&] { bank.process(block); });
-  bool saw_inflight = false;
-  for (int spin = 0; spin < 200000; ++spin) {
-    if (bank.processing_now()) {
-      saw_inflight = true;
-      break;
-    }
-    std::this_thread::yield();
-  }
-  ASSERT_TRUE(saw_inflight) << "process() never observed in flight";
-  EXPECT_THROW(bank.add_channel({6000.0}), std::logic_error);
-  worker.join();
-
-  // Once the processing thread retires, the same call succeeds and the
-  // bank keeps working.
-  EXPECT_FALSE(bank.processing_now());
-  EXPECT_NO_THROW(bank.add_channel({6000.0}));
-  EXPECT_EQ(bank.channel_count(), 3u);
-  bank.process(block.data(), 12500);
 }
 
 // --------------------------------------------------- per-instance scopes

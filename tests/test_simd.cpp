@@ -908,7 +908,9 @@ TEST(KernelParity, BankPolicyMatrixDecodesIdenticalPacketStreams) {
   // all against the scalar per-channel reference. Payloads, channels and
   // CRC verdicts must agree exactly; timestamps within one channelizer
   // lane sample — that bounds both the banks' differing prototype filters
-  // and the simd tier's float32 slicer jitter.
+  // and the simd tier's float32 slicer jitter. Run on the 4-channel grid
+  // and on two subcarrier sets off any uniform grid: every lane has its
+  // own bin and residual phasor, so the channelizer takes them too.
   struct Cell {
     dsp::KernelPolicy kernels;
     std::size_t workers;
@@ -919,23 +921,125 @@ TEST(KernelParity, BankPolicyMatrixDecodesIdenticalPacketStreams) {
       {dsp::KernelPolicy::kScalar, 1, Bank::kChannelizer},
       {dsp::KernelPolicy::kSimd, 4, Bank::kChannelizer},
   };
-  const auto freqs = bank_subcarriers(4, 3000.0);
-  const auto wave = fdma4_capture();
-  const auto plan = dsp::PolyphaseChannelizer::plan(62500.0, 375.0, freqs);
-  ASSERT_TRUE(plan.viable) << plan.reason;
-  const double lane_dt = static_cast<double>(plan.decimation) / 62500.0;
-  const auto ref = decode(
-      fdma_params(dsp::KernelPolicy::kScalar, 1, Bank::kPerChannel, freqs),
-      wave);
-  ASSERT_GE(ref.size(), 4u);  // every channel decodes its tag
-  for (const auto& cell : cells) {
+  const std::vector<double> sets[] = {
+      bank_subcarriers(4, 3000.0),
+      {9000.0, 11437.5, 17812.5, 20625.0},
+      {6187.5, 8625.0, 9750.0, 11812.5, 15375.0, 21000.0, 22312.5, 23625.0},
+  };
+  for (const auto& freqs : sets) {
+    SCOPED_TRACE(testing::Message() << freqs.size() << " subcarriers from "
+                                    << freqs.front() << " Hz");
+    const auto wave = fdma_capture(freqs, 0.12, 4);
+    const auto plan = dsp::PolyphaseChannelizer::plan(62500.0, 375.0, freqs);
+    ASSERT_TRUE(plan.viable) << plan.reason;
+    const double lane_dt = static_cast<double>(plan.decimation) / 62500.0;
+    const auto ref = decode(
+        fdma_params(dsp::KernelPolicy::kScalar, 1, Bank::kPerChannel, freqs),
+        wave);
+    ASSERT_GE(ref.size(), freqs.size());  // every channel decodes its tag
+    for (const auto& cell : cells) {
+      SCOPED_TRACE(testing::Message()
+                   << dsp::to_string(cell.kernels) << " workers="
+                   << cell.workers << " bank=" << static_cast<int>(cell.bank));
+      expect_packet_parity(
+          ref,
+          decode(fdma_params(cell.kernels, cell.workers, cell.bank, freqs),
+                 wave),
+          lane_dt);
+    }
+  }
+}
+
+// A random subcarrier set: `n` <= 16 subcarriers on the 187.5 Hz lattice
+// (half the chip rate), at least 1125 Hz (3 chip rates) apart. `uniform`
+// draws an evenly spaced grid; otherwise the gaps are drawn independently.
+// The band, 9 to 25.875 kHz, keeps the odd harmonics of every square
+// subcarrier (3f and up) at least 1125 Hz above the highest one: a
+// harmonic at a channel's passband edge is an interferer that the two
+// banks' different filters pass differently.
+std::vector<double> random_subcarriers(sim::Rng& rng, std::int64_t n,
+                                       bool uniform) {
+  constexpr double kStep = 187.5;
+  constexpr std::int64_t kLo = 48, kHi = 138, kMinGap = 6;
+  const std::int64_t slack = (kHi - kLo) - (n - 1) * kMinGap;
+  std::vector<std::int64_t> offsets;
+  if (uniform) {
+    const std::int64_t gap = kMinGap + rng.uniform_int(0, slack / (n - 1));
+    const std::int64_t first =
+        rng.uniform_int(0, (kHi - kLo) - (n - 1) * gap);
+    for (std::int64_t i = 0; i < n; ++i) offsets.push_back(first + i * gap);
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) {
+      offsets.push_back(rng.uniform_int(0, slack));
+    }
+    std::sort(offsets.begin(), offsets.end());
+    for (std::int64_t i = 0; i < n; ++i) offsets[i] += i * kMinGap;
+  }
+  std::vector<double> freqs;
+  for (const std::int64_t k : offsets) {
+    freqs.push_back(kStep * static_cast<double>(kLo + k));
+  }
+  return freqs;
+}
+
+TEST(KernelParity, RandomSubcarrierSetsDecodeAlikeOnBothBanks) {
+  // The bank contract beyond the curated grids: seeded random subcarrier
+  // sets, half uniform grids and half not, through the scalar per-channel
+  // reference and the production bank (kSimd, kAuto). kAuto must engage
+  // the channelizer on each; payloads, channels, packet counts and CRC
+  // failures must match exactly. Timestamps, compared in whole IQ
+  // samples (a double compare failed an offset of exactly one lane sample
+  // by 1.7e-17 s of rounding), stay within two lane samples. The highest
+  // subcarrier sits on the main DDC's roll-off; on longer sweeps it is the
+  // one channel where the banks can part (DESIGN.md, parity contract).
+  sim::Rng rng{2024};
+  for (int trial = 0; trial < 10; ++trial) {
+    const bool uniform = trial % 2 == 0;
+    const auto freqs =
+        random_subcarriers(rng, rng.uniform_int(4, 16), uniform);
     SCOPED_TRACE(testing::Message()
-                 << dsp::to_string(cell.kernels) << " workers="
-                 << cell.workers << " bank=" << static_cast<int>(cell.bank));
-    expect_packet_parity(
-        ref, decode(fdma_params(cell.kernels, cell.workers, cell.bank, freqs),
-                    wave),
-        lane_dt);
+                 << "trial " << trial << (uniform ? " uniform " : " uneven ")
+                 << freqs.size() << " subcarriers from " << freqs.front()
+                 << " Hz");
+    const auto wave = fdma_capture(freqs, 0.12, 4);
+    reader::FdmaRxChain ref{
+        fdma_params(dsp::KernelPolicy::kScalar, 1, Bank::kPerChannel, freqs)};
+    reader::FdmaRxChain bank{
+        fdma_params(dsp::KernelPolicy::kSimd, 1, Bank::kAuto, freqs)};
+    ASSERT_EQ(bank.active_bank(), Bank::kChannelizer);
+    constexpr std::size_t kChunk = 7777;
+    for (std::size_t off = 0; off < wave.size(); off += kChunk) {
+      const std::size_t len = std::min(kChunk, wave.size() - off);
+      ref.process(wave.data() + off, len);
+      bank.process(wave.data() + off, len);
+    }
+    const double iq_rate = 62500.0;
+    const auto lane = static_cast<std::int64_t>(
+        dsp::PolyphaseChannelizer::plan(iq_rate, 375.0, freqs).decimation);
+    const auto a = ref.drain_packets();
+    const auto b = bank.drain_packets();
+    for (std::size_t c = 0; c < freqs.size(); ++c) {
+      const auto sa = ref.channel_stats(c);
+      const auto sb = bank.channel_stats(c);
+      EXPECT_EQ(sb.frames_ok, sa.frames_ok) << "channel " << c;
+      EXPECT_EQ(sb.crc_failures, sa.crc_failures) << "channel " << c;
+      std::vector<const reader::RxPacket*> pa, pb;
+      for (const auto& p : a) {
+        if (p.channel == c) pa.push_back(&p);
+      }
+      for (const auto& p : b) {
+        if (p.channel == c) pb.push_back(&p);
+      }
+      ASSERT_EQ(pb.size(), pa.size()) << "channel " << c;
+      for (std::size_t i = 0; i < pa.size(); ++i) {
+        EXPECT_EQ(pb[i]->packet, pa[i]->packet) << "channel " << c;
+        const std::int64_t offset =
+            std::llround(pb[i]->time_s * iq_rate) -
+            std::llround(pa[i]->time_s * iq_rate);
+        EXPECT_LE(std::abs(offset), 2 * lane) << "channel " << c;
+      }
+    }
+    EXPECT_GE(a.size() + 1, freqs.size());  // at most one tag lost
   }
 }
 
