@@ -110,7 +110,9 @@ class WorkerPool {
       epoch = ++epoch_;
       // Plain store: made visible to workers by the release store of the
       // ticket below (their successful acquire claim synchronizes with it).
-      if (dispatch_hist_ != nullptr) run_publish_ns_ = steady_now_ns();
+      if (dispatch_hist_ != nullptr) {
+        run_publish_ns_ = telemetry::steady_now_ns();
+      }
       // Published after task_ is in place; a successful claim on this
       // ticket value acquire-synchronizes with this release store.
       ticket_.store(pack(epoch, 0), std::memory_order_release);
@@ -141,12 +143,6 @@ class WorkerPool {
   }
 
  private:
-  static std::uint64_t steady_now_ns() noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
   // The ticket packs (epoch, next index) into one atomic word so claiming
   // is epoch-safe: a compare-exchange only succeeds while the ticket still
   // carries the claimer's epoch. Without the tag, a worker preempted
@@ -178,7 +174,8 @@ class WorkerPool {
         continue;  // cur reloaded by the failed exchange
       }
       if (auto* hist = dispatch_hist_; hist != nullptr) {
-        hist->record(static_cast<double>(steady_now_ns() - run_publish_ns_) *
+        hist->record(static_cast<double>(telemetry::steady_now_ns() -
+                                         run_publish_ns_) *
                      1e-3);
       }
       try {

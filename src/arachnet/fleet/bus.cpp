@@ -6,9 +6,7 @@
 namespace arachnet::fleet {
 
 MessageBus::MessageBus(Params params, std::size_t publishers)
-    : params_(params),
-      outboxes_(publishers),
-      pub_next_seq_(publishers, 0) {
+    : params_(params), outboxes_(publishers) {
   if (params_.capacity == 0) {
     throw std::invalid_argument("MessageBus: capacity must be nonzero");
   }
@@ -19,105 +17,46 @@ MessageBus::MessageBus(Params params, std::size_t publishers)
     c_published_ = &m->counter(n("bus.published"));
     c_delivered_ = &m->counter(n("bus.delivered"));
     c_displaced_ = &m->counter(n("bus.displaced"));
-    c_expired_ = &m->counter(n("bus.expired"));
-    g_depth_ = &m->gauge(n("bus.depth"));
   }
 }
 
 void MessageBus::publish(int from, BusMessage msg) {
   auto& box = outboxes_.at(static_cast<std::size_t>(from));
   msg.from = from;
-  if (msg.ttl_epochs <= 0) msg.ttl_epochs = params_.default_ttl_epochs;
+  msg.pub_seq = box.size();
   box.push_back(msg);
   if (c_published_ != nullptr) c_published_->add();  // atomic: parallel-safe
 }
 
 void MessageBus::commit() {
   delivered_.clear();
+  for (auto& box : outboxes_) {
+    delivered_.insert(delivered_.end(), box.begin(), box.end());
+    box.clear();
+  }
+  stats_.published += delivered_.size();
 
-  // ---- Age the backlog: a message that has waited its TTL out expires.
-  std::size_t kept = 0;
-  for (auto& p : pending_) {
-    if (--p.ttl_left <= 0) {
-      ++stats_.expired;
-      if (c_expired_ != nullptr) c_expired_->add();
-      continue;
-    }
-    pending_[kept++] = p;
-  }
-  pending_.resize(kept);
+  // Priority descending, then publisher id ascending, then publication
+  // order: a strict total order, so std::sort needs no merge buffer and
+  // the result is a pure function of what was published, never of
+  // worker scheduling.
+  std::sort(delivered_.begin(), delivered_.end(),
+            [](const BusMessage& x, const BusMessage& y) {
+              if (x.priority != y.priority) return x.priority > y.priority;
+              if (x.from != y.from) return x.from < y.from;
+              return x.pub_seq < y.pub_seq;
+            });
 
-  // ---- Merge outboxes in deterministic order: priority descending, then
-  // publisher id ascending, then publication order. The merge result is a
-  // pure function of what was published, never of worker scheduling.
-  std::vector<Pending> fresh;
-  for (std::size_t pub = 0; pub < outboxes_.size(); ++pub) {
-    for (auto& msg : outboxes_[pub]) {
-      msg.pub_seq = pub_next_seq_[pub]++;
-      ++stats_.published;
-      fresh.push_back(Pending{msg, msg.ttl_epochs, 0});
-    }
-    outboxes_[pub].clear();
+  // Bounded delivery: the lowest-priority newest tail past `capacity` is
+  // displaced (goby dynamic_buffer overflow policy).
+  if (delivered_.size() > params_.capacity) {
+    const std::size_t displaced = delivered_.size() - params_.capacity;
+    delivered_.resize(params_.capacity);
+    stats_.displaced += displaced;
+    if (c_displaced_ != nullptr) c_displaced_->add(displaced);
   }
-  std::stable_sort(fresh.begin(), fresh.end(),
-                   [](const Pending& x, const Pending& y) {
-                     if (x.msg.priority != y.msg.priority) {
-                       return x.msg.priority > y.msg.priority;
-                     }
-                     if (x.msg.from != y.msg.from) {
-                       return x.msg.from < y.msg.from;
-                     }
-                     return x.msg.pub_seq < y.msg.pub_seq;
-                   });
-  for (auto& p : fresh) {
-    p.admit_seq = admit_counter_++;
-    pending_.push_back(p);
-  }
-
-  // ---- Bounded buffer: displace the lowest-priority newest entry until
-  // the backlog fits (goby dynamic_buffer overflow policy).
-  while (pending_.size() > params_.capacity) {
-    auto victim = pending_.begin();
-    for (auto it = pending_.begin() + 1; it != pending_.end(); ++it) {
-      const bool lower = it->msg.priority < victim->msg.priority;
-      const bool equal_newer = it->msg.priority == victim->msg.priority &&
-                               it->admit_seq > victim->admit_seq;
-      if (lower || equal_newer) victim = it;
-    }
-    ++stats_.displaced;
-    if (c_displaced_ != nullptr) c_displaced_->add();
-    pending_.erase(victim);
-  }
-
-  // ---- Deliver: highest priority first, admission order within a
-  // priority, up to the per-commit bandwidth bound.
-  std::stable_sort(pending_.begin(), pending_.end(),
-                   [](const Pending& x, const Pending& y) {
-                     if (x.msg.priority != y.msg.priority) {
-                       return x.msg.priority > y.msg.priority;
-                     }
-                     return x.admit_seq < y.admit_seq;
-                   });
-  const std::size_t bandwidth = params_.max_deliveries_per_commit == 0
-                                    ? pending_.size()
-                                    : params_.max_deliveries_per_commit;
-  const std::size_t n = std::min(bandwidth, pending_.size());
-  delivered_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    BusMessage msg = pending_[i].msg;
-    const auto t = static_cast<std::size_t>(msg.topic);
-    msg.topic_seq = topic_next_seq_[t]++;
-    delivered_.push_back(msg);
-  }
-  pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(n));
-  stats_.delivered += n;
-  stats_.depth = pending_.size();
-  for (std::size_t t = 0; t < kTopicCount; ++t) {
-    stats_.topic_seq[t] = topic_next_seq_[t];
-  }
-
-  if (c_delivered_ != nullptr) c_delivered_->add(n);
-  if (g_depth_ != nullptr) g_depth_->set(static_cast<double>(stats_.depth));
+  stats_.delivered += delivered_.size();
+  if (c_delivered_ != nullptr) c_delivered_->add(delivered_.size());
 }
 
 }  // namespace arachnet::fleet

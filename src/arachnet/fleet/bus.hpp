@@ -9,58 +9,45 @@
 namespace arachnet::fleet {
 
 /// Bus topics. Kept small and fixed: the fleet's coordination traffic is
-/// packets, tag handoffs, planner updates and membership changes.
+/// packets, tag handoffs and membership changes.
 enum class Topic : std::uint8_t {
   kPacket = 0,     ///< decoded-packet announcements (dedup input)
   kHandoff = 1,    ///< tag ownership transfers
-  kPlan = 2,       ///< slot/frequency planner assignments
-  kMembership = 3  ///< reader join/leave
+  kMembership = 2  ///< reader join/leave
 };
-inline constexpr std::size_t kTopicCount = 4;
 
 /// One inter-reader message. Payload is three opaque words interpreted per
 /// topic (tag id / sequence / epoch / channel ...) — the bus itself only
-/// routes, orders and bounds.
+/// orders and bounds.
 struct BusMessage {
   Topic topic = Topic::kPacket;
-  int from = 0;      ///< publishing reader id
-  int to = -1;       ///< destination reader id, -1 = broadcast
+  int from = 0;      ///< publishing reader id (set by publish())
   int priority = 0;  ///< higher wins under contention (goby buffer idiom)
-  /// Remaining lifetime in commit epochs; a message still undelivered
-  /// after this many commits is dropped (stale coordination is worse
-  /// than none). 0 = use the bus default.
-  int ttl_epochs = 0;
   std::uint64_t a = 0, b = 0, c = 0;  ///< topic-specific payload words
-  // ---- assigned by the bus at commit ----
-  std::uint64_t pub_seq = 0;    ///< per-publisher publication sequence
-  std::uint64_t topic_seq = 0;  ///< per-topic delivery sequence
+  /// Position in the publisher's outbox this epoch (set by publish()).
+  std::uint64_t pub_seq = 0;
 };
 
-/// In-process inter-reader message bus with bounded, priority+TTL queueing
-/// (the goby3 dynamic_buffer idiom: a full buffer displaces the
-/// lowest-priority newest entry; stale entries expire by TTL) and
-/// per-topic delivery sequence numbers.
+/// In-process inter-reader message bus: a bounded per-epoch merge of the
+/// publishers' outboxes.
 ///
 /// Concurrency model mirrors the fleet's BSP epochs:
 ///  - publish(from, ...) may run concurrently across DIFFERENT publishers
-///    (each publisher owns a pre-sized outbox and is the only writer), so
-///    shard tasks post from the parallel phase without locks;
-///  - commit(epoch) and drain() run on the serial coordinator only.
+///    (each publisher owns an outbox and is its only writer), so shard
+///    tasks post from the parallel phase without locks;
+///  - commit() and drain() run on the serial coordinator only.
 ///
 /// commit() merges every outbox in a deterministic order — priority
-/// descending, then publisher id ascending, then per-publisher publication
-/// sequence — independent of which worker ran which shard when. Delivery
-/// bandwidth is bounded by `max_deliveries_per_commit` (an acoustic
-/// side-channel does not have infinite capacity); the backlog is bounded
-/// by `capacity` with lowest-priority-newest displacement.
+/// descending, then publisher id ascending, then publication order —
+/// independent of which worker ran which shard when. It delivers at most
+/// `capacity` messages and displaces the rest of the merge, which is the
+/// lowest-priority newest tail. Nothing is held across commits: every
+/// message is delivered or displaced by the commit after its publication.
 class MessageBus {
  public:
   struct Params {
-    std::size_t capacity = 256;  ///< max undelivered messages buffered
-    /// Messages handed out per commit (bus bandwidth). 0 = unlimited.
-    std::size_t max_deliveries_per_commit = 0;
-    int default_ttl_epochs = 4;  ///< applied when BusMessage::ttl_epochs==0
-    /// Optional registry for `bus.*` counters/gauges; prefix with
+    std::size_t capacity = 256;  ///< max messages delivered per commit
+    /// Optional registry for `bus.*` counters; prefix with
     /// `metrics_scope` (see telemetry::scoped_name).
     telemetry::MetricsRegistry* metrics = nullptr;
     std::string metrics_scope;
@@ -69,23 +56,21 @@ class MessageBus {
   struct Stats {
     std::uint64_t published = 0;
     std::uint64_t delivered = 0;
-    std::uint64_t displaced = 0;  ///< dropped by capacity displacement
-    std::uint64_t expired = 0;    ///< dropped by TTL
-    std::size_t depth = 0;        ///< undelivered backlog after last commit
-    std::uint64_t topic_seq[kTopicCount] = {0, 0, 0, 0};
+    std::uint64_t displaced = 0;  ///< merged past `capacity` and dropped
+    /// Always 0: no message waits past its commit, so none expires. Kept
+    /// because benchmark code still reads it.
+    std::uint64_t expired = 0;
   };
 
   MessageBus(Params params, std::size_t publishers);
 
   /// Posts a message from publisher `from`. Parallel-phase safe under the
   /// one-writer-per-outbox contract; ordering within a publisher is its
-  /// call order (stamped as pub_seq at commit).
+  /// call order.
   void publish(int from, BusMessage msg);
 
-  /// Serial barrier step: merges all outboxes deterministically into the
-  /// bounded pending queue, expires TTLs, applies displacement, assigns
-  /// per-topic sequence numbers to the messages scheduled for delivery
-  /// this epoch, and stages them for drain().
+  /// Serial barrier step: merges all outboxes deterministically, keeps
+  /// the first `capacity` messages for drain() and displaces the rest.
   void commit();
 
   /// Messages delivered by the last commit(), in delivery order. Valid
@@ -97,26 +82,14 @@ class MessageBus {
   const Params& params() const noexcept { return params_; }
 
  private:
-  struct Pending {
-    BusMessage msg;
-    int ttl_left = 0;
-    std::uint64_t admit_seq = 0;  ///< admission order (displacement key)
-  };
-
   Params params_;
   std::vector<std::vector<BusMessage>> outboxes_;  ///< one per publisher
-  std::vector<std::uint64_t> pub_next_seq_;
-  std::vector<Pending> pending_;  ///< undelivered backlog, kept sorted
-  std::vector<BusMessage> delivered_;
-  std::uint64_t admit_counter_ = 0;
-  std::uint64_t topic_next_seq_[kTopicCount] = {0, 0, 0, 0};
+  std::vector<BusMessage> delivered_;  ///< merge buffer, reused per commit
   Stats stats_;
   // Registry instruments (nullable; bound once in the constructor).
   telemetry::Counter* c_published_ = nullptr;
   telemetry::Counter* c_delivered_ = nullptr;
   telemetry::Counter* c_displaced_ = nullptr;
-  telemetry::Counter* c_expired_ = nullptr;
-  telemetry::Gauge* g_depth_ = nullptr;
 };
 
 }  // namespace arachnet::fleet

@@ -57,7 +57,6 @@ FleetEngine::FleetEngine(Params params)
 
   const sim::Rng master{params_.seed};
   shards_.reserve(params_.readers);
-  packets_per_reader_.assign(params_.readers, 0);
   for (std::size_t i = 0; i < params_.readers; ++i) {
     const int gid = params_.first_reader_id + static_cast<int>(i);
     auto shard = std::make_unique<Shard>();
@@ -261,15 +260,6 @@ void FleetEngine::recompute_plan() {
   for (auto& s : shards_) {
     s->assign = plan[static_cast<std::size_t>(s->reader_id)];
   }
-  // Announce the new plan on the bus (coordination record; the
-  // assignments above are already applied).
-  BusMessage m;
-  m.topic = Topic::kPlan;
-  m.priority = 8;
-  m.a = epoch_;
-  m.b = GridPlanner::color_count(plan);
-  m.c = active.size();
-  bus_.publish(active.empty() ? params_.first_reader_id : active.front(), m);
 }
 
 void FleetEngine::pre_phase() {
@@ -334,8 +324,6 @@ void FleetEngine::pre_phase() {
       case Topic::kPacket:
         inbox_packets_.push_back(msg);
         break;
-      case Topic::kPlan:
-        break;  // informational record; assignments applied at publish
     }
   }
   if (membership_changed || plan_dirty_) {
@@ -484,11 +472,6 @@ void FleetEngine::collect_phase() {
                                static_cast<std::uint16_t>(msg.c), overheard});
     ++packets_;
     if (c_packets_ != nullptr) c_packets_->add();
-    const int local = msg.from - params_.first_reader_id;
-    if (local >= 0 &&
-        static_cast<std::size_t>(local) < packets_per_reader_.size()) {
-      ++packets_per_reader_[static_cast<std::size_t>(local)];
-    }
     admitted_fresh.push_back(&msg);
   }
 
@@ -603,7 +586,6 @@ FleetEngine::Stats FleetEngine::stats() const {
   s.active_readers = active_reader_ids().size();
   s.bus = bus_.stats();
   s.dedup = dedup_.stats();
-  s.packets_per_reader = packets_per_reader_;
   return s;
 }
 

@@ -41,8 +41,8 @@ struct FleetPacket {
 /// MessageBus. Execution is bulk-synchronous per epoch:
 ///
 ///   1. serial pre-phase: bus.commit() delivers last epoch's traffic; the
-///      coordinator applies handoffs / membership / planner updates to the
-///      shards in message order;
+///      coordinator applies handoffs and membership changes to the shards
+///      in message order, then re-plans if membership changed;
 ///   2. parallel phase: every active shard advances one epoch
 ///      (slots_per_epoch slots, or epoch_duration_s of waveform DSP) on a
 ///      dsp::WorkerPool sized by `shards`, publishing decoded packets to
@@ -138,7 +138,6 @@ class FleetEngine {
     std::size_t active_readers = 0;
     MessageBus::Stats bus{};
     DedupWindow::Stats dedup{};
-    std::vector<std::uint64_t> packets_per_reader;  ///< by local index
   };
 
   explicit FleetEngine(Params params);
@@ -244,7 +243,6 @@ class FleetEngine {
   std::uint64_t dup_passed_ = 0;
   std::uint64_t handoffs_ = 0;
   std::uint64_t conflicts_ = 0;
-  std::vector<std::uint64_t> packets_per_reader_;
   // Registry instruments (nullable; bound once in the constructor).
   telemetry::Counter* c_packets_ = nullptr;
   telemetry::Counter* c_dup_suppressed_ = nullptr;

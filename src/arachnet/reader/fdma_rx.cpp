@@ -1,7 +1,6 @@
 #include "arachnet/reader/fdma_rx.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <numbers>
@@ -15,12 +14,7 @@ namespace arachnet::reader {
 
 namespace {
 
-std::uint64_t steady_now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using telemetry::steady_now_ns;
 
 /// The back end of a channel whose front end delivers `rate_hz`.
 DecisionChain::Params channel_decision(double rate_hz, double chip_rate) {

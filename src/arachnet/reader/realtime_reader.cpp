@@ -1,7 +1,5 @@
 #include "arachnet/reader/realtime_reader.hpp"
 
-#include <chrono>
-
 #include "arachnet/telemetry/log.hpp"
 #include "arachnet/telemetry/trace.hpp"
 
@@ -9,12 +7,7 @@ namespace arachnet::reader {
 
 namespace {
 
-std::uint64_t steady_now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using telemetry::steady_now_ns;
 
 /// Forwards the reader's registry into the FDMA bank params unless the
 /// caller already bound one there. Applied to the params the reader
@@ -107,7 +100,6 @@ void RealtimeReader::worker_loop() {
         }
       }
     } else {
-      if (resync_requested_.exchange(false)) chain_->resync();
       chain_->process(block.data(), block.size());
       if (timed) t_decoded = steady_now_ns();
       samples_processed_.fetch_add(block.size(), std::memory_order_relaxed);

@@ -115,10 +115,6 @@ class RealtimeReader {
   /// Thread-safe snapshot of queue depths and per-channel counters.
   Stats stats() const;
 
-  /// Requests a slot-boundary resync (applied by the worker before the
-  /// next block; single-channel mode only — the FDMA bank free-runs).
-  void request_resync() { resync_requested_.store(true); }
-
   /// The parameters the reader actually runs with. When a registry was
   /// forwarded into the FDMA bank, the stored `fdma->metrics` reflects
   /// that patch, so introspection agrees with the live bank.
@@ -149,7 +145,6 @@ class RealtimeReader {
   /// allocating (part of the steady-state allocation contract).
   std::vector<RxPacket> drained_;
   std::atomic<std::uint64_t> samples_processed_{0};
-  std::atomic<bool> resync_requested_{false};
   /// Packets left in chain_->packets() after a block's drain (the leak
   /// regression observable behind Stats::chain_buffered_packets).
   std::atomic<std::uint64_t> chain_buffered_{0};

@@ -41,9 +41,15 @@ class DispatchQueue {
     kClosed,      ///< queue closed; nothing enqueued
   };
 
+  /// Allocates every node the queue can hold here, the way
+  /// dsp::RingBuffer sizes its slots, so no push allocates however deep a
+  /// burst runs. Requires a default-constructible T.
   explicit DispatchQueue(std::size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity) {
     free_nodes_.reserve(capacity_);
+    for (std::size_t i = 0; i < capacity_; ++i) {
+      free_nodes_.push_back(items_.extract(items_.insert(Item{}).first));
+    }
   }
 
   DispatchQueue(const DispatchQueue&) = delete;
@@ -69,19 +75,13 @@ class DispatchQueue {
       stash(std::move(node));
       outcome = Push::kDisplaced;
     }
-    Item item{priority, next_seq_++, ttl_ns == 0 ? 0 : now_ns + ttl_ns,
-              std::move(value)};
-    if (free_nodes_.empty()) {
-      items_.insert(std::move(item));
-    } else {
-      // Steady state: recycle an extracted tree node instead of paying a
-      // heap allocation per push (the decode loop's zero-allocation
-      // contract rides on this).
-      auto node = std::move(free_nodes_.back());
-      free_nodes_.pop_back();
-      node.value() = std::move(item);
-      items_.insert(std::move(node));
-    }
+    // Queued plus free nodes always number capacity_, so a node is free
+    // here: the queue had room, or the victim's node was just stashed.
+    auto node = std::move(free_nodes_.back());
+    free_nodes_.pop_back();
+    node.value() = Item{priority, next_seq_++,
+                        ttl_ns == 0 ? 0 : now_ns + ttl_ns, std::move(value)};
+    items_.insert(std::move(node));
     ready_.notify_one();
     return outcome;
   }
@@ -124,9 +124,9 @@ class DispatchQueue {
 
  private:
   struct Item {
-    int priority;
-    std::uint64_t seq;
-    std::uint64_t deadline_ns;  ///< 0 = never expires
+    int priority = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t deadline_ns = 0;  ///< 0 = never expires
     /// mutable: std::set elements are const, but the value is moved out
     /// via node extraction only, never mutated in place.
     mutable T value;
@@ -142,12 +142,9 @@ class DispatchQueue {
 
   using NodeHandle = typename std::set<Item, ByUrgency>::node_type;
 
-  /// Keeps an extracted node for reuse by the next push. Bounded by
-  /// capacity_: the pool can never hold more nodes than the queue could,
-  /// so a burst's nodes are retained but memory stays bounded.
-  void stash(NodeHandle&& node) {
-    if (free_nodes_.size() < capacity_) free_nodes_.push_back(std::move(node));
-  }
+  /// Keeps an extracted node for reuse by the next push (within the
+  /// capacity_ reserved at construction, so it never allocates).
+  void stash(NodeHandle&& node) { free_nodes_.push_back(std::move(node)); }
 
   mutable std::mutex mutex_;
   std::condition_variable ready_;

@@ -1,6 +1,5 @@
 #include "arachnet/reader/service/reader_service.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -13,12 +12,7 @@ namespace {
 /// Max blocks one dispatcher iteration hands to the pool.
 constexpr std::size_t kMaxBatch = 16;
 
-std::uint64_t steady_now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using telemetry::steady_now_ns;
 
 std::size_t resolve_workers(std::size_t requested) noexcept {
   if (requested != 0) return requested;
@@ -40,7 +34,14 @@ ReaderService::ReaderService(Params params)
       max_sessions_(resolve_max_sessions(params.sessions_per_core, workers_)),
       pool_(std::make_unique<dsp::WorkerPool>(workers_ - 1)),
       queue_(params.dispatch_capacity == 0 ? 4 * workers_
-                                           : params.dispatch_capacity) {
+                                           : params.dispatch_capacity),
+      groups_(kMaxBatch) {
+  // A batch holds at most kMaxBatch blocks in at most kMaxBatch groups, so
+  // sizing the scratch here keeps the dispatcher allocation-free however
+  // deep a burst runs.
+  batch_.reserve(kMaxBatch);
+  expired_.reserve(kMaxBatch);
+  for (auto& g : groups_) g.items.reserve(kMaxBatch);
   if (auto* m = params_.metrics) {
     const auto n = [&](std::string_view name) {
       return telemetry::scoped_name(params_.metrics_scope, name);
@@ -132,7 +133,6 @@ std::optional<SessionId> ReaderService::open_session(SessionConfig cfg) {
   }
   sessions_.emplace(id, std::move(slot));
   ++active_;
-  sessions_opened_.fetch_add(1, std::memory_order_relaxed);
   if (g_active_ != nullptr) g_active_->set(static_cast<double>(active_));
   return id;
 }
@@ -244,8 +244,6 @@ ReaderService::Stats ReaderService::stats() const {
     st.active_sessions = active_;
   }
   st.max_sessions = max_sessions_;
-  st.workers = workers_;
-  st.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);
   st.admissions_rejected =
       admissions_rejected_.load(std::memory_order_relaxed);
   st.sessions_shed = sessions_shed_.load(std::memory_order_relaxed);
@@ -286,7 +284,6 @@ void ReaderService::dispatch_loop() {
           }
         }
         if (g == nullptr) {
-          if (ngroups == groups_.size()) groups_.emplace_back();
           g = &groups_[ngroups++];
           g->session = item.session;
           g->items.clear();
@@ -312,9 +309,7 @@ void ReaderService::process_group(Group& group) {
       continue;
     }
     // Stage attribution: dispatch-queue wait (submit -> here), chain
-    // decode, packet emit. Three extra clock reads per ~20 ms block —
-    // cheap enough to take unconditionally so SessionStats stage sums
-    // stay populated even without a registry.
+    // decode, packet emit.
     const std::uint64_t t_pickup = steady_now_ns();
     const std::size_t n = item.block.size();
     s->chain->process(item.block.data(), n);
@@ -351,9 +346,6 @@ void ReaderService::process_group(Group& group) {
     const std::uint64_t wait_ns = t_pickup - item.submit_ns;
     const std::uint64_t process_ns = t_decoded - t_pickup;
     const std::uint64_t emit_ns = t_emitted - t_decoded;
-    s->stage_wait_ns.fetch_add(wait_ns, std::memory_order_relaxed);
-    s->stage_process_ns.fetch_add(process_ns, std::memory_order_relaxed);
-    s->stage_emit_ns.fetch_add(emit_ns, std::memory_order_relaxed);
     if (h_block_ms_ != nullptr) {
       h_block_ms_->record(static_cast<double>(t_emitted - item.submit_ns) *
                           1e-6);

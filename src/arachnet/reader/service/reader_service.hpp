@@ -83,8 +83,6 @@ class ReaderService {
   struct Stats {
     std::size_t active_sessions = 0;
     std::size_t max_sessions = 0;       ///< admission cap
-    std::size_t workers = 0;            ///< resolved DSP parallelism
-    std::uint64_t sessions_opened = 0;
     std::uint64_t admissions_rejected = 0;
     std::uint64_t sessions_shed = 0;
     std::uint64_t slots_reused = 0;     ///< warm Session slot recycles
@@ -198,7 +196,6 @@ class ReaderService {
   SessionId next_id_ = 1;
   std::size_t active_ = 0;  ///< open (not closed/shed) sessions
 
-  std::atomic<std::uint64_t> sessions_opened_{0};
   std::atomic<std::uint64_t> admissions_rejected_{0};
   std::atomic<std::uint64_t> sessions_shed_{0};
   std::atomic<std::uint64_t> slots_reused_{0};
@@ -208,11 +205,11 @@ class ReaderService {
   std::atomic<std::uint64_t> packets_emitted_{0};
   std::atomic<std::uint64_t> packets_dropped_{0};
 
-  // Dispatcher-only batch scratch (capacity reused across iterations).
+  // Dispatcher-only batch scratch, sized at construction.
   std::vector<WorkItem> batch_;
   std::vector<WorkItem> expired_;
   /// Grouping scratch: only the first `n` entries of an iteration are
-  /// live; the rest keep their capacity warm.
+  /// live.
   std::vector<Group> groups_;
 
   // Registry instruments (nullable; bound once in the constructor).

@@ -57,12 +57,6 @@ struct SessionStats {
   std::uint64_t packets_dropped = 0;  ///< lost to a full/closed output
   std::uint64_t frames_ok = 0;        ///< CRC-valid packets decoded
   std::uint64_t crc_failures = 0;
-  /// Cumulative per-stage time attributed to this session's processed
-  /// blocks (submit -> worker pickup / chain decode / packet emit).
-  /// stage_wait_ns / blocks_processed = mean dispatch-queue wait.
-  std::uint64_t stage_wait_ns = 0;
-  std::uint64_t stage_process_ns = 0;
-  std::uint64_t stage_emit_ns = 0;
   bool closed = false;  ///< no longer accepts submits (closing or shed)
   bool shed = false;    ///< force-closed by admission control
 };
@@ -118,11 +112,10 @@ struct Session {
     samples_processed.store(0, std::memory_order_relaxed);
     packets_emitted.store(0, std::memory_order_relaxed);
     packets_dropped.store(0, std::memory_order_relaxed);
-    stage_wait_ns.store(0, std::memory_order_relaxed);
-    stage_process_ns.store(0, std::memory_order_relaxed);
-    stage_emit_ns.store(0, std::memory_order_relaxed);
     // block_pool intentionally kept: warm buffers carry to the next
-    // occupant (contents are cleared on recycle).
+    // occupant (contents are cleared on recycle). Its slots are sized
+    // here, so recycling a burst's buffers never allocates.
+    block_pool.reserve(cfg.max_blocks_in_flight + 2);
   }
 
   /// Hands out a recycled sample buffer (empty, capacity warm) or a
@@ -158,9 +151,6 @@ struct Session {
     const DecisionCounts decoded = chain->published_counts();
     s.frames_ok = decoded.frames_ok;
     s.crc_failures = decoded.crc_failures;
-    s.stage_wait_ns = stage_wait_ns.load(std::memory_order_relaxed);
-    s.stage_process_ns = stage_process_ns.load(std::memory_order_relaxed);
-    s.stage_emit_ns = stage_emit_ns.load(std::memory_order_relaxed);
     s.closed = closed.load(std::memory_order_relaxed);
     s.shed = shed.load(std::memory_order_relaxed);
     return s;
@@ -193,11 +183,6 @@ struct Session {
   std::atomic<std::uint64_t> samples_processed{0};
   std::atomic<std::uint64_t> packets_emitted{0};
   std::atomic<std::uint64_t> packets_dropped{0};
-  /// Cumulative stage-latency attribution (see SessionStats); written by
-  /// the one pool worker holding this session's batch, read anywhere.
-  std::atomic<std::uint64_t> stage_wait_ns{0};
-  std::atomic<std::uint64_t> stage_process_ns{0};
-  std::atomic<std::uint64_t> stage_emit_ns{0};
 
   /// Warm sample-buffer pool (acquire_block/recycle_block).
   std::mutex pool_mutex;

@@ -1,7 +1,6 @@
 #include "arachnet/sim/sweep.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <thread>
 
@@ -11,12 +10,7 @@ namespace arachnet::sim {
 
 namespace {
 
-std::uint64_t steady_now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+using telemetry::steady_now_ns;
 
 /// Finite samples only, for the NaN-censoring reducer convention.
 std::vector<double> finite(std::span<const double> samples) {

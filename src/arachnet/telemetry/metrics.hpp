@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -10,6 +11,15 @@
 #include <vector>
 
 namespace arachnet::telemetry {
+
+/// Monotonic timestamp in nanoseconds (std::chrono::steady_clock): the one
+/// clock behind the stage timers, queue ages and sampling periods.
+inline std::uint64_t steady_now_ns() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Monotonic event counter. add() is a single relaxed atomic increment —
 /// safe to call from any thread on a hot path.

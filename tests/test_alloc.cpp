@@ -226,4 +226,68 @@ TEST(SteadyStateAlloc, ServiceSessionLoopIsAllocationFree) {
   service.stop();
 }
 
+TEST(SteadyStateAlloc, ServiceBurstDeeperThanWarmUpIsAllocationFree) {
+  using arachnet::reader::service::ReaderService;
+  // One worker: while the dispatcher decodes a long block, a burst of
+  // short blocks from another session queues up behind it.
+  ReaderService::Params params;
+  params.workers = 1;
+  params.dispatch_capacity = 16;
+  ReaderService service{params};
+  service.start();
+  const auto slow = service.open_session({.priority = 1});
+  const auto fast = service.open_session({.priority = 1});
+  ASSERT_TRUE(slow.has_value());
+  ASSERT_TRUE(fast.has_value());
+
+  const auto wave = baseband_capture();
+  constexpr std::size_t kLong = std::size_t{1} << 20;  // ~2 s of samples
+  constexpr std::size_t kBlock = 10000;
+  constexpr std::size_t kBurst = 6;
+  const auto long_block = [&] {
+    auto block = service.acquire_block(*slow);
+    block.assign(kLong, 0.0);
+    return block;
+  };
+  const auto short_block = [&](std::size_t i) {
+    auto block = service.acquire_block(*fast);
+    block.assign(wave.begin() + static_cast<std::ptrdiff_t>(i * kBlock),
+                 wave.begin() + static_cast<std::ptrdiff_t>((i + 1) * kBlock));
+    return block;
+  };
+  const auto wait_processed = [&](arachnet::reader::service::SessionId id,
+                                  std::uint64_t n) {
+    while (service.session_stats(id)->blocks_processed < n) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    while (service.poll_packet(id).has_value()) {
+    }
+  };
+
+  // Warm-up at dispatch depth 1: every block is decoded before the next
+  // is submitted.
+  ASSERT_TRUE(service.submit(*slow, long_block()));
+  wait_processed(*slow, 1);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    ASSERT_TRUE(service.submit(*fast, short_block(i)));
+    wait_processed(*fast, i + 1);
+  }
+
+  // The producer fills its buffers before the guard: how many it holds at
+  // once is its own high-water mark, not the service's.
+  auto head = long_block();
+  std::vector<ReaderService::Block> burst;
+  for (std::size_t i = 0; i < kBurst; ++i) burst.push_back(short_block(i));
+
+  CountingAllocatorGuard guard;
+  ASSERT_TRUE(service.submit(*slow, std::move(head)));
+  for (auto& block : burst) ASSERT_TRUE(service.submit(*fast, std::move(block)));
+  wait_processed(*slow, 2);
+  wait_processed(*fast, 2 * kBurst);
+  EXPECT_EQ(guard.allocations(), 0u)
+      << "a burst deeper than the warm-up allocated in the service";
+
+  service.stop();
+}
+
 }  // namespace

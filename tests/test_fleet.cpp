@@ -33,62 +33,51 @@ using fleet::Topic;
 
 TEST(MessageBus, CommitOrdersByPriorityThenPublisherThenSequence) {
   MessageBus bus{{}, 3};
-  // Publish out of publisher order with mixed priorities.
-  bus.publish(2, {Topic::kPacket, 0, -1, 1, 0, 42});
-  bus.publish(0, {Topic::kPacket, 0, -1, 1, 0, 10});
-  bus.publish(0, {Topic::kPacket, 0, -1, 5, 0, 11});
-  bus.publish(1, {Topic::kHandoff, 0, -1, 5, 0, 20});
+  // Publish out of publisher order with mixed priorities. Publisher 0
+  // posts two priority-5 messages, whose payloads sort opposite to their
+  // publication order.
+  bus.publish(2, {.topic = Topic::kPacket, .priority = 1, .a = 42});
+  bus.publish(0, {.topic = Topic::kPacket, .priority = 1, .a = 10});
+  bus.publish(0, {.topic = Topic::kPacket, .priority = 5, .a = 13});
+  bus.publish(1, {.topic = Topic::kHandoff, .priority = 5, .a = 20});
+  bus.publish(0, {.topic = Topic::kPacket, .priority = 5, .a = 11});
   bus.commit();
   const auto& out = bus.drain();
-  ASSERT_EQ(out.size(), 4u);
-  // Priority 5 first (publisher 0 before 1), then priority 1 (publisher
-  // 0 before 2).
-  EXPECT_EQ(out[0].a, 11u);
-  EXPECT_EQ(out[1].a, 20u);
-  EXPECT_EQ(out[2].a, 10u);
-  EXPECT_EQ(out[3].a, 42u);
-  // Per-topic delivery sequences count per topic, in delivery order.
-  EXPECT_EQ(out[0].topic_seq, 0u);  // first kPacket
-  EXPECT_EQ(out[1].topic_seq, 0u);  // first kHandoff
-  EXPECT_EQ(out[2].topic_seq, 1u);
-  EXPECT_EQ(out[3].topic_seq, 2u);
+  ASSERT_EQ(out.size(), 5u);
+  // Priority 5 first (publisher 0 in publication order, then publisher
+  // 1), then priority 1 (publisher 0 before 2).
+  EXPECT_EQ(out[0].a, 13u);
+  EXPECT_EQ(out[1].a, 11u);
+  EXPECT_EQ(out[2].a, 20u);
+  EXPECT_EQ(out[3].a, 10u);
+  EXPECT_EQ(out[4].a, 42u);
+  EXPECT_EQ(out[2].from, 1);
+  EXPECT_EQ(out[2].topic, Topic::kHandoff);
 }
 
 TEST(MessageBus, CapacityDisplacesLowestPriorityNewest) {
   MessageBus::Params bp;
   bp.capacity = 2;
-  bp.max_deliveries_per_commit = 1;
   MessageBus bus{bp, 1};
-  bus.publish(0, {Topic::kPacket, 0, -1, 1, 0, 1});
-  bus.publish(0, {Topic::kPacket, 0, -1, 1, 0, 2});
-  bus.publish(0, {Topic::kPacket, 0, -1, 9, 0, 3});
+  bus.publish(0, {.topic = Topic::kPacket, .priority = 1, .a = 1});
+  bus.publish(0, {.topic = Topic::kPacket, .priority = 1, .a = 2});
+  bus.publish(0, {.topic = Topic::kPacket, .priority = 9, .a = 3});
   bus.commit();
-  // Backlog of 3 exceeds capacity 2: the lowest-priority NEWEST entry
-  // (a=2) is displaced; the high-priority message is delivered first.
+  // Three messages exceed capacity 2: the lowest-priority NEWEST (a=2) is
+  // displaced and the rest are delivered, highest priority first.
   const auto& out = bus.drain();
-  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].a, 3u);
-  EXPECT_EQ(bus.stats().displaced, 1u);
-  bus.commit();
-  ASSERT_EQ(bus.drain().size(), 1u);
-  EXPECT_EQ(bus.drain()[0].a, 1u);
-}
-
-TEST(MessageBus, TtlExpiresUndeliveredMessages) {
-  MessageBus::Params bp;
-  bp.max_deliveries_per_commit = 1;
-  bp.default_ttl_epochs = 2;
-  MessageBus bus{bp, 1};
-  bus.publish(0, {Topic::kPacket, 0, -1, 1, 0, 1});
-  bus.publish(0, {Topic::kPacket, 0, -1, 1, 0, 2});
-  bus.publish(0, {Topic::kPacket, 0, -1, 1, 0, 3});
-  bus.commit();  // delivers 1; {2,3} wait with ttl=2
-  bus.commit();  // ages to 1, delivers 2; {3} waits with ttl=1
-  bus.commit();  // ages 3 to 0 -> expired; nothing left
-  EXPECT_EQ(bus.drain().size(), 0u);
+  EXPECT_EQ(out[1].a, 1u);
+  EXPECT_EQ(bus.stats().published, 3u);
   EXPECT_EQ(bus.stats().delivered, 2u);
-  EXPECT_EQ(bus.stats().expired, 1u);
-  EXPECT_EQ(bus.stats().depth, 0u);
+  EXPECT_EQ(bus.stats().displaced, 1u);
+  // Nothing is held across commits: an empty epoch delivers nothing.
+  bus.commit();
+  EXPECT_TRUE(bus.drain().empty());
+  EXPECT_EQ(bus.stats().delivered, 2u);
+  EXPECT_EQ(bus.stats().displaced, 1u);
+  EXPECT_EQ(bus.stats().expired, 0u);
 }
 
 TEST(MessageBus, SimultaneousReportsTieBreakByPublisherId) {
@@ -96,8 +85,9 @@ TEST(MessageBus, SimultaneousReportsTieBreakByPublisherId) {
   // must order them identically every run — publisher id ascending — so
   // the dedup admits reader 1's report and suppresses reader 3's.
   MessageBus bus{{}, 4};
-  bus.publish(3, {Topic::kPacket, 0, -1, 1, 0, /*tag*/ 7, /*slot*/ 100});
-  bus.publish(1, {Topic::kPacket, 0, -1, 1, 0, 7, 100});
+  bus.publish(3, {.topic = Topic::kPacket, .priority = 1, .a = /*tag*/ 7,
+                  .b = /*slot*/ 100});
+  bus.publish(1, {.topic = Topic::kPacket, .priority = 1, .a = 7, .b = 100});
   bus.commit();
   const auto& out = bus.drain();
   ASSERT_EQ(out.size(), 2u);
