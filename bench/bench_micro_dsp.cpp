@@ -62,27 +62,20 @@ static void BM_FirFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_FirFilter)->Arg(65)->Arg(129)->Arg(257);
 
-static void BM_DdcFullRate(benchmark::State& state) {
-  dsp::Ddc ddc{dsp::Ddc::Params{}};
-  sim::Rng rng{4};
-  std::vector<double> block(16384);
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    block[i] = std::cos(2.0 * 3.14159 * 90e3 * i / 500e3) + rng.normal() * 0.01;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ddc.process(block));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(block.size()));
-}
-BENCHMARK(BM_DdcFullRate);
-
 // ----------------------------------------------------- policy pairs
 
 namespace {
 
+// The DDC shapes the front halves run, keyed by decimation: RxChain at
+// 375 chip/s (D = 16, cutoff 3.5 chip rates), the FDMA main DDC of
+// fleet4x3 (D = 8) and of fdma32_grid (D = 4, cutoff above the 32nd
+// subcarrier).
 void ddc_policy_bench(benchmark::State& state, dsp::KernelPolicy policy) {
   dsp::Ddc::Params p;
+  p.decimation = static_cast<std::size_t>(state.range(0));
+  p.cutoff_hz = p.decimation == 16  ? 1312.5
+                : p.decimation == 8 ? 7125.0
+                                    : 51000.0;
   p.kernels = policy;
   dsp::Ddc ddc{p};
   sim::Rng rng{4};
@@ -157,12 +150,12 @@ void fdma_policy_bench(benchmark::State& state, dsp::KernelPolicy policy) {
 static void BM_DdcScalar(benchmark::State& state) {
   ddc_policy_bench(state, dsp::KernelPolicy::kScalar);
 }
-BENCHMARK(BM_DdcScalar);
+BENCHMARK(BM_DdcScalar)->Arg(16)->Arg(8)->Arg(4);
 
 static void BM_DdcSimd(benchmark::State& state) {
   ddc_policy_bench(state, dsp::KernelPolicy::kSimd);
 }
-BENCHMARK(BM_DdcSimd);
+BENCHMARK(BM_DdcSimd)->Arg(16)->Arg(8)->Arg(4);
 
 // ----------------------------------------------- bank-policy scaling
 

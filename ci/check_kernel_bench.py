@@ -33,8 +33,11 @@ import sys
 
 import sidecar
 
+# One DDC pair per shape a front half runs (BM_Ddc*/<decimation>).
 SCALAR_SIMD_PAIRS = [
-    ("BM_DdcScalar.real_time", "BM_DdcSimd.real_time"),
+    (f"BM_DdcScalar/{d}.real_time", f"BM_DdcSimd/{d}.real_time")
+    for d in (16, 8, 4)
+] + [
     ("BM_FdmaBankScalar.real_time", "BM_FdmaBankSimd.real_time"),
 ]
 

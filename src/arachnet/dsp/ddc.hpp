@@ -7,7 +7,6 @@
 
 #include "arachnet/dsp/fir.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
-#include "arachnet/dsp/kernels/simd/stages.hpp"
 
 namespace arachnet::dsp {
 
@@ -21,9 +20,13 @@ namespace arachnet::dsp {
 ///
 /// Two implementations live behind Params::kernels (see KernelPolicy):
 /// the scalar reference path (per-sample cos/sin mixer + streaming FIR)
-/// and the simd path (float32 vector lanes with runtime ISA dispatch,
-/// double accumulation at the decimation points), which matches it to
-/// float32 tolerance. The decimation grid is identical across both.
+/// and the simd path, which filters first and mixes after: for real
+/// input, y[M] = e^{-jwM} * sum_k (h[k] e^{jwk}) x[M-k], so complex
+/// band-pass taps run over a real float32 history at the decimation
+/// instants only, and a double phasor rotates each output to baseband.
+/// It matches the scalar path to float32 tolerance, and the decimation
+/// grid is identical across both. The carrier is fixed at construction:
+/// the band-pass taps are designed for it.
 class Ddc {
  public:
   struct Params {
@@ -52,32 +55,31 @@ class Ddc {
     return params_.sample_rate_hz / static_cast<double>(params_.decimation);
   }
 
-  /// Adjusts the NCO (e.g. after frequency-offset calibration). Phase is
-  /// continuous across the change.
-  void set_carrier(double hz) noexcept;
-
   /// Raw samples consumed since the last decimated output, in
   /// [0, decimation) — lets block consumers map each produced IQ sample
   /// back to the exact raw-sample index that emitted it.
-  std::size_t decimation_phase() const noexcept {
-    return params_.kernels == KernelPolicy::kSimd ? decimator_s_.phase()
-                                                  : decim_count_;
-  }
+  std::size_t decimation_phase() const noexcept { return decim_count_; }
 
   void reset();
 
   const Params& params() const noexcept { return params_; }
 
  private:
+  std::size_t process_simd(std::span<const double> in,
+                           std::vector<std::complex<double>>& out);
+
   Params params_;
-  FirFilter<std::complex<double>> lpf_;    ///< scalar-path filter state
-  double phase_ = 0.0;
-  double phase_step_ = 0.0;
-  std::size_t decim_count_ = 0;
-  // Simd path: float32 lanes, interleaved mix scratch, double outputs.
-  simd::SimdNco nco_s_;
-  simd::FirSimdDecimator decimator_s_;
-  std::vector<float> mixed_f_;
+  double phase_step_ = 0.0;      ///< carrier phase per raw sample, rad
+  double phase_ = 0.0;           ///< carrier phase of the next raw sample
+  std::size_t decim_count_ = 0;  ///< raw samples since the last output
+  /// Scalar path: the low-pass over the mixed stream (empty under kSimd).
+  FirFilter<std::complex<double>> lpf_;
+  // Simd path (empty under kScalar): the band-pass taps h[k]·e^{jwk} in
+  // window order, zero-padded in front to a multiple of 8, and the real
+  // float32 history (the window's past samples plus one chunk).
+  std::vector<float> taps_re_;
+  std::vector<float> taps_im_;
+  std::vector<float> hist_;
 };
 
 /// Estimates a small carrier-frequency offset from decimated IQ: the slope

@@ -11,7 +11,12 @@ std::vector<double> design_lowpass(double cutoff_hz, double sample_rate_hz,
   if (taps % 2 == 0 || taps < 3) {
     throw std::invalid_argument("design_lowpass: taps must be odd and >= 3");
   }
-  if (cutoff_hz <= 0.0 || cutoff_hz >= sample_rate_hz / 2.0) {
+  if (!std::isfinite(sample_rate_hz) || !(sample_rate_hz > 0.0)) {
+    throw std::invalid_argument(
+        "design_lowpass: sample rate must be finite and positive");
+  }
+  // Written so that a NaN cutoff fails: both comparisons are false.
+  if (!(cutoff_hz > 0.0 && cutoff_hz < sample_rate_hz / 2.0)) {
     throw std::invalid_argument("design_lowpass: cutoff out of range");
   }
   const double fc = cutoff_hz / sample_rate_hz;  // normalized

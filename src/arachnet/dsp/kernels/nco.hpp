@@ -36,8 +36,8 @@ class PhasorNco {
     set_step(step_rad);
   }
 
-  /// Changes the per-sample step while keeping the current phase —
-  /// mid-stream retunes (e.g. Ddc::set_carrier) stay phase-continuous.
+  /// Changes the per-sample step while keeping the current phase, so a
+  /// mid-stream retune stays phase-continuous.
   void set_step(double step_rad) noexcept {
     rot_ = cplx{std::cos(step_rad), std::sin(step_rad)};
   }

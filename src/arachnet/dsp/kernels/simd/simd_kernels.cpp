@@ -14,10 +14,10 @@ namespace generic_impl {
 #define ARACHNET_SIMD_FN static
 #include "arachnet/dsp/kernels/simd/simd_kernels_impl.inc"
 #undef ARACHNET_SIMD_FN
-constexpr KernelTable kTable{"generic",       &mix_real_cf32,
-                             &mix_cplx_cf32,  &fir_block_cf32,
-                             &fir_decim_cf32, &fft_dif_cf32,
-                             &chzr_bucket_cf32, &chzr_fold_f64};
+constexpr KernelTable kTable{"generic",         &mix_cplx_cf32,
+                             &fir_block_cf32,   &ddc_bandpass_f32,
+                             &fft_dif_cf32,     &chzr_bucket_cf32,
+                             &chzr_fold_f64};
 }  // namespace generic_impl
 
 // AVX2 tier: identical source, instantiated with per-function target
@@ -30,10 +30,10 @@ namespace avx2_impl {
 #define ARACHNET_SIMD_FN static __attribute__((target("avx2,fma")))
 #include "arachnet/dsp/kernels/simd/simd_kernels_impl.inc"
 #undef ARACHNET_SIMD_FN
-constexpr KernelTable kTable{"avx2",          &mix_real_cf32,
-                             &mix_cplx_cf32,  &fir_block_cf32,
-                             &fir_decim_cf32, &fft_dif_cf32,
-                             &chzr_bucket_cf32, &chzr_fold_f64};
+constexpr KernelTable kTable{"avx2",            &mix_cplx_cf32,
+                             &fir_block_cf32,   &ddc_bandpass_f32,
+                             &fft_dif_cf32,     &chzr_bucket_cf32,
+                             &chzr_fold_f64};
 }  // namespace avx2_impl
 #endif
 

@@ -29,14 +29,11 @@ struct KernelTable {
   /// "generic" or "avx2" (matches cpu_dispatch).
   const char* isa;
 
-  /// out[k] = in[k] * lane phasor, real input. Lanes advance by
-  /// (rre,rim) every 8 samples; the tail (n % 8) uses the current lane
-  /// values without advancing. Callers reseed lanes per chunk from
-  /// double phase, so in-block float32 drift never accumulates.
-  void (*mix_real_cf32)(const double* in, std::size_t n, const float* lre,
-                        const float* lim, float rre, float rim, float* out);
-
-  /// Same recurrence over complex<double> input (the FDMA channel mixer).
+  /// out[k] = in[k] * lane phasor over complex<double> input (the FDMA
+  /// channel mixer). Lanes advance by (rre,rim) every 8 samples; the tail
+  /// (n % 8) uses the current lane values without advancing. Callers
+  /// reseed lanes per chunk from double phase, so in-block float32 drift
+  /// never accumulates.
   void (*mix_cplx_cf32)(const std::complex<double>* in, std::size_t n,
                         const float* lre, const float* lim, float rre,
                         float rim, float* out);
@@ -46,11 +43,21 @@ struct KernelTable {
   void (*fir_block_cf32)(const float* win, const float* hd, std::size_t taps,
                          std::size_t nout, float* out);
 
-  /// Decimating variant writing complex<double>: `count` outputs, the
-  /// j-th at window sample offset first + j*decim.
-  void (*fir_decim_cf32)(const float* win, const float* hd, std::size_t taps,
-                         std::size_t first, std::size_t decim,
-                         std::size_t count, std::complex<double>* out);
+  /// Band-pass decimating core of the Ddc (filter, then mix). On entry
+  /// hist[0, taps-1) holds past samples, oldest first, with room for n
+  /// more behind them. The kernel narrows in[0, n) to float32 into
+  /// hist[taps-1, taps-1+n), writes `count` outputs over the windows
+  /// w_j = hist + first + j*decim,
+  ///   out[j] = {sum_i gre[i]*w_j[i], sum_i gim[i]*w_j[i]}, i < taps,
+  /// and moves the taps-1 newest samples back to the front of hist. The
+  /// complex taps gre/gim are in window order (oldest sample first) and
+  /// `taps` is a multiple of 8. Lanes accumulate in float32 and are
+  /// summed in double.
+  void (*ddc_bandpass_f32)(const double* in, std::size_t n, float* hist,
+                           const float* gre, const float* gim,
+                           std::size_t taps, std::size_t first,
+                           std::size_t decim, std::size_t count,
+                           std::complex<double>* out);
 
   /// In-place float32 forward FFT of n (a power of two) interleaved
   /// complex samples, radix-2 decimation in frequency: the input is in

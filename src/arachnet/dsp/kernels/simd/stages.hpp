@@ -33,31 +33,11 @@ class SimdNco {
     step_ = step_rad;
   }
 
-  /// Changes the per-sample step keeping the current phase (mid-stream
-  /// retunes stay phase-continuous, as with PhasorNco::set_step).
-  void set_step(double step_rad) noexcept { step_ = step_rad; }
-
   double phase() const noexcept { return phase_; }
   double step() const noexcept { return step_; }
 
-  /// out[i] = in[i] * e^{j*phase_i}, real input, interleaved float32 out.
-  void mix_real(const double* in, float* out, std::size_t n) {
-    const KernelTable& k = kernels();
-    std::size_t off = 0;
-    while (off < n) {
-      const std::size_t len = std::min(kChunk, n - off);
-      float lre[8];
-      float lim[8];
-      float rre;
-      float rim;
-      seed(lre, lim, rre, rim);
-      k.mix_real_cf32(in + off, len, lre, lim, rre, rim, out + 2 * off);
-      advance(len);
-      off += len;
-    }
-  }
-
-  /// out[i] = in[i] * e^{j*phase_i}, complex<double> input.
+  /// out[i] = in[i] * e^{j*phase_i}, complex<double> input, interleaved
+  /// float32 out.
   void mix(const std::complex<double>* in, float* out, std::size_t n) {
     const KernelTable& k = kernels();
     std::size_t off = 0;
@@ -150,66 +130,6 @@ class FirSimdFilter {
   std::vector<float> hd_;
   std::size_t taps_;
   std::vector<float> work_;  ///< interleaved history between calls
-};
-
-/// float32 decimating FIR writing complex<double> outputs (the decimated
-/// stream feeds double-precision decision chains downstream). Output
-/// alignment matches the scalar Ddc decimation grid exactly: with
-/// phase() samples consumed since the last output, the next fires after
-/// decimation - phase() further samples.
-class FirSimdDecimator {
- public:
-  FirSimdDecimator(const std::vector<double>& coeffs, std::size_t decimation)
-      : hd_(duplicate_reversed(coeffs)),
-        taps_(coeffs.size()),
-        decimation_(decimation) {
-    if (taps_ == 0) {
-      throw std::invalid_argument("FirSimdDecimator: empty coefficients");
-    }
-    if (decimation_ == 0) {
-      throw std::invalid_argument(
-          "FirSimdDecimator: decimation must be >= 1");
-    }
-    work_.assign(2 * (taps_ - 1), 0.0f);
-  }
-
-  /// Consumes n interleaved complex float32 samples, writes the
-  /// decimation survivors (caller provides n / decimation + 1 slots).
-  /// Returns the number written.
-  std::size_t process(const float* in, std::size_t n,
-                      std::complex<double>* out) {
-    work_.resize(2 * (taps_ - 1 + n));
-    std::copy(in, in + 2 * n,
-              work_.begin() + static_cast<std::ptrdiff_t>(2 * (taps_ - 1)));
-    const std::size_t first = decimation_ - 1 - phase_;
-    std::size_t count = 0;
-    if (first < n) count = (n - first + decimation_ - 1) / decimation_;
-    kernels().fir_decim_cf32(work_.data(), hd_.data(), taps_, first,
-                             decimation_, count, out);
-    phase_ = (phase_ + n) % decimation_;
-    std::copy(work_.end() - static_cast<std::ptrdiff_t>(2 * (taps_ - 1)),
-              work_.end(), work_.begin());
-    work_.resize(2 * (taps_ - 1));
-    return count;
-  }
-
-  void reset() {
-    work_.assign(2 * (taps_ - 1), 0.0f);
-    phase_ = 0;
-  }
-
-  std::size_t taps() const noexcept { return taps_; }
-  std::size_t decimation() const noexcept { return decimation_; }
-
-  /// Samples consumed since the last emitted output, in [0, decimation).
-  std::size_t phase() const noexcept { return phase_; }
-
- private:
-  std::vector<float> hd_;
-  std::size_t taps_;
-  std::size_t decimation_;
-  std::vector<float> work_;  ///< interleaved history between calls
-  std::size_t phase_ = 0;
 };
 
 }  // namespace arachnet::dsp::simd

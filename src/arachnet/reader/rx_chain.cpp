@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <optional>
+#include <stdexcept>
 
 namespace arachnet::reader {
 namespace {
@@ -14,6 +15,12 @@ constexpr std::size_t kLeakWarmupSamples = 300;
 constexpr double kLeakWarmupAlpha = 0.05;
 
 dsp::Ddc::Params resolve_ddc(const RxChain::Params& p) {
+  // Checked first: the cutoff below and the per-chip rule divide by or
+  // scale with it.
+  if (!std::isfinite(p.chip_rate) || p.chip_rate <= 0.0) {
+    throw std::invalid_argument(
+        "RxChain: chip_rate must be finite and positive");
+  }
   dsp::Ddc::Params ddc = p.ddc;
   ddc.cutoff_hz = std::clamp(3.5 * p.chip_rate, 1.5e3, 12.5e3);
   return ddc;

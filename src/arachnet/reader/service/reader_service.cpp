@@ -101,11 +101,11 @@ std::optional<SessionId> ReaderService::open_session(SessionConfig cfg) {
     return std::nullopt;
   }
   scavenge_locked();
+  Session* victim = nullptr;
   if (active_ >= max_sessions_) {
     // Over budget: shed the lowest-priority active session, newest on a
     // tie (established sessions outrank latecomers of equal priority) —
     // but only for a strictly higher-priority newcomer.
-    Session* victim = nullptr;
     for (auto& [sid, s] : sessions_) {
       if (s->closed.load(std::memory_order_relaxed)) continue;
       if (victim == nullptr || s->cfg.priority < victim->cfg.priority ||
@@ -118,19 +118,23 @@ std::optional<SessionId> ReaderService::open_session(SessionConfig cfg) {
       if (c_admission_rejected_ != nullptr) c_admission_rejected_->add();
       return std::nullopt;
     }
-    shed_locked(victim);
   }
-  const SessionId id = next_id_++;
+  // Build the newcomer before shedding anyone: a config its RxChain
+  // rejects throws here, leaving every session, active_ and the free-slot
+  // pool as they were.
+  const SessionId id = next_id_;
   std::unique_ptr<Session> slot;
   if (!free_slots_.empty()) {
+    free_slots_.back()->reset(id, std::move(cfg));
     slot = std::move(free_slots_.back());
     free_slots_.pop_back();
-    slot->reset(id, std::move(cfg));
     slots_reused_.fetch_add(1, std::memory_order_relaxed);
     if (c_slots_reused_ != nullptr) c_slots_reused_->add();
   } else {
     slot = std::make_unique<Session>(id, std::move(cfg));
   }
+  ++next_id_;
+  if (victim != nullptr) shed_locked(victim);
   sessions_.emplace(id, std::move(slot));
   ++active_;
   if (g_active_ != nullptr) g_active_->set(static_cast<double>(active_));

@@ -86,15 +86,17 @@ struct Session {
   Session& operator=(const Session&) = delete;
 
   /// Re-arms the slot for a new occupant. Requires: closed, no blocks in
-  /// flight, output drained (the service's reap conditions).
+  /// flight, output drained (the service's reap conditions). Throws what
+  /// the RxChain constructor throws, before the slot takes the new id or
+  /// config.
   void reset(SessionId new_id, SessionConfig new_cfg) {
-    id = new_id;
-    cfg = new_cfg;
     // Service sessions stream: no MAC collision detector, no iq_points()
     // surface. Retention would grow per-session IQ history without bound
     // and allocate in the steady state, so it is forced off here.
-    cfg.chain.retain_iq_points = false;
-    chain.emplace(cfg.chain);
+    new_cfg.chain.retain_iq_points = false;
+    chain.emplace(new_cfg.chain);
+    id = new_id;
+    cfg = new_cfg;
     if (!output || output->capacity() != cfg.output_capacity) {
       output = std::make_unique<dsp::RingBuffer<RxPacket>>(
           cfg.output_capacity);

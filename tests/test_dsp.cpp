@@ -109,6 +109,13 @@ TEST(Fir, DesignValidation) {
   EXPECT_THROW(design_lowpass(5e3, 500e3, 128), std::invalid_argument);
   EXPECT_THROW(design_lowpass(0.0, 500e3, 129), std::invalid_argument);
   EXPECT_THROW(design_lowpass(300e3, 500e3, 129), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(design_lowpass(nan, 500e3, 129), std::invalid_argument);
+  EXPECT_THROW(design_lowpass(5e3, nan, 129), std::invalid_argument);
+  EXPECT_THROW(design_lowpass(5e3, -500e3, 129), std::invalid_argument);
+  EXPECT_THROW(design_lowpass(5e3, std::numeric_limits<double>::infinity(),
+                              129),
+               std::invalid_argument);
 }
 
 TEST(Fir, ProcessInPlaceMatchesPush) {
@@ -186,10 +193,27 @@ TEST(Ddc, DecimationRatio) {
   EXPECT_EQ(iq.size(), 100u);
 }
 
-TEST(Ddc, RejectsZeroDecimation) {
-  Ddc::Params p;
-  p.decimation = 0;
-  EXPECT_THROW(Ddc{p}, std::invalid_argument);
+TEST(Ddc, RejectsInvalidParams) {
+  // The simd path designs its band-pass taps from the carrier and the
+  // rate: a NaN there would silently yield an all-NaN filter.
+  for (const auto policy : {KernelPolicy::kScalar, KernelPolicy::kSimd}) {
+    Ddc::Params p;
+    p.kernels = policy;
+    p.decimation = 0;
+    EXPECT_THROW(Ddc{p}, std::invalid_argument);
+    p.decimation = 16;
+    p.carrier_hz = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(Ddc{p}, std::invalid_argument);
+    p.carrier_hz = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(Ddc{p}, std::invalid_argument);
+    p.carrier_hz = 90e3;
+    for (const double rate : {0.0, -500e3,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+      p.sample_rate_hz = rate;
+      EXPECT_THROW(Ddc{p}, std::invalid_argument) << "rate " << rate;
+    }
+  }
 }
 
 // ------------------------------------------------------------- Level logic

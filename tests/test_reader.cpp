@@ -8,6 +8,8 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -345,6 +347,25 @@ TEST(RxChain, ResetClearsState) {
   // Chain still works after reset.
   rx.process(h.synth.synthesize({h.source(pkt, 0.2, 375.0)}, 0.3, h.rng));
   EXPECT_EQ(rx.packets().size(), 1u);
+}
+
+TEST(RxChain, RejectsChipRateThatIsNotFiniteAndPositive) {
+  // Checked before anything is built from it: at 0 the per-chip rule
+  // would cast +inf samples per chip to an integer, and NaN would design
+  // an all-NaN DDC.
+  for (const double rate : {0.0, -375.0,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    RxChain::Params p;
+    p.chip_rate = rate;
+    try {
+      RxChain rx{p};
+      ADD_FAILURE() << "accepted chip_rate " << rate;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("chip_rate"), std::string::npos)
+          << "got: " << e.what();
+    }
+  }
 }
 
 TEST(RxChain, AmbientVehicleVibrationDoesNotBreakDecoding) {

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -300,6 +302,53 @@ TEST(ReaderService, AdmissionRejectsBeyondBudgetAndShedsForPriority) {
   };
   EXPECT_EQ(counter("session.admission_rejected"), 1u);
   EXPECT_EQ(counter("session.shed"), 1u);
+}
+
+TEST(ReaderService, OpenThatThrowsShedsNothingAndKeepsTheSlotPool) {
+  ReaderService::Params params;
+  params.workers = 1;
+  params.sessions_per_core = 2.0;  // cap: 2 active sessions
+  ReaderService svc{params};
+  svc.start();
+
+  SessionConfig low;
+  low.priority = 1;
+  const auto a = svc.open_session(low);
+  const auto spare = svc.open_session(low);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(spare.has_value());
+  ASSERT_TRUE(svc.close_session(*spare));
+  while (svc.wait_packet(*spare).has_value()) {
+  }  // drain to make the slot reapable
+
+  // Under budget: the reaped slot is re-armed for a config its RxChain
+  // rejects. The open throws, and the slot stays in the pool.
+  SessionConfig bad_rate;
+  bad_rate.priority = 9;
+  bad_rate.chain.chip_rate = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(svc.open_session(bad_rate), std::invalid_argument);
+  EXPECT_EQ(svc.stats().active_sessions, 1u);
+  const auto b = svc.open_session(low);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(svc.stats().slots_reused, 1u);
+
+  // Over budget: the newcomer outranks b, but its chain throws before
+  // anything is shed.
+  SessionConfig bad_ddc;
+  bad_ddc.priority = 9;
+  bad_ddc.chain.ddc.decimation = 0;
+  EXPECT_THROW(svc.open_session(bad_ddc), std::invalid_argument);
+  EXPECT_EQ(svc.stats().sessions_shed, 0u);
+  EXPECT_EQ(svc.stats().active_sessions, 2u);
+  EXPECT_TRUE(svc.submit(*a, std::vector<double>(16, 0.0)));
+  EXPECT_TRUE(svc.submit(*b, std::vector<double>(16, 0.0)));
+
+  // A valid priority-9 newcomer still sheds exactly one session.
+  SessionConfig high;
+  high.priority = 9;
+  ASSERT_TRUE(svc.open_session(high).has_value());
+  EXPECT_EQ(svc.stats().sessions_shed, 1u);
+  EXPECT_EQ(svc.stats().active_sessions, 2u);
 }
 
 TEST(ReaderService, PriorityDisplacementUnderFullDispatchQueue) {

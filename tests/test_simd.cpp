@@ -3,8 +3,9 @@
 // clamp, the float32 SimdNco against a long-double phase reference over
 // 10^8 samples and at near-Nyquist steps, and the float32 FIR stages
 // against the scalar FirFilter (including denormal and NaN blocks). Then
-// the parity contract, KernelParity.*: Ddc, synthesizer and
-// channelizer outputs agree to float32 tolerance, and — the load-bearing
+// the parity contract, KernelParity.*: Ddc (every shape a front half runs,
+// split calls, non-finite bursts), synthesizer and channelizer outputs
+// agree to float32 tolerance, and — the load-bearing
 // guarantee — RxChain and the FDMA bank (both bank modes, 4 to 32
 // channels) decode the identical packets under both policies, on the
 // hardware tier and on the forced portable tier. Last, DecisionPin.*
@@ -106,18 +107,18 @@ cplx reference_phasor(double phase0, double step, std::size_t index) {
 TEST(SimdNco, PhaseStaysLockedOverHundredMillionSamples) {
   // The drift requirement behind the per-chunk reseed: after >= 10^8
   // samples the oscillator must still be phase-locked — float32 lane
-  // error must not accumulate across chunks. Unit input makes the output
-  // the bare phasor.
+  // error must not accumulate across chunks. Unit complex input makes the
+  // output the bare phasor.
   const double phase0 = 0.25;
-  const double step = -2.0 * kPi * 90e3 / 500e3;  // the DDC carrier step
+  const double step = -2.0 * kPi * 90e3 / 500e3;  // the 90 kHz carrier step
   dsp::simd::SimdNco nco{phase0, step};
   constexpr std::size_t kBlockLen = 1u << 16;
   constexpr std::size_t kTarget = 100'000'000;
-  std::vector<double> in(kBlockLen, 1.0);
+  const std::vector<cplx> in(kBlockLen, cplx{1.0, 0.0});
   std::vector<float> out(2 * kBlockLen);
   std::size_t done = 0;
   while (done < kTarget) {
-    nco.mix_real(in.data(), out.data(), kBlockLen);
+    nco.mix(in.data(), out.data(), kBlockLen);
     done += kBlockLen;
   }
   ASSERT_GE(done, kTarget);
@@ -149,11 +150,11 @@ TEST(SimdNco, NearNyquistStepStaysAccurate) {
   const double step = 2.0 * kPi * 0.49;
   dsp::simd::SimdNco nco{phase0, step};
   constexpr std::size_t kBlockLen = 1u << 15;
-  std::vector<double> in(kBlockLen, 1.0);
+  const std::vector<cplx> in(kBlockLen, cplx{1.0, 0.0});
   std::vector<float> out(2 * kBlockLen);
   std::size_t base = 0;
   for (int block = 0; block < 64; ++block) {  // ~2.1M samples
-    nco.mix_real(in.data(), out.data(), kBlockLen);
+    nco.mix(in.data(), out.data(), kBlockLen);
     for (std::size_t k = 0; k < kBlockLen; k += 509) {
       const cplx want = reference_phasor(phase0, step, base + k);
       ASSERT_NEAR(out[2 * k], want.real(), 2e-3) << "sample " << base + k;
@@ -229,40 +230,6 @@ TEST(FirSimd, FilterInPlaceMatchesOutOfPlace) {
   EXPECT_EQ(x, out);
 }
 
-TEST(FirSimd, DecimatorMatchesScalarDecimationGrid) {
-  const auto coeffs = dsp::design_lowpass(6e3, 500e3, 129);
-  const std::size_t decim = 8;
-  dsp::FirFilter<cplx> ref{coeffs};
-  dsp::simd::FirSimdDecimator simd{coeffs, decim};
-  sim::Rng rng{34};
-  std::size_t count = 0;
-  std::vector<cplx> in;
-  // Chunks smaller than, equal to, and coprime with the decimation: the
-  // survivor grid and phase must match the scalar feed/value decimator
-  // (the Ddc's kScalar path) exactly.
-  for (std::size_t n : {1u, 5u, 7u, 8u, 9u, 777u, 4096u}) {
-    in.resize(n);
-    for (auto& v : in) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-    std::vector<cplx> want;
-    for (const cplx& s : in) {
-      ref.feed(s);
-      if (++count >= decim) {
-        count = 0;
-        want.push_back(ref.value());
-      }
-    }
-    const auto in_f = to_interleaved(in);
-    std::vector<cplx> got(n / decim + 1);
-    const std::size_t got_n = simd.process(in_f.data(), n, got.data());
-    ASSERT_EQ(got_n, want.size()) << "chunk " << n;
-    ASSERT_EQ(simd.phase(), count) << "chunk " << n;
-    for (std::size_t i = 0; i < got_n; ++i) {
-      EXPECT_NEAR(got[i].real(), want[i].real(), 1e-4) << "chunk " << n;
-      EXPECT_NEAR(got[i].imag(), want[i].imag(), 1e-4) << "chunk " << n;
-    }
-  }
-}
-
 TEST(FirSimd, DenormalBlocksStayFiniteAndTiny) {
   // A block of float32 denormals must neither trap nor produce garbage:
   // outputs are finite and essentially zero (flush-to-zero is fine).
@@ -278,14 +245,26 @@ TEST(FirSimd, DenormalBlocksStayFiniteAndTiny) {
     ASSERT_TRUE(std::isfinite(v));
     ASSERT_LE(std::abs(v), 1e-30f);
   }
-  // Same through the oscillator on subnormal doubles.
+  // Same through the oscillator on subnormal complex doubles...
   dsp::simd::SimdNco nco{0.3, 1.1};
-  std::vector<double> tiny(256, 1e-310);
+  const std::vector<cplx> tiny(256, cplx{1e-310, -1e-310});
   std::vector<float> mixed(2 * tiny.size());
-  nco.mix_real(tiny.data(), mixed.data(), tiny.size());
+  nco.mix(tiny.data(), mixed.data(), tiny.size());
   for (float v : mixed) {
     ASSERT_TRUE(std::isfinite(v));
     ASSERT_LE(std::abs(v), 1e-30f);
+  }
+  // ...and through the simd Ddc, which narrows raw doubles to float32.
+  dsp::Ddc::Params p;
+  p.kernels = dsp::KernelPolicy::kSimd;
+  dsp::Ddc ddc{p};
+  std::vector<double> raw(4096);
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    raw[i] = (i % 3 ? 1e-310 : -1e-42);
+  }
+  for (const cplx& v : ddc.process(raw)) {
+    ASSERT_TRUE(std::isfinite(v.real()) && std::isfinite(v.imag()));
+    ASSERT_LE(std::abs(v), 1e-30);
   }
 }
 
@@ -327,35 +306,151 @@ TEST(FirSimd, NanBlockFlushesInsteadOfPoisoningState) {
 // bound that with an order of magnitude to spare.
 constexpr double kSimdTimeTol = 256e-6;
 
-dsp::Ddc::Params ddc_params(dsp::KernelPolicy policy) {
+// The DDC shapes the front halves run: RxChain at 375 chip/s (the cutoff
+// follows the chip rate), the FDMA banks' main DDC on fleet4x3 (D = 8)
+// and fdma32_grid (D = 4, the cutoff above the 32nd subcarrier), and the
+// default shape mixed down from a negative carrier.
+struct DdcShape {
+  std::size_t decimation;
+  double cutoff_hz;
+  double carrier_hz;
+};
+constexpr DdcShape kDdcShapes[] = {
+    {16, 1312.5, 90e3}, {8, 7125.0, 90e3}, {4, 51000.0, 90e3},
+    {16, 6e3, -90e3}};
+
+dsp::Ddc::Params ddc_params(dsp::KernelPolicy policy, const DdcShape& shape) {
   dsp::Ddc::Params p;
+  p.decimation = shape.decimation;
+  p.cutoff_hz = shape.cutoff_hz;
+  p.carrier_hz = shape.carrier_hz;
   p.kernels = policy;
   return p;
 }
 
-TEST(KernelParity, DdcSimdMatchesScalarIq) {
-  dsp::Ddc scalar{ddc_params(dsp::KernelPolicy::kScalar)};
-  dsp::Ddc simd{ddc_params(dsp::KernelPolicy::kSimd)};
+// A 90 kHz carrier with a little noise (output RMS about 0.5).
+std::vector<double> ddc_input(std::size_t n, sim::Rng& rng) {
+  std::vector<double> in(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    in[i] = std::cos(1.13 * static_cast<double>(i)) + rng.normal(0.0, 0.01);
+  }
+  return in;
+}
+
+std::string shape_name(const DdcShape& shape) {
+  return "D=" + std::to_string(shape.decimation) + " cutoff " +
+         std::to_string(shape.cutoff_hz) + " carrier " +
+         std::to_string(shape.carrier_hz);
+}
+
+// Feeds a scalar and a simd Ddc of one shape the same chunks and checks
+// the decimation grid, decimation_phase() and the IQ after every chunk.
+void expect_ddc_parity(const DdcShape& shape) {
+  dsp::Ddc scalar{ddc_params(dsp::KernelPolicy::kScalar, shape)};
+  dsp::Ddc simd{ddc_params(dsp::KernelPolicy::kSimd, shape)};
   sim::Rng rng{13};
-  std::vector<double> in;
   std::vector<cplx> iq_s, iq_v;
   // An empty chunk, then chunks below, at, and coprime with the
-  // decimation of 16.
-  for (std::size_t n : {0u, 3u, 16u, 17u, 999u, 20000u}) {
-    in.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      in[i] = std::cos(1.13 * static_cast<double>(i)) +
-              rng.normal(0.0, 0.01);
-    }
+  // decimation, and a chunk longer than the kernel's.
+  const std::size_t d = shape.decimation;
+  for (std::size_t n : {std::size_t{0}, std::size_t{3}, d, d + 1,
+                        std::size_t{999}, std::size_t{20000}}) {
+    const auto in = ddc_input(n, rng);
     iq_s.clear();
     iq_v.clear();
     const std::size_t got_s = scalar.process(std::span<const double>{in}, iq_s);
     const std::size_t got_v = simd.process(std::span<const double>{in}, iq_v);
     ASSERT_EQ(got_v, got_s) << "chunk " << n;
-    ASSERT_EQ(simd.decimation_phase(), scalar.decimation_phase());
+    ASSERT_EQ(iq_v.size(), got_v) << "chunk " << n;
+    ASSERT_EQ(simd.decimation_phase(), scalar.decimation_phase())
+        << "chunk " << n;
     for (std::size_t i = 0; i < got_s; ++i) {
-      EXPECT_NEAR(iq_v[i].real(), iq_s[i].real(), 1e-5);
-      EXPECT_NEAR(iq_v[i].imag(), iq_s[i].imag(), 1e-5);
+      ASSERT_NEAR(iq_v[i].real(), iq_s[i].real(), 1e-6) << "chunk " << n;
+      ASSERT_NEAR(iq_v[i].imag(), iq_s[i].imag(), 1e-6) << "chunk " << n;
+    }
+  }
+}
+
+TEST(KernelParity, DdcSimdMatchesScalarIq) {
+  // On the hardware tier, then forced onto the portable tier.
+  struct RestoreIsa {
+    dsp::SimdIsa isa = dsp::active_simd_isa();
+    ~RestoreIsa() { dsp::force_simd_isa(isa); }
+  } restore;
+  for (const dsp::SimdIsa isa : {restore.isa, dsp::SimdIsa::kGeneric}) {
+    dsp::force_simd_isa(isa);
+    for (const DdcShape& shape : kDdcShapes) {
+      SCOPED_TRACE(shape_name(shape) + " on " + dsp::simd::kernels().isa);
+      expect_ddc_parity(shape);
+    }
+  }
+}
+
+TEST(KernelParity, DdcSplitCallsMatchOneWholeCall) {
+  // The simd Ddc carries its real history, decimation phase and rotation
+  // phase across calls, so a stream cut into 7777-sample calls gives the
+  // outputs of one whole call, up to the double rotation's rounding.
+  for (const DdcShape& shape : kDdcShapes) {
+    SCOPED_TRACE(shape_name(shape));
+    sim::Rng rng{14};
+    const auto in = ddc_input(200000, rng);
+    dsp::Ddc whole{ddc_params(dsp::KernelPolicy::kSimd, shape)};
+    dsp::Ddc split{ddc_params(dsp::KernelPolicy::kSimd, shape)};
+    const auto want = whole.process(in);
+    std::vector<cplx> got;
+    constexpr std::size_t kCall = 7777;
+    for (std::size_t off = 0; off < in.size(); off += kCall) {
+      const std::size_t len = std::min(kCall, in.size() - off);
+      split.process(std::span<const double>{in.data() + off, len}, got);
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_NEAR(got[i].real(), want[i].real(), 1e-8) << "output " << i;
+      ASSERT_NEAR(got[i].imag(), want[i].imag(), 1e-8) << "output " << i;
+    }
+  }
+}
+
+TEST(KernelParity, DdcRecoversFromNonFiniteBurst) {
+  // A NaN or Inf burst reaches only the outputs whose window covers it:
+  // outputs before the burst are untouched, and once the simd window (the
+  // taps zero-padded to a multiple of 8) has passed it, the outputs are
+  // finite again and track the scalar reference.
+  constexpr std::size_t kBurstBegin = 10001;
+  constexpr std::size_t kBurstEnd = 10041;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (const DdcShape& shape : kDdcShapes) {
+      SCOPED_TRACE(shape_name(shape) + (std::isnan(bad) ? " NaN" : " Inf"));
+      sim::Rng rng{15};
+      auto in = ddc_input(30000, rng);
+      std::fill(in.begin() + kBurstBegin, in.begin() + kBurstEnd, bad);
+      dsp::Ddc scalar{ddc_params(dsp::KernelPolicy::kScalar, shape)};
+      dsp::Ddc simd{ddc_params(dsp::KernelPolicy::kSimd, shape)};
+      std::vector<cplx> iq_s, iq_v;
+      constexpr std::size_t kCall = 7777;
+      for (std::size_t off = 0; off < in.size(); off += kCall) {
+        const std::span<const double> call{
+            in.data() + off, std::min(kCall, in.size() - off)};
+        scalar.process(call, iq_s);
+        simd.process(call, iq_v);
+      }
+      ASSERT_EQ(iq_v.size(), iq_s.size());
+      const std::size_t window = (simd.params().taps + 7) / 8 * 8;
+      std::size_t clean_after = 0;
+      for (std::size_t i = 0; i < iq_v.size(); ++i) {
+        const std::size_t newest = (i + 1) * shape.decimation - 1;
+        if (newest >= kBurstBegin && newest < kBurstEnd - 1 + window) {
+          continue;
+        }
+        ASSERT_TRUE(std::isfinite(iq_v[i].real()) &&
+                    std::isfinite(iq_v[i].imag()))
+            << "output " << i;
+        ASSERT_NEAR(iq_v[i].real(), iq_s[i].real(), 1e-6) << "output " << i;
+        ASSERT_NEAR(iq_v[i].imag(), iq_s[i].imag(), 1e-6) << "output " << i;
+        if (newest >= kBurstEnd) ++clean_after;
+      }
+      EXPECT_GT(clean_after, 1000u);
     }
   }
 }
