@@ -66,16 +66,25 @@ BENCHMARK(BM_FirFilter)->Arg(65)->Arg(129)->Arg(257);
 
 namespace {
 
-// The DDC shapes the front halves run, keyed by decimation: RxChain at
-// 375 chip/s (D = 16, cutoff 3.5 chip rates), the FDMA main DDC of
-// fleet4x3 (D = 8) and of fdma32_grid (D = 4, cutoff above the 32nd
-// subcarrier).
+// The DDC shapes the front halves run, keyed by decimation: RxChain's at
+// 375 chip/s (D = 32) and at 750 chip/s and up (D = 16), read from the
+// chain, and the FDMA main DDC of fleet4x3 (D = 8) and of fdma32_grid
+// (D = 4, cutoff above the 32nd subcarrier).
 void ddc_policy_bench(benchmark::State& state, dsp::KernelPolicy policy) {
+  const auto decimation = static_cast<std::size_t>(state.range(0));
   dsp::Ddc::Params p;
-  p.decimation = static_cast<std::size_t>(state.range(0));
-  p.cutoff_hz = p.decimation == 16  ? 1312.5
-                : p.decimation == 8 ? 7125.0
-                                    : 51000.0;
+  if (decimation >= 16) {
+    reader::RxChain::Params rx;
+    rx.chip_rate = decimation == 32 ? 375.0 : 750.0;
+    p = reader::RxChain{rx}.params().ddc;
+    if (p.decimation != decimation) {
+      state.SkipWithError("RxChain no longer runs this decimation");
+      return;
+    }
+  } else {
+    p.decimation = decimation;
+    p.cutoff_hz = decimation == 8 ? 7125.0 : 51000.0;
+  }
   p.kernels = policy;
   dsp::Ddc ddc{p};
   sim::Rng rng{4};
@@ -150,12 +159,12 @@ void fdma_policy_bench(benchmark::State& state, dsp::KernelPolicy policy) {
 static void BM_DdcScalar(benchmark::State& state) {
   ddc_policy_bench(state, dsp::KernelPolicy::kScalar);
 }
-BENCHMARK(BM_DdcScalar)->Arg(16)->Arg(8)->Arg(4);
+BENCHMARK(BM_DdcScalar)->Arg(32)->Arg(16)->Arg(8)->Arg(4);
 
 static void BM_DdcSimd(benchmark::State& state) {
   ddc_policy_bench(state, dsp::KernelPolicy::kSimd);
 }
-BENCHMARK(BM_DdcSimd)->Arg(16)->Arg(8)->Arg(4);
+BENCHMARK(BM_DdcSimd)->Arg(32)->Arg(16)->Arg(8)->Arg(4);
 
 // ----------------------------------------------- bank-policy scaling
 

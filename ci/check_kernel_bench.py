@@ -36,7 +36,7 @@ import sidecar
 # One DDC pair per shape a front half runs (BM_Ddc*/<decimation>).
 SCALAR_SIMD_PAIRS = [
     (f"BM_DdcScalar/{d}.real_time", f"BM_DdcSimd/{d}.real_time")
-    for d in (16, 8, 4)
+    for d in (32, 16, 8, 4)
 ] + [
     ("BM_FdmaBankScalar.real_time", "BM_FdmaBankSimd.real_time"),
 ]

@@ -36,6 +36,23 @@ DecisionChain::Rule DecisionChain::rule(double samples_per_chip) noexcept {
   };
 }
 
+DecisionChain::Decimation DecisionChain::decimation(double sample_rate_hz,
+                                                    double chip_rate) noexcept {
+  // The chain needs ~32 samples per chip to hold Fig. 12; past that each
+  // halving of the rate halves its cost. The cap bounds the filter length
+  // for any slow (or zero) chip rate.
+  constexpr std::size_t kMin = 16;
+  constexpr std::size_t kMax = 128;
+  constexpr double kMinSamplesPerChip = 32.0;
+  std::size_t factor = kMin;
+  while (factor < kMax &&
+         sample_rate_hz / (2.0 * static_cast<double>(factor) * chip_rate) >=
+             kMinSamplesPerChip) {
+    factor *= 2;
+  }
+  return Decimation{.factor = factor, .taps = 8 * factor + 1};
+}
+
 DecisionChain::DecisionChain(Params params, PacketSink on_packet)
     : DecisionChain(params, rule(params.rate_hz / params.chip_rate),
                     std::move(on_packet)) {}

@@ -62,6 +62,21 @@ class DecisionChain {
   };
   static Rule rule(double samples_per_chip) noexcept;
 
+  /// The samples-per-chip rule of the single chain's front end: how far a
+  /// DDC at `sample_rate_hz` decimates ahead of the chain for `chip_rate`.
+  /// The factor is the largest power of two in [16, 128] that keeps >= 32
+  /// samples per chip (16 when none does), and the DDC gets 8·factor + 1
+  /// taps, so a filter-then-mix DDC does the same multiply-adds per raw
+  /// sample at every factor. At 500 kS/s: 93.75 chip/s -> 128 and 1025
+  /// taps, 375 -> 32 and 257 (41.7 samples per chip), 750 and up -> 16
+  /// and 129. Any input, NaN included, yields a factor in [16, 128].
+  struct Decimation {
+    std::size_t factor = 16;
+    std::size_t taps = 129;
+  };
+  static Decimation decimation(double sample_rate_hz,
+                               double chip_rate) noexcept;
+
   struct Params {
     double rate_hz = 0.0;    ///< baseband sample rate
     double chip_rate = 0.0;  ///< FM0 chips per second

@@ -9,28 +9,59 @@
 namespace arachnet::reader {
 namespace {
 
-/// IQ samples of leak warm-up (and decision mute) after construction,
-/// resync() and reset(), and the leak EMA rate during them.
-constexpr std::size_t kLeakWarmupSamples = 300;
+/// Leak warm-up (and decision mute) after construction, resync() and
+/// reset(). 9.6 ms is 300 IQ samples at D = 16 and 38 at D = 128: at every
+/// D it ends inside the tag's 20 ms reply gap that resync() relies on.
+constexpr double kLeakWarmupS = 9.6e-3;
+/// The leak EMA rate during the warm-up, 0.05 per 16 raw samples (one IQ
+/// sample at D = 16): its time constant is fixed too.
 constexpr double kLeakWarmupAlpha = 0.05;
+constexpr std::size_t kLeakWarmupAlphaSpan = 16;
 
-dsp::Ddc::Params resolve_ddc(const RxChain::Params& p) {
-  // Checked first: the cutoff below and the per-chip rule divide by or
-  // scale with it.
+/// The warm-up's leak EMA rate per IQ sample at decimation `d`: 0.05
+/// compounded over d / 16 steps (0.34 at D = 128), so the warm-up cancels
+/// a leak step as deeply at every D (to ~2e-7 of it). The literal keeps
+/// D = 16 chains bit-identical: 1 - 0.95 is not 0.05 in floating point.
+double warmup_alpha(std::size_t d) {
+  if (d == kLeakWarmupAlphaSpan) return kLeakWarmupAlpha;
+  const double samples_per_span =
+      static_cast<double>(kLeakWarmupAlphaSpan) / static_cast<double>(d);
+  return per_sample_alpha(kLeakWarmupAlpha, samples_per_span);
+}
+
+/// The caller's settings with the DDC's decimation, taps and cutoff
+/// resolved from the chip rate.
+RxChain::Params resolved(RxChain::Params p) {
+  // Checked first: the rules below divide by or scale with it.
   if (!std::isfinite(p.chip_rate) || p.chip_rate <= 0.0) {
     throw std::invalid_argument(
         "RxChain: chip_rate must be finite and positive");
   }
-  dsp::Ddc::Params ddc = p.ddc;
-  ddc.cutoff_hz = std::clamp(3.5 * p.chip_rate, 1.5e3, 12.5e3);
-  return ddc;
+  if (!std::isfinite(p.freq_cal_s) || p.freq_cal_s < 0.0) {
+    throw std::invalid_argument(
+        "RxChain: freq_cal_s must be finite and non-negative");
+  }
+  const auto d = DecisionChain::decimation(p.ddc.sample_rate_hz, p.chip_rate);
+  p.ddc.decimation = d.factor;
+  p.ddc.taps = d.taps;
+  p.ddc.cutoff_hz = std::clamp(3.5 * p.chip_rate, 1.5e3, 12.5e3);
+  return p;
+}
+
+/// IQ samples in `seconds` at `iq_rate_hz`, to the nearest.
+std::size_t iq_samples_in(double seconds, double iq_rate_hz) {
+  return static_cast<std::size_t>(std::llround(seconds * iq_rate_hz));
 }
 
 }  // namespace
 
 RxChain::RxChain(Params params)
-    : params_(params),
-      ddc_(resolve_ddc(params)),
+    : params_(resolved(params)),
+      ddc_(params_.ddc),
+      warmup_samples_(iq_samples_in(kLeakWarmupS, ddc_.output_rate_hz())),
+      warmup_alpha_(warmup_alpha(params_.ddc.decimation)),
+      freq_cal_samples_(
+          iq_samples_in(params_.freq_cal_s, ddc_.output_rate_hz())),
       leak_alpha_(per_sample_alpha(params.leak_ema_alpha,
                                    ddc_.output_rate_hz() / params.chip_rate)),
       decision_(
@@ -60,9 +91,9 @@ void RxChain::on_iq(std::complex<double> iq, std::uint64_t stamp) {
   // Optional one-shot frequency-offset calibration (paper lists a
   // "frequency offset calibration" block): estimate from the leak-dominated
   // early samples, then derotate the live stream.
-  if (params_.freq_cal_samples > 0 && !freq_calibrated_) {
+  if (freq_cal_samples_ > 0 && !freq_calibrated_) {
     if (finite) cal_buffer_.push_back(iq);
-    if (cal_buffer_.size() >= params_.freq_cal_samples) {
+    if (cal_buffer_.size() >= freq_cal_samples_) {
       freq_offset_hz_ =
           dsp::estimate_frequency_offset(cal_buffer_, ddc_.output_rate_hz());
       freq_calibrated_ = true;
@@ -87,16 +118,15 @@ void RxChain::on_iq(std::complex<double> iq, std::uint64_t stamp) {
       leak_estimate_ = iq;
       leak_primed_ = true;
     } else {
-      const double alpha = iq_sample_index_ < kLeakWarmupSamples
-                               ? kLeakWarmupAlpha
-                               : leak_alpha_;
+      const double alpha =
+          iq_sample_index_ < warmup_samples_ ? warmup_alpha_ : leak_alpha_;
       leak_estimate_ += alpha * (iq - leak_estimate_);
     }
     envelope = decision_.project(iq - leak_estimate_);
   }
   // The filter/leak start-up transient would poison the slicer's primed
   // levels; keep the decision path muted until the warm-up completes.
-  if (iq_sample_index_ <= kLeakWarmupSamples) return;
+  if (iq_sample_index_ <= warmup_samples_) return;
   decision_.decide(envelope, stamp);
 }
 
@@ -107,7 +137,7 @@ void RxChain::process(const double* samples, std::size_t n) {
   // decimation phase the DDC had when the block began.
   const std::size_t phase = ddc_.decimation_phase();
   const std::size_t base = sample_count_;
-  const std::size_t decim = params_.ddc.decimation;
+  const std::size_t decim = params_.ddc.decimation;  // the derived D
   iq_buf_.clear();
   const std::size_t got =
       ddc_.process(std::span<const double>{samples, n}, iq_buf_);
@@ -128,8 +158,8 @@ bool RxChain::collision_detected(sim::Rng& rng) const {
 
 void RxChain::resync() {
   decision_.reset();
-  // Restart the leak warm-up: the next kLeakWarmupSamples IQ samples (the
-  // quiet reply gap) re-estimate the baseline with the fast alpha while
+  // Restart the leak warm-up: the next kLeakWarmupS of IQ samples (inside
+  // the quiet reply gap) re-estimate the baseline at the warm-up rate while
   // the decision path stays muted.
   iq_sample_index_ = 0;
   derotator_.set(0.0, derotation_step());

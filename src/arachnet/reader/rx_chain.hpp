@@ -30,15 +30,24 @@ struct RxPacket {
 /// CRC check).
 ///
 /// Fixed settings, the same for every caller:
+///  - the DDC's decimation D and filter length follow the chip rate
+///    (DecisionChain::decimation): D is the largest power of two in
+///    [16, 128] that keeps >= 32 IQ samples per chip, with 8·D + 1 taps —
+///    at 500 kS/s, D = 128 at 93.75 chip/s, 64 at 187.5, 32 at 375 and 16
+///    from 750 up;
 ///  - the DDC low-pass cutoff follows the chip rate,
 ///    clamp(3.5 * chip_rate, 1.5 kHz, 12.5 kHz) — narrow for slow links to
 ///    cut noise, wide for fast links to avoid inter-symbol interference;
 ///  - the slicer squelch floor is 0.002 at the 1.5 kHz cutoff and grows
 ///    with the square root of the cutoff, as the baseband noise does;
-///  - for the first 300 IQ samples after construction, resync() or reset()
-///    the leak EMA runs at alpha 0.05 to converge past the filter start-up
-///    transient, while the decision path stays muted (the axis still
-///    trains).
+///  - for the first 9.6 ms of IQ samples after construction, resync() or
+///    reset() (300 samples at D = 16, 38 at D = 128) the leak EMA runs at
+///    alpha 0.05 per 16 raw samples — 0.05 per IQ sample at D = 16, 0.34
+///    at D = 128 — to converge past the filter start-up transient or a
+///    leak step, while the decision path stays muted (the axis still
+///    trains). Both the warm-up's length and its time constant are fixed
+///    in time, so it fits in the tag's 20 ms reply gap and cancels the
+///    leak equally deeply at every D.
 ///
 /// Also retains the slot's decimated IQ points so the MAC layer can run the
 /// cluster-based capture-effect collision detector.
@@ -48,8 +57,8 @@ struct RxPacket {
 class RxChain {
  public:
   struct Params {
-    /// Sample rate, carrier, decimation, taps and kernel policy of the
-    /// down-converter; its cutoff_hz is replaced by the chip-rate rule
+    /// Sample rate, carrier and kernel policy of the down-converter; its
+    /// decimation, taps and cutoff_hz are replaced by the chip-rate rules
     /// above.
     dsp::Ddc::Params ddc{};
     double chip_rate = phy::kDefaultUlRawBitRate;
@@ -60,8 +69,9 @@ class RxChain {
     /// slot start, re-estimating the baseline in the tag's 20 ms reply gap.
     double leak_ema_alpha = 0.0;
     /// Frequency-offset calibration: when nonzero, a one-shot offset
-    /// estimate is applied after this many IQ samples.
-    std::size_t freq_cal_samples = 0;
+    /// estimate is taken over this many seconds of IQ samples and applied
+    /// from then on. Must be finite and non-negative.
+    double freq_cal_s = 0.0;
     /// Retain decimated IQ points for the MAC collision detector
     /// (iq_points()/collision_detected()). Slotted operation clears the
     /// buffer every slot, so the growth is bounded; streaming sessions
@@ -128,6 +138,8 @@ class RxChain {
   /// Resets all DSP state (full restart, e.g. on RESET).
   void reset();
 
+  /// The settings the chain runs: the caller's, with ddc's decimation,
+  /// taps and cutoff_hz resolved by the chip-rate rules above.
   const Params& params() const noexcept { return params_; }
 
  private:
@@ -137,6 +149,11 @@ class RxChain {
 
   Params params_;
   dsp::Ddc ddc_;
+  /// IQ samples of leak warm-up and its leak EMA rate per IQ sample, and
+  /// IQ samples of frequency calibration (0 = none).
+  std::size_t warmup_samples_;
+  double warmup_alpha_;
+  std::size_t freq_cal_samples_;
   double leak_alpha_ = 0.0;
   DecisionChain decision_;
   std::vector<RxPacket> packets_;

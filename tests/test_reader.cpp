@@ -368,6 +368,165 @@ TEST(RxChain, RejectsChipRateThatIsNotFiniteAndPositive) {
   }
 }
 
+TEST(RxChain, DecimationFollowsChipRate) {
+  // The DDC decimates by the largest power of two in [16, 128] that keeps
+  // >= 32 IQ samples per chip, through 8·D + 1 taps; the caller's
+  // ddc.decimation and ddc.taps are not read.
+  struct Row {
+    double chip_rate;
+    std::size_t decimation;
+    std::size_t taps;
+  };
+  constexpr Row kRows[] = {{93.75, 128, 1025}, {187.5, 64, 513},
+                           {375.0, 32, 257},   {750.0, 16, 129},
+                           {1500.0, 16, 129},  {3000.0, 16, 129}};
+  for (const Row& row : kRows) {
+    SCOPED_TRACE(testing::Message() << row.chip_rate << " chip/s");
+    const auto rule = DecisionChain::decimation(500e3, row.chip_rate);
+    EXPECT_EQ(rule.factor, row.decimation);
+    EXPECT_EQ(rule.taps, row.taps);
+
+    WaveHarness h;
+    const UlPacket pkt{.tid = 7, .payload = 0x2A5};
+    const auto wave = h.synth.synthesize(
+        {h.source(pkt, 0.2, row.chip_rate)}, 0.05 + 84.0 / row.chip_rate,
+        h.rng);
+    RxChain::Params params;
+    params.chip_rate = row.chip_rate;
+    RxChain rx{params};
+    EXPECT_EQ(rx.params().ddc.decimation, row.decimation);
+    EXPECT_EQ(rx.params().ddc.taps, row.taps);
+    rx.process(wave);
+    EXPECT_EQ(rx.published_counts().iq_samples, wave.size() / row.decimation);
+    ASSERT_EQ(rx.packets().size(), 1u);
+    EXPECT_EQ(rx.packets()[0].packet, pkt);
+
+    // Whatever decimation or filter length the caller asks for, the chain
+    // decodes the same packets at the same stamps.
+    RxChain::Params decim = params;
+    decim.ddc.decimation = 4;
+    RxChain::Params taps = params;
+    taps.ddc.taps = 31;
+    for (const RxChain::Params& other : {decim, taps}) {
+      RxChain alt{other};
+      alt.process(wave);
+      EXPECT_EQ(alt.bits_decoded(), rx.bits_decoded());
+      ASSERT_EQ(alt.packets().size(), rx.packets().size());
+      EXPECT_EQ(alt.packets()[0].packet, rx.packets()[0].packet);
+      EXPECT_EQ(alt.packets()[0].time_s, rx.packets()[0].time_s);
+    }
+  }
+
+  // A tiny chip rate must not grow the filter without bound (or hang the
+  // rule): it gets the 93.75 chip/s front end.
+  const auto slow = DecisionChain::decimation(500e3, 1e-3);
+  EXPECT_EQ(slow.factor, 128u);
+  EXPECT_EQ(slow.taps, 1025u);
+  RxChain::Params params;
+  params.chip_rate = 1e-3;
+  RxChain rx{params};
+  EXPECT_EQ(rx.params().ddc.decimation, 128u);
+  EXPECT_EQ(rx.params().ddc.taps, 1025u);
+  rx.process(std::vector<double>(5000, 0.0));
+  EXPECT_EQ(rx.published_counts().iq_samples, 5000u / 128u);
+}
+
+TEST(RxChain, PacketAfterTheReplyGapDecodesAtEveryRate) {
+  // Slotted operation: resync() at the slot start, and the tag replies
+  // after its 20 ms gap. The leak warm-up that resync() restarts (and the
+  // decision mute with it) is a duration, 9.6 ms, so at every decimation
+  // it ends inside the gap and the chain recovers every bit of the frame,
+  // pilot included. Counted as 300 IQ samples it would last 38.4 ms at
+  // D = 64 and 76.8 ms at D = 128 and mute the first pilot bits.
+  for (const double rate : {93.75, 187.5, 375.0, 750.0, 1500.0, 3000.0}) {
+    SCOPED_TRACE(testing::Message() << rate << " chip/s");
+    WaveHarness h;
+    RxChain::Params params;
+    params.chip_rate = rate;
+    RxChain rx{params};
+    for (int i = 0; i < 3; ++i) {
+      const UlPacket pkt{.tid = 3,
+                         .payload = static_cast<std::uint16_t>(0x400 + i)};
+      const auto wave = h.synth.synthesize(
+          {h.source(pkt, 0.2, rate, 0.02)}, 0.03 + 84.0 / rate, h.rng);
+      rx.resync();
+      rx.clear_packets();
+      const std::uint64_t bits_before = rx.bits_decoded();
+      rx.process(wave);
+      ASSERT_EQ(rx.packets().size(), 1u) << "slot " << i;
+      EXPECT_EQ(rx.packets()[0].packet, pkt);
+      // Pilot, body and the closing dummy bit.
+      EXPECT_GE(rx.bits_decoded() - bits_before,
+                Fm0Encoder::kPilotBits + pkt.serialize().size() + 1)
+          << "slot " << i;
+    }
+  }
+}
+
+TEST(RxChain, WarmUpCancelsTheLeakUnderAWeakQuadratureTagAtSlowRates) {
+  // A weak reflection in quadrature with the leak decodes only if the
+  // warm-up cancels the leak to far below the modulation: with the default
+  // leak_ema_alpha = 0 the estimate freezes after the warm-up, a leftover
+  // leak pulls the axis onto itself and the tag projects to ~0. The
+  // warm-up's time constant is fixed in time, so at D = 128 and 64 (38 and
+  // 75 warm-up samples) it converges as deeply as over 300 samples at
+  // D = 16: right after construction, and after the leak steps from 1.0 to
+  // 0.5 across resync(). (At 187.5 chip/s a Tag-11-level 0.013 reflection
+  // in quadrature loses its first frame at D = 16 too, so that row uses
+  // 0.02.)
+  constexpr double kQuadrature = 1.5707963;
+  struct Row {
+    double chip_rate;
+    double amplitude;
+  };
+  for (const Row row : {Row{93.75, 0.013}, Row{187.5, 0.02}}) {
+    SCOPED_TRACE(testing::Message() << row.chip_rate << " chip/s");
+    WaveHarness h;
+    // A second carrier at the leak's phase, rendered in lockstep with the
+    // first and added from slot 2 on, halves the leak.
+    UplinkWaveformSynth::Params sp;
+    sp.carrier_leak_amplitude = -0.5;
+    sp.noise_sigma = 0.0;
+    UplinkWaveformSynth leak_step{sp};
+    Rng unused{1};
+    RxChain::Params params;
+    params.chip_rate = row.chip_rate;
+    RxChain rx{params};
+    for (int i = 0; i < 4; ++i) {
+      const UlPacket pkt{.tid = 11,
+                         .payload = static_cast<std::uint16_t>(0x300 + i)};
+      const double span = 0.03 + 84.0 / row.chip_rate;
+      auto wave = h.synth.synthesize(
+          {h.source(pkt, row.amplitude, row.chip_rate, 0.02, kQuadrature)},
+          span, h.rng);
+      const auto step = leak_step.synthesize({}, span, unused);
+      if (i >= 2) {
+        for (std::size_t k = 0; k < wave.size(); ++k) wave[k] += step[k];
+      }
+      if (i > 0) rx.resync();
+      rx.clear_packets();
+      rx.process(wave);
+      ASSERT_EQ(rx.packets().size(), 1u) << "slot " << i;
+      EXPECT_EQ(rx.packets()[0].packet, pkt) << "slot " << i;
+    }
+  }
+}
+
+TEST(RxChain, RejectsFrequencyCalibrationThatIsNotFiniteAndNonNegative) {
+  for (const double span : {-0.01, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    RxChain::Params p;
+    p.freq_cal_s = span;
+    try {
+      RxChain rx{p};
+      ADD_FAILURE() << "accepted freq_cal_s " << span;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("freq_cal_s"), std::string::npos)
+          << "got: " << e.what();
+    }
+  }
+}
+
 TEST(RxChain, AmbientVehicleVibrationDoesNotBreakDecoding) {
   // Strong sub-100 Hz vibration (driving conditions) must not affect the
   // 90 kHz link (paper Sec. 2.2 discussion).
@@ -402,7 +561,7 @@ TEST(RxChain, FrequencyCalibrationHoldsAnOffsetCarrierStill) {
   WaveHarness h;
   h.synth = UplinkWaveformSynth{wp};
   RxChain::Params cal;
-  cal.freq_cal_samples = 2000;
+  cal.freq_cal_s = 0.064;
   RxChain calibrated{cal};
   RxChain uncalibrated{RxChain::Params{}};
   int decoded_cal = 0;

@@ -17,6 +17,7 @@
 
 #include "arachnet/acoustic/waveform_channel.hpp"
 #include "arachnet/phy/fm0.hpp"
+#include "arachnet/reader/decision_chain.hpp"
 #include "arachnet/reader/realtime_reader.hpp"
 #include "arachnet/reader/service/dispatch_queue.hpp"
 #include "arachnet/reader/service/reader_service.hpp"
@@ -163,7 +164,8 @@ TEST(RealtimeReaderLifecycle, SingleChainDecodeListStaysBounded) {
 TEST(RealtimeReaderLifecycle, SingleChainStatsCountIqSamples) {
   // Regression: stats() reported iq_samples = 0 for the single chain,
   // while FDMA mode reports each channel's real count. The single chain
-  // consumes one IQ sample per DDC decimation step.
+  // consumes one IQ sample per DDC decimation step, and derives that
+  // decimation from the chip rate.
   sim::Rng rng{7};
   acoustic::UplinkWaveformSynth synth{acoustic::UplinkWaveformSynth::Params{}};
 
@@ -178,8 +180,10 @@ TEST(RealtimeReaderLifecycle, SingleChainStatsCountIqSamples) {
 
   const auto stats = rtr.stats();
   ASSERT_EQ(stats.channels.size(), 1u);
+  const auto decimation = reader::DecisionChain::decimation(
+      params.chain.ddc.sample_rate_hz, params.chain.chip_rate);
   EXPECT_EQ(stats.channels[0].iq_samples,
-            stats.samples_processed / params.chain.ddc.decimation);
+            stats.samples_processed / decimation.factor);
   EXPECT_GT(stats.channels[0].iq_samples, 0u);
   EXPECT_EQ(stats.channels[0].frames_ok, 1u);
   EXPECT_EQ(stats.channels[0].crc_failures, 0u);
@@ -336,7 +340,7 @@ TEST(ReaderService, OpenThatThrowsShedsNothingAndKeepsTheSlotPool) {
   // anything is shed.
   SessionConfig bad_ddc;
   bad_ddc.priority = 9;
-  bad_ddc.chain.ddc.decimation = 0;
+  bad_ddc.chain.ddc.carrier_hz = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(svc.open_session(bad_ddc), std::invalid_argument);
   EXPECT_EQ(svc.stats().sessions_shed, 0u);
   EXPECT_EQ(svc.stats().active_sessions, 2u);

@@ -306,26 +306,37 @@ TEST(FirSimd, NanBlockFlushesInsteadOfPoisoningState) {
 // bound that with an order of magnitude to spare.
 constexpr double kSimdTimeTol = 256e-6;
 
-// The DDC shapes the front halves run: RxChain at 375 chip/s (the cutoff
-// follows the chip rate), the FDMA banks' main DDC on fleet4x3 (D = 8)
-// and fdma32_grid (D = 4, the cutoff above the 32nd subcarrier), and the
-// default shape mixed down from a negative carrier.
-struct DdcShape {
-  std::size_t decimation;
-  double cutoff_hz;
-  double carrier_hz;
-};
-constexpr DdcShape kDdcShapes[] = {
-    {16, 1312.5, 90e3}, {8, 7125.0, 90e3}, {4, 51000.0, 90e3},
-    {16, 6e3, -90e3}};
-
-dsp::Ddc::Params ddc_params(dsp::KernelPolicy policy, const DdcShape& shape) {
+// The DDC shapes the front halves run: RxChain's at the paper chip rates
+// up to 750 chip/s (D = 128, 64, 32 and 16, with 1025, 513, 257 and 129
+// taps; faster links differ from 750 only in cutoff), the FDMA banks'
+// main DDC on fleet4x3 (D = 8) and fdma32_grid (D = 4, the cutoff above
+// the 32nd subcarrier), and the default shape mixed down from a negative
+// carrier. RxChain's are read from the chain, so they follow its rules.
+std::vector<dsp::Ddc::Params> ddc_shapes() {
+  std::vector<dsp::Ddc::Params> shapes;
+  for (const double chip_rate : {93.75, 187.5, 375.0, 750.0}) {
+    reader::RxChain::Params rx;
+    rx.chip_rate = chip_rate;
+    shapes.push_back(reader::RxChain{rx}.params().ddc);
+  }
   dsp::Ddc::Params p;
-  p.decimation = shape.decimation;
-  p.cutoff_hz = shape.cutoff_hz;
-  p.carrier_hz = shape.carrier_hz;
-  p.kernels = policy;
-  return p;
+  p.decimation = 8;
+  p.cutoff_hz = 7125.0;
+  shapes.push_back(p);
+  p.decimation = 4;
+  p.cutoff_hz = 51000.0;
+  shapes.push_back(p);
+  p = {};
+  p.cutoff_hz = 6e3;
+  p.carrier_hz = -90e3;
+  shapes.push_back(p);
+  return shapes;
+}
+
+dsp::Ddc::Params ddc_params(dsp::KernelPolicy policy,
+                            dsp::Ddc::Params shape) {
+  shape.kernels = policy;
+  return shape;
 }
 
 // A 90 kHz carrier with a little noise (output RMS about 0.5).
@@ -337,15 +348,16 @@ std::vector<double> ddc_input(std::size_t n, sim::Rng& rng) {
   return in;
 }
 
-std::string shape_name(const DdcShape& shape) {
-  return "D=" + std::to_string(shape.decimation) + " cutoff " +
+std::string shape_name(const dsp::Ddc::Params& shape) {
+  return "D=" + std::to_string(shape.decimation) + " taps " +
+         std::to_string(shape.taps) + " cutoff " +
          std::to_string(shape.cutoff_hz) + " carrier " +
          std::to_string(shape.carrier_hz);
 }
 
 // Feeds a scalar and a simd Ddc of one shape the same chunks and checks
 // the decimation grid, decimation_phase() and the IQ after every chunk.
-void expect_ddc_parity(const DdcShape& shape) {
+void expect_ddc_parity(const dsp::Ddc::Params& shape) {
   dsp::Ddc scalar{ddc_params(dsp::KernelPolicy::kScalar, shape)};
   dsp::Ddc simd{ddc_params(dsp::KernelPolicy::kSimd, shape)};
   sim::Rng rng{13};
@@ -379,7 +391,7 @@ TEST(KernelParity, DdcSimdMatchesScalarIq) {
   } restore;
   for (const dsp::SimdIsa isa : {restore.isa, dsp::SimdIsa::kGeneric}) {
     dsp::force_simd_isa(isa);
-    for (const DdcShape& shape : kDdcShapes) {
+    for (const dsp::Ddc::Params& shape : ddc_shapes()) {
       SCOPED_TRACE(shape_name(shape) + " on " + dsp::simd::kernels().isa);
       expect_ddc_parity(shape);
     }
@@ -390,7 +402,7 @@ TEST(KernelParity, DdcSplitCallsMatchOneWholeCall) {
   // The simd Ddc carries its real history, decimation phase and rotation
   // phase across calls, so a stream cut into 7777-sample calls gives the
   // outputs of one whole call, up to the double rotation's rounding.
-  for (const DdcShape& shape : kDdcShapes) {
+  for (const dsp::Ddc::Params& shape : ddc_shapes()) {
     SCOPED_TRACE(shape_name(shape));
     sim::Rng rng{14};
     const auto in = ddc_input(200000, rng);
@@ -420,10 +432,13 @@ TEST(KernelParity, DdcRecoversFromNonFiniteBurst) {
   constexpr std::size_t kBurstEnd = 10041;
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity()}) {
-    for (const DdcShape& shape : kDdcShapes) {
+    for (const dsp::Ddc::Params& shape : ddc_shapes()) {
       SCOPED_TRACE(shape_name(shape) + (std::isnan(bad) ? " NaN" : " Inf"));
       sim::Rng rng{15};
-      auto in = ddc_input(30000, rng);
+      // Long enough for over 1000 outputs past the burst at any decimation.
+      auto in = ddc_input(
+          std::max<std::size_t>(30000, kBurstEnd + 1200 * shape.decimation),
+          rng);
       std::fill(in.begin() + kBurstBegin, in.begin() + kBurstEnd, bad);
       dsp::Ddc scalar{ddc_params(dsp::KernelPolicy::kScalar, shape)};
       dsp::Ddc simd{ddc_params(dsp::KernelPolicy::kSimd, shape)};
@@ -608,11 +623,13 @@ TEST(KernelParity, RxChainDecodesIdenticalPacketsAcrossPolicies) {
   }
   EXPECT_GE(expect_rx_parity(reader::RxChain::Params{}, wave), 3u);
 
-  // The paper's Fig. 12 links at 375/750/1500 bps. Tag 11 at 1500 bps
-  // sits on the loss knee, so a float32 slicer flip would show here
-  // first — as a lost, gained or CRC-failed frame on one side only.
+  // The paper's Fig. 12 links at 375/750/1500 bps, and at 93.75 and
+  // 187.5 bps, where the chain decimates by 128 and 64 through 1025 and
+  // 513 taps. Tag 11 at 1500 bps sits on the loss knee, so a float32
+  // slicer flip would show here first — as a lost, gained or CRC-failed
+  // frame on one side only.
   for (const int tid : kFig12Tags) {
-    for (const double rate : kFig12Rates) {
+    for (const double rate : {93.75, 187.5, 375.0, 750.0, 1500.0}) {
       SCOPED_TRACE(testing::Message() << "tag " << tid << " at " << rate
                                       << " bps");
       reader::RxChain::Params params;
@@ -658,22 +675,26 @@ std::string decode_digest(std::uint64_t bits, std::uint64_t crc_failures,
 }
 
 TEST(DecisionPin, Fig12LinksDecodeTheRecordedPackets) {
-  // Tag 11 at 1500 bps is past the loss knee: bits, no frame.
+  // Tag 11 at 1500 bps is past the loss knee: bits, no frame. The 375 bps
+  // column was re-recorded when the chain's decimation there went from 16
+  // to 32 (DecisionChain::decimation): the 257-tap filter's longer group
+  // delay dates each packet 16-64 raw samples later, and the bits,
+  // payloads and CRC verdicts did not move.
   const char* const kRecorded[3][3] = {
-      {"bits=245 crc=0 8:100@136912 8:101@258912 8:102@380912 8:103@502912 "
-       "8:104@624912 8:105@746912",
+      {"bits=245 crc=0 8:100@136960 8:101@258976 8:102@380960 8:103@502976 "
+       "8:104@624960 8:105@746976",
        "bits=245 crc=0 8:100@83488 8:101@149488 8:102@215488 8:103@281488 "
        "8:104@347488 8:105@413488",
        "bits=245 crc=0 8:100@56784 8:101@94800 8:102@132784 8:103@170800 "
        "8:104@208784 8:105@246800"},
-      {"bits=245 crc=0 4:100@136912 4:101@258912 4:102@380912 4:103@502912 "
-       "4:104@624912 4:105@746912",
+      {"bits=245 crc=0 4:100@136960 4:101@258944 4:102@380960 4:103@502944 "
+       "4:104@624960 4:105@746944",
        "bits=245 crc=0 4:100@83488 4:101@149488 4:102@215504 4:103@281488 "
        "4:104@347504 4:105@413488",
        "bits=245 crc=0 4:100@56800 4:101@94784 4:102@132800 4:103@170784 "
        "4:104@208800 4:105@246784"},
-      {"bits=245 crc=0 11:100@136928 11:101@258928 11:102@380928 "
-       "11:103@502896 11:104@624928 11:105@746912",
+      {"bits=245 crc=0 11:100@136960 11:101@258944 11:102@380960 "
+       "11:103@502944 11:104@624960 11:105@746944",
        "bits=245 crc=0 11:100@83504 11:101@149504 11:102@215504 "
        "11:103@281488 11:104@347520 11:105@413504",
        "bits=41 crc=0"},
