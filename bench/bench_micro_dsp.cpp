@@ -166,6 +166,51 @@ static void BM_DdcSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_DdcSimd)->Arg(32)->Arg(16)->Arg(8)->Arg(4);
 
+namespace {
+
+// fleet4x3's shard epoch: three subcarrier tags at 3 000, 4 500 and
+// 6 000 Hz in 0.25 s of 500 kS/s waveform, rendered into a reused buffer
+// as the fleet's shards do.
+void synth_policy_bench(benchmark::State& state, dsp::KernelPolicy policy) {
+  std::vector<acoustic::BackscatterSource> srcs;
+  for (int k = 0; k < 3; ++k) {
+    const phy::UlPacket pkt{.tid = static_cast<std::uint8_t>(k + 1),
+                            .payload = static_cast<std::uint16_t>(0x100 + k)};
+    phy::SubcarrierModulator mod{{375.0, 3000.0 + 1500.0 * k}};
+    acoustic::BackscatterSource s;
+    s.chips = mod.modulate(phy::Fm0Encoder::encode_frame(pkt.serialize()));
+    s.chip_rate = mod.subchip_rate();
+    s.start_s = 0.02;
+    s.amplitude = 0.12 + 0.01 * k;
+    s.phase_rad = 0.5 + 0.4 * k;
+    srcs.push_back(std::move(s));
+  }
+  acoustic::UplinkWaveformSynth::Params p;
+  p.kernels = policy;
+  acoustic::UplinkWaveformSynth synth{p};
+  sim::Rng rng{5};
+  std::vector<double> wave;
+  for (auto _ : state) {
+    synth.synthesize(srcs, 0.25, rng, wave);
+    benchmark::DoNotOptimize(wave.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(wave.size()));
+}
+
+}  // namespace
+
+static void BM_SynthScalar(benchmark::State& state) {
+  synth_policy_bench(state, dsp::KernelPolicy::kScalar);
+}
+BENCHMARK(BM_SynthScalar);
+
+static void BM_SynthSimd(benchmark::State& state) {
+  synth_policy_bench(state, dsp::KernelPolicy::kSimd);
+}
+BENCHMARK(BM_SynthSimd);
+
 // ----------------------------------------------- bank-policy scaling
 
 namespace {

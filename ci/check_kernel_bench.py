@@ -33,12 +33,14 @@ import sys
 
 import sidecar
 
-# One DDC pair per shape a front half runs (BM_Ddc*/<decimation>).
+# One DDC pair per shape a front half runs (BM_Ddc*/<decimation>), then
+# the FDMA bank and the synthesizer of one fleet4x3 shard epoch.
 SCALAR_SIMD_PAIRS = [
     (f"BM_DdcScalar/{d}.real_time", f"BM_DdcSimd/{d}.real_time")
     for d in (32, 16, 8, 4)
 ] + [
     ("BM_FdmaBankScalar.real_time", "BM_FdmaBankSimd.real_time"),
+    ("BM_SynthScalar.real_time", "BM_SynthSimd.real_time"),
 ]
 
 PARITY_ROWS = [

@@ -1,9 +1,12 @@
 #include "arachnet/acoustic/waveform_channel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 #include "arachnet/dsp/kernels/nco.hpp"
+#include "arachnet/dsp/kernels/simd/simd_kernels.hpp"
 
 namespace arachnet::acoustic {
 namespace {
@@ -62,13 +65,41 @@ std::size_t segment_end(const BackscatterSource& src, std::size_t i,
   return b;
 }
 
+/// Noise deviates per normal_block() call on the kSimd path: a bounded
+/// stack chunk, however long the window.
+constexpr std::size_t kNoiseChunk = 512;
+
 }  // namespace
+
+UplinkWaveformSynth::UplinkWaveformSynth(Params params) : params_(params) {
+  if (!std::isfinite(params_.sample_rate_hz) ||
+      params_.sample_rate_hz <= 0.0) {
+    throw std::invalid_argument(
+        "UplinkWaveformSynth: sample_rate_hz must be finite and positive");
+  }
+}
 
 std::vector<double> UplinkWaveformSynth::synthesize(
     const std::vector<BackscatterSource>& sources, double duration_s,
     sim::Rng& rng) {
-  const auto n = static_cast<std::size_t>(duration_s * params_.sample_rate_hz);
-  std::vector<double> out(n, 0.0);
+  std::vector<double> out;
+  synthesize(sources, duration_s, rng, out);
+  return out;
+}
+
+void UplinkWaveformSynth::synthesize(
+    const std::vector<BackscatterSource>& sources, double duration_s,
+    sim::Rng& rng, std::vector<double>& out) {
+  // The sample count must be a representable size_t: NaN, negative or
+  // overflowing counts are undefined in the cast below.
+  const double count = duration_s * params_.sample_rate_hz;
+  if (!(duration_s >= 0.0) || !(count < 0x1p64)) {
+    throw std::invalid_argument(
+        "UplinkWaveformSynth: duration_s must be finite, non-negative and "
+        "span a sample count that fits size_t");
+  }
+  const auto n = static_cast<std::size_t>(count);
+  out.resize(n);
   const double dt = 1.0 / params_.sample_rate_hz;
   const double w_carrier = 2.0 * std::numbers::pi * params_.carrier_hz;
   const double w_ambient = 2.0 * std::numbers::pi * params_.ambient_hz;
@@ -77,7 +108,8 @@ std::vector<double> UplinkWaveformSynth::synthesize(
       params_.ring_tau_s > 0.0 ? std::exp(-dt / params_.ring_tau_s) : 0.0;
 
   // Per-source smoothed reflection state, seeded at the absorptive level.
-  std::vector<double> smoothed(sources.size());
+  std::vector<double>& smoothed = smoothed_;
+  smoothed.resize(sources.size());
   for (std::size_t s = 0; s < sources.size(); ++s) {
     smoothed[s] = sources[s].absorb_coeff;
   }
@@ -113,7 +145,7 @@ std::vector<double> UplinkWaveformSynth::synthesize(
       out[i] = sample;
     }
     t0_ += static_cast<double>(n) * dt;
-    return out;
+    return;
   }
 
   // kSimd path. The carrier phasor e^{jw(t0+i*dt)} is rendered once with a
@@ -123,31 +155,45 @@ std::vector<double> UplinkWaveformSynth::synthesize(
   // per-sample chip lookup is hoisted into run-length segments, so the
   // inner loop is a branch-free EMA + multiply-add. The summation order
   // per sample (leak, sources in order, ambient, noise) matches the scalar
-  // path; the noise draw sequence is identical.
+  // path. The noise is drawn a chunk at a time: normal_block() consumes the
+  // generator exactly as one normal() per sample would, and the kernel
+  // table's Box-Muller turns the uniforms into deviates.
   osc_buf_.resize(n);
   dsp::PhasorNco carrier{w_carrier * t0_, w_carrier * dt};
   carrier.fill(osc_buf_.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = params_.carrier_leak_amplitude * osc_buf_[i].real();
+  // The leak and the sources in one pass. The sources advance together,
+  // one run at a time, where a run ends at the next chip boundary of any
+  // source: their ring recurrences are independent chains, which the pass
+  // overlaps, and each sample still adds them in order.
+  const std::size_t ns = sources.size();
+  lanes_.resize(ns);
+  for (std::size_t s = 0; s < ns; ++s) {
+    lanes_[s] = {std::cos(sources[s].phase_rad),
+                 std::sin(sources[s].phase_rad), 0.0, 0};
   }
-  for (std::size_t s = 0; s < sources.size(); ++s) {
-    const auto& src = sources[s];
-    const double rot_re = std::cos(src.phase_rad);
-    const double rot_im = std::sin(src.phase_rad);
-    double sm = smoothed[s];
-    std::size_t i = 0;
-    while (i < n) {
-      const double target = target_at(src, i, dt);
-      const std::size_t end = segment_end(src, i, n, dt);
-      const double step = (1.0 - alpha) * target;
-      for (std::size_t k = i; k < end; ++k) {
-        sm = alpha * sm + step;
-        out[k] += src.amplitude * sm *
-                  (osc_buf_[k].real() * rot_re - osc_buf_[k].imag() * rot_im);
+  for (std::size_t run = 0; run < n;) {
+    std::size_t run_end = n;
+    for (std::size_t s = 0; s < ns; ++s) {
+      SourceLane& lane = lanes_[s];
+      if (lane.end == run) {  // this source's chip target changes here
+        lane.step = (1.0 - alpha) * target_at(sources[s], run, dt);
+        lane.end = segment_end(sources[s], run, n, dt);
       }
-      i = end;
+      run_end = std::min(run_end, lane.end);
     }
-    smoothed[s] = sm;
+    for (std::size_t k = run; k < run_end; ++k) {
+      const double re = osc_buf_[k].real();
+      const double im = osc_buf_[k].imag();
+      double acc = params_.carrier_leak_amplitude * re;
+      for (std::size_t s = 0; s < ns; ++s) {
+        const SourceLane& lane = lanes_[s];
+        smoothed[s] = alpha * smoothed[s] + lane.step;
+        acc += sources[s].amplitude * smoothed[s] *
+               (re * lane.rot_re - im * lane.rot_im);
+      }
+      out[k] = acc;
+    }
+    run = run_end;
   }
   if (params_.ambient_amplitude != 0.0) {
     dsp::PhasorNco ambient{w_ambient * t0_, w_ambient * dt};
@@ -156,11 +202,16 @@ std::vector<double> UplinkWaveformSynth::synthesize(
       out[i] += params_.ambient_amplitude * osc_buf_[i].imag();
     }
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] += rng.normal(0.0, params_.noise_sigma);
+  const sim::Rng::BoxMuller box_muller = dsp::simd::kernels().box_muller_f64;
+  double z[kNoiseChunk];
+  for (std::size_t i = 0; i < n; i += kNoiseChunk) {
+    const std::size_t m = std::min(kNoiseChunk, n - i);
+    rng.normal_block(z, m, box_muller);
+    for (std::size_t k = 0; k < m; ++k) {
+      out[i + k] += params_.noise_sigma * z[k];
+    }
   }
   t0_ += static_cast<double>(n) * dt;
-  return out;
 }
 
 }  // namespace arachnet::acoustic

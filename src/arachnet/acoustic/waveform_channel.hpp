@@ -52,14 +52,18 @@ class UplinkWaveformSynth {
     double ambient_hz = 35.0;
     double ambient_amplitude = 0.0;
     /// DSP implementation (see dsp::KernelPolicy): kSimd renders carriers
-    /// with phasor-recurrence NCOs and walks each source's chip stream in
-    /// run-length segments; kScalar is the per-sample reference. Waveforms
-    /// agree to rounding tolerance; the RNG draw order (and hence the
-    /// noise realization) is identical.
+    /// with phasor-recurrence NCOs, walks each source's chip stream in
+    /// run-length segments and draws the AWGN a block at a time
+    /// (sim::Rng::normal_block through the kernel table's box_muller_f64);
+    /// kScalar is the per-sample reference, one Rng::normal() per sample.
+    /// Waveforms agree to rounding tolerance; the RNG draw order (and hence
+    /// the noise realization) is identical.
     dsp::KernelPolicy kernels = dsp::default_kernel_policy();
   };
 
-  explicit UplinkWaveformSynth(Params params) : params_(params) {}
+  /// Throws std::invalid_argument for a sample rate that is not finite
+  /// and positive.
+  explicit UplinkWaveformSynth(Params params);
 
   /// Renders `duration_s` seconds of RX waveform containing the given
   /// backscatter sources (whose start_s are relative to this window).
@@ -67,8 +71,16 @@ class UplinkWaveformSynth {
   /// Successive calls are continuous: the reader transmits its carrier
   /// without interruption, so the synthesizer keeps an absolute time
   /// cursor and the carrier/ambient phases and ring state carry over.
+  /// Throws std::invalid_argument for a duration that is not finite or
+  /// is negative.
   std::vector<double> synthesize(const std::vector<BackscatterSource>& sources,
                                  double duration_s, sim::Rng& rng);
+
+  /// The same window, written into `out` (resized to its sample count).
+  /// A caller that keeps `out` across calls allocates nothing once it has
+  /// grown to the window.
+  void synthesize(const std::vector<BackscatterSource>& sources,
+                  double duration_s, sim::Rng& rng, std::vector<double>& out);
 
   /// Absolute time rendered so far.
   double now() const noexcept { return t0_; }
@@ -81,6 +93,17 @@ class UplinkWaveformSynth {
  private:
   Params params_;
   double t0_ = 0.0;
+  /// Per-source ring state within a call, reused across calls.
+  std::vector<double> smoothed_;
+  /// kSimd path, per source: its carrier rotation, the ring step toward
+  /// its current chip target, and the sample where that target changes.
+  struct SourceLane {
+    double rot_re;
+    double rot_im;
+    double step;
+    std::size_t end;
+  };
+  std::vector<SourceLane> lanes_;
   /// Block-path oscillator scratch, reused across synthesize() calls.
   std::vector<std::complex<double>> osc_buf_;
 };

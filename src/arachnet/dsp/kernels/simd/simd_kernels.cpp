@@ -17,7 +17,7 @@ namespace generic_impl {
 constexpr KernelTable kTable{"generic",         &mix_cplx_cf32,
                              &fir_block_cf32,   &ddc_bandpass_f32,
                              &fft_dif_cf32,     &chzr_bucket_cf32,
-                             &chzr_fold_f64};
+                             &chzr_fold_f64,    &box_muller_f64};
 }  // namespace generic_impl
 
 // AVX2 tier: identical source, instantiated with per-function target
@@ -33,7 +33,7 @@ namespace avx2_impl {
 constexpr KernelTable kTable{"avx2",            &mix_cplx_cf32,
                              &fir_block_cf32,   &ddc_bandpass_f32,
                              &fft_dif_cf32,     &chzr_bucket_cf32,
-                             &chzr_fold_f64};
+                             &chzr_fold_f64,    &box_muller_f64};
 }  // namespace avx2_impl
 #endif
 

@@ -87,6 +87,15 @@ struct KernelTable {
   void (*chzr_fold_f64)(const std::complex<double>* win, const double* h,
                         std::size_t taps, std::size_t fft_size,
                         std::complex<double>* v);
+
+  /// Box-Muller in double, in place over `pairs` interleaved uniform
+  /// pairs: (u1, u2) becomes (r cos t, r sin t), r = sqrt(-2 ln u1),
+  /// t = 2 pi u2, for u1 in (0, 1) and u2 in [0, 1) (sim::Rng::BoxMuller,
+  /// which Rng::normal_block drives). Vector ln, sqrt and sin/cos replace
+  /// libm's; each deviate is within 1e-13 of the one Rng::normal()
+  /// computes from the same pair, and a pair's result does not depend on
+  /// where it sits in the block.
+  void (*box_muller_f64)(double* u, std::size_t pairs);
 };
 
 /// The table for the currently active SimdIsa (re-reads the dispatch

@@ -19,6 +19,8 @@ using f64x4 = double __attribute__((vector_size(32)));
 /// shuffled vector's element size).
 using i32x8 = int __attribute__((vector_size(32)));
 using i64x4 = long long __attribute__((vector_size(32)));
+/// The bits of an f64x4, for exponent and mantissa arithmetic.
+using u64x4 = unsigned long long __attribute__((vector_size(32)));
 
 // The helpers below are always_inline, even at -O0: they are compiled
 // once, at the build baseline, but called from both kernel tiers, and an

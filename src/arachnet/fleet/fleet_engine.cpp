@@ -104,6 +104,16 @@ FleetEngine::FleetEngine(Params params)
         const auto tag = static_cast<std::uint32_t>(
             static_cast<std::size_t>(gid) * params_.channels_per_reader + k);
         tags_.emplace(tag, TagState{gid, gid, 1, -1, {}});
+        // Channel k's tag; step_shard_waveform() writes its chips.
+        const auto& mod = shard->modulators.emplace_back(
+            phy::SubcarrierModulator::Params{phy::kDefaultUlRawBitRate,
+                                             fp.channels[k].subcarrier_hz});
+        acoustic::BackscatterSource& src = shard->sources.emplace_back();
+        src.chip_rate = mod.subchip_rate();
+        src.start_s = 0.02;
+        src.amplitude = 0.12 + 0.01 * static_cast<double>(k % 5);
+        src.phase_rad = 0.5 + 0.4 * static_cast<double>(k) +
+                        0.3 * static_cast<double>(gid);
       }
     }
     shards_.push_back(std::move(shard));
@@ -185,6 +195,12 @@ std::vector<int> FleetEngine::active_reader_ids() const {
     if (s->active) out.push_back(s->reader_id);
   }
   return out;
+}
+
+std::size_t FleetEngine::active_reader_count() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(shards_.begin(), shards_.end(),
+                    [](const auto& s) { return s->active; }));
 }
 
 bool FleetEngine::reader_active(int reader_id) const {
@@ -331,7 +347,7 @@ void FleetEngine::pre_phase() {
     plan_dirty_ = false;
   }
   if (g_active_readers_ != nullptr) {
-    g_active_readers_->set(static_cast<double>(active_reader_ids().size()));
+    g_active_readers_->set(static_cast<double>(active_reader_count()));
   }
 }
 
@@ -361,8 +377,6 @@ void FleetEngine::step_shard_slot(Shard& shard) {
 void FleetEngine::step_shard_waveform(Shard& shard) {
   if (!shard.active) return;
   const std::size_t channels = params_.channels_per_reader;
-  std::vector<acoustic::BackscatterSource> srcs;
-  srcs.reserve(channels);
   for (std::size_t k = 0; k < channels; ++k) {
     // 12-bit payload doubles as the tag-side transmission sequence:
     // 8 bits of epoch, 4 of channel.
@@ -370,21 +384,13 @@ void FleetEngine::step_shard_waveform(Shard& shard) {
                                                   (k & 0xF));
     const phy::UlPacket pkt{.tid = static_cast<std::uint8_t>(k + 1),
                             .payload = txseq};
-    const double fsc = params_.subcarrier_origin_hz +
-                       params_.subcarrier_spacing_hz * static_cast<double>(k);
-    phy::SubcarrierModulator mod{{phy::kDefaultUlRawBitRate, fsc}};
-    acoustic::BackscatterSource s;
-    s.chips = mod.modulate(phy::Fm0Encoder::encode_frame(pkt.serialize()));
-    s.chip_rate = mod.subchip_rate();
-    s.start_s = 0.02;
-    s.amplitude = 0.12 + 0.01 * static_cast<double>(k % 5);
-    s.phase_rad = 0.5 + 0.4 * static_cast<double>(k) +
-                  0.3 * static_cast<double>(shard.reader_id);
-    srcs.push_back(std::move(s));
+    pkt.serialize(shard.frame_bits);
+    phy::Fm0Encoder::encode_frame(shard.frame_bits, shard.fm0_chips);
+    shard.modulators[k].modulate(shard.fm0_chips, shard.sources[k].chips);
   }
-  const auto wave = shard.synth->synthesize(srcs, params_.epoch_duration_s,
-                                            shard.noise_rng);
-  shard.bank->process(wave);
+  shard.synth->synthesize(shard.sources, params_.epoch_duration_s,
+                          shard.noise_rng, shard.wave);
+  shard.bank->process(shard.wave);
   const auto base = static_cast<std::uint64_t>(shard.reader_id) * channels;
   shard.bank->drain_packets(shard.drained);
   for (const auto& p : shard.drained) {
@@ -419,21 +425,21 @@ void FleetEngine::collect_phase() {
   // ---- 1. Co-channel censor: two interfering readers reporting on the
   // same (transmission, channel) collided on the air — both reports are
   // lost. The planner's whole job is to make this set empty.
-  std::vector<bool> dropped(inbox_packets_.size(), false);
+  dropped_.assign(inbox_packets_.size(), false);
   for (std::size_t i = 0; i < inbox_packets_.size(); ++i) {
     for (std::size_t j = i + 1; j < inbox_packets_.size(); ++j) {
       const auto& x = inbox_packets_[i];
       const auto& y = inbox_packets_[j];
       if (x.b == y.b && x.c == y.c && x.from != y.from &&
           interferes(x.from, y.from)) {
-        dropped[i] = dropped[j] = true;
+        dropped_[i] = dropped_[j] = true;
       }
     }
   }
-  std::vector<const BusMessage*> admitted_fresh;
+  admitted_fresh_.clear();
   for (std::size_t i = 0; i < inbox_packets_.size(); ++i) {
     const BusMessage& msg = inbox_packets_[i];
-    if (dropped[i]) {
+    if (dropped_[i]) {
       ++conflicts_;
       if (c_conflicts_ != nullptr) c_conflicts_->add();
       continue;
@@ -472,21 +478,23 @@ void FleetEngine::collect_phase() {
                                static_cast<std::uint16_t>(msg.c), overheard});
     ++packets_;
     if (c_packets_ != nullptr) c_packets_->add();
-    admitted_fresh.push_back(&msg);
+    admitted_fresh_.push_back(i);
   }
 
   // ---- 3. Overhearing synthesis (slot mode): every active neighbour
   // whose drifted gain clears the threshold also heard the uplink and
   // reports it — duplicate traffic the window must suppress next epoch.
   if (params_.mode == Mode::kSlot && params_.neighbor_gain > 0.0) {
-    for (const BusMessage* primary : admitted_fresh) {
-      for (int x : active_reader_ids()) {
-        if (x == primary->from) continue;
-        if (gain(x, static_cast<std::uint32_t>(primary->a), epoch_) <
+    const auto active = active_reader_ids();
+    for (const std::size_t i : admitted_fresh_) {
+      const BusMessage& primary = inbox_packets_[i];
+      for (int x : active) {
+        if (x == primary.from) continue;
+        if (gain(x, static_cast<std::uint32_t>(primary.a), epoch_) <
             params_.overhear_threshold) {
           continue;
         }
-        BusMessage dup = *primary;
+        BusMessage dup = primary;
         dup.priority = 0;  // echoes yield to fresh reports
         bus_.publish(x, dup);
       }
@@ -583,7 +591,7 @@ FleetEngine::Stats FleetEngine::stats() const {
   s.handoffs = handoffs_;
   s.conflicts = conflicts_;
   s.tdma_muted = tdma_muted_total_;
-  s.active_readers = active_reader_ids().size();
+  s.active_readers = active_reader_count();
   s.bus = bus_.stats();
   s.dedup = dedup_.stats();
   return s;

@@ -12,6 +12,8 @@
 #include "arachnet/fleet/bus.hpp"
 #include "arachnet/fleet/dedup.hpp"
 #include "arachnet/fleet/planner.hpp"
+#include "arachnet/phy/bits.hpp"
+#include "arachnet/phy/subcarrier.hpp"
 #include "arachnet/reader/fdma_rx.hpp"
 #include "arachnet/sim/rng.hpp"
 #include "arachnet/telemetry/metrics.hpp"
@@ -190,12 +192,19 @@ class FleetEngine {
     std::uint64_t tdma_muted = 0;  ///< shard-task-owned; read at barrier
     // Slot mode.
     std::unique_ptr<core::SlotNetwork> net;
-    // Waveform mode.
+    // Waveform mode. Everything below is built once and reused: an epoch
+    // rewrites the sources' chip streams and the waveform in place, so a
+    // warm shard allocates nothing.
     std::unique_ptr<reader::FdmaRxChain> bank;
     std::unique_ptr<acoustic::UplinkWaveformSynth> synth;
     sim::Rng noise_rng{0};
-    /// Reused drain buffer: the per-epoch packet drain fills this in
-    /// place instead of allocating a fresh vector every epoch.
+    /// One tag per channel, with its subcarrier modulator.
+    std::vector<phy::SubcarrierModulator> modulators;
+    std::vector<acoustic::BackscatterSource> sources;
+    /// Chip-stream scratch: a tag's frame bits and their FM0 chips.
+    phy::BitVector frame_bits;
+    phy::BitVector fm0_chips;
+    std::vector<double> wave;
     std::vector<reader::RxPacket> drained;
   };
 
@@ -221,6 +230,7 @@ class FleetEngine {
   Shard* find_shard(int reader_id);
   const Shard* find_shard(int reader_id) const;
   std::vector<int> active_reader_ids() const;
+  std::size_t active_reader_count() const noexcept;
 
   Params params_;
   std::size_t total_readers_ = 0;
@@ -235,6 +245,10 @@ class FleetEngine {
   bool plan_dirty_ = true;
   /// kPacket messages delivered by this epoch's commit, in bus order.
   std::vector<BusMessage> inbox_packets_;
+  /// collect_phase() scratch, reused across epochs: the co-channel censor's
+  /// verdicts and the inbox indices of the fresh reports it logged.
+  std::vector<bool> dropped_;
+  std::vector<std::size_t> admitted_fresh_;
   std::uint64_t tdma_muted_total_ = 0;
   std::vector<FleetPacket> log_;
   // Aggregate counters (coordinator-thread only).

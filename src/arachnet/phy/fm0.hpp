@@ -31,6 +31,11 @@ class Fm0Encoder {
   /// transition closes the last data bit before the channel goes quiet.
   static BitVector encode_frame(const BitVector& data,
                                 bool initial_level = false);
+
+  /// The same chips, written into `chips` (cleared first; a reused
+  /// `chips` keeps its capacity, so this allocates nothing once warm).
+  static void encode_frame(const BitVector& data, BitVector& chips,
+                           bool initial_level = false);
 };
 
 /// Chip-level FM0 decoder with boundary-transition checking.

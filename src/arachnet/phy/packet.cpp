@@ -16,13 +16,19 @@ const BitVector& dl_preamble() {
 }
 
 BitVector UlPacket::serialize() const {
-  BitVector frame = ul_preamble();
-  BitVector protected_field;
-  protected_field.append_uint(tid & 0x0Fu, kUlTidBits);
-  protected_field.append_uint(payload & 0x0FFFu, kUlPayloadBits);
-  frame.append(protected_field);
-  frame.append_uint(crc8_bits(protected_field), kUlCrcBits);
+  BitVector frame;
+  serialize(frame);
   return frame;
+}
+
+void UlPacket::serialize(BitVector& frame) const {
+  frame.clear();
+  frame.append(ul_preamble());
+  frame.append_uint(tid & 0x0Fu, kUlTidBits);
+  frame.append_uint(payload & 0x0FFFu, kUlPayloadBits);
+  frame.append_uint(
+      crc8_bits(frame, kUlPreambleBits, kUlTidBits + kUlPayloadBits),
+      kUlCrcBits);
 }
 
 std::optional<UlPacket> UlPacket::parse(const BitVector& frame) {

@@ -38,6 +38,10 @@ struct UlPacket {
   /// Full on-air frame: preamble | TID | payload | CRC-8(TID|payload).
   BitVector serialize() const;
 
+  /// The same frame, written into `frame` (cleared first; a reused
+  /// `frame` keeps its capacity, so this allocates nothing once warm).
+  void serialize(BitVector& frame) const;
+
   /// Parses a 32-bit frame; returns nullopt on preamble or CRC mismatch.
   static std::optional<UlPacket> parse(const BitVector& frame);
 

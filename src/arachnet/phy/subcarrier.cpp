@@ -18,6 +18,13 @@ SubcarrierModulator::SubcarrierModulator(Params params) : params_(params) {
 
 BitVector SubcarrierModulator::modulate(const BitVector& chips) const {
   BitVector out;
+  modulate(chips, out);
+  return out;
+}
+
+void SubcarrierModulator::modulate(const BitVector& chips,
+                                   BitVector& out) const {
+  out.clear();
   bool sub_phase = false;
   for (std::size_t i = 0; i < chips.size(); ++i) {
     for (int h = 0; h < half_periods_; ++h) {
@@ -25,7 +32,6 @@ BitVector SubcarrierModulator::modulate(const BitVector& chips) const {
       sub_phase = !sub_phase;
     }
   }
-  return out;
 }
 
 BitVector SubcarrierModulator::demodulate(const BitVector& subchips) const {

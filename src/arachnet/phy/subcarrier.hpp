@@ -37,6 +37,10 @@ class SubcarrierModulator {
   /// alternating subcarrier phase.
   BitVector modulate(const BitVector& chips) const;
 
+  /// The same stream, written into `out` (cleared first; a reused `out`
+  /// keeps its capacity, so this allocates nothing once warm).
+  void modulate(const BitVector& chips, BitVector& out) const;
+
   /// Demodulates a sub-chip stream back to chips (majority vote over each
   /// chip after XOR with the subcarrier). Inverse of modulate() when
   /// aligned.

@@ -86,6 +86,23 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
+void Rng::normal_block(double* z, std::size_t n, BoxMuller convert) noexcept {
+  std::size_t i = 0;
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    z[i++] = cached_normal_;
+  }
+  const std::size_t pairs = (n - i) / 2;
+  for (std::size_t j = 0; j < pairs; ++j) {
+    double u1 = uniform();
+    while (u1 <= 0.0) u1 = uniform();
+    z[i + 2 * j] = u1;
+    z[i + 2 * j + 1] = uniform();
+  }
+  convert(z + i, pairs);
+  if ((n - i) % 2 != 0) z[n - 1] = normal();
+}
+
 double Rng::exponential(double rate) noexcept {
   double u = uniform();
   while (u <= 0.0) u = uniform();

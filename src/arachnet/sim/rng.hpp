@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -46,6 +47,22 @@ class Rng {
 
   /// Normal with the given mean / standard deviation.
   double normal(double mean, double stddev) noexcept;
+
+  /// Turns `pairs` interleaved uniform pairs (u1, u2), u1 in (0, 1) and
+  /// u2 in [0, 1), into normal()'s two Box-Muller deviates in place:
+  /// (r cos t, r sin t) with r = sqrt(-2 ln u1) and t = 2 pi u2. The
+  /// simd kernel table's `box_muller_f64` is one.
+  using BoxMuller = void (*)(double* u, std::size_t pairs);
+
+  /// Block form of normal(): writes the next `n` deviates to z[0, n) and
+  /// leaves the generator exactly as n normal() calls would, state words
+  /// and cached deviate alike. The uniforms are drawn in normal()'s
+  /// order: a cached deviate comes first, then one (u1, u2) pair per two
+  /// deviates, with u1's `<= 0` rejection. `convert`, not libm, turns
+  /// those pairs into deviates where they lie in z. An odd last deviate is
+  /// a normal() call, which leaves its partner cached as the scalar draws
+  /// would.
+  void normal_block(double* z, std::size_t n, BoxMuller convert) noexcept;
 
   /// Exponential with the given rate (lambda). Requires rate > 0.
   double exponential(double rate) noexcept;

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <stdexcept>
+#include <vector>
 
 #include "arachnet/acoustic/biw_graph.hpp"
 #include "arachnet/acoustic/deployment.hpp"
@@ -403,6 +406,44 @@ TEST(WaveformSynth, ConsecutiveCallsArePhaseContinuous) {
   EXPECT_NEAR(split.now(), 0.002, 1e-12);
   split.reset();
   EXPECT_DOUBLE_EQ(split.now(), 0.0);
+}
+
+TEST(WaveformSynth, CallerBufferFormMatchesByValueForm) {
+  // The by-value form wraps the caller-buffer form; a reused buffer is
+  // resized to each window, shorter or longer than the last.
+  UplinkWaveformSynth by_value{UplinkWaveformSynth::Params{}};
+  UplinkWaveformSynth into{UplinkWaveformSynth::Params{}};
+  sim::Rng rng_a{9}, rng_b{9};
+  std::vector<double> out;
+  for (const double seconds : {0.002, 0.0005, 0.003}) {
+    const auto want = by_value.synthesize({}, seconds, rng_a);
+    into.synthesize({}, seconds, rng_b, out);
+    EXPECT_EQ(out, want) << seconds << " s";
+  }
+}
+
+TEST(WaveformSynth, RejectsInvalidDurationAndRate) {
+  // The sample count is duration x rate cast to size_t: from NaN, a
+  // negative or an overflowing product that cast is undefined, so both
+  // forms refuse the duration before rendering anything.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  UplinkWaveformSynth synth{UplinkWaveformSynth::Params{}};
+  sim::Rng rng{1};
+  std::vector<double> out;
+  for (const double bad : {kNan, -0.001, kInf, -kInf, 1e300}) {
+    EXPECT_THROW(synth.synthesize({}, bad, rng), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(synth.synthesize({}, bad, rng, out), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_DOUBLE_EQ(synth.now(), 0.0);
+  EXPECT_TRUE(synth.synthesize({}, 0.0, rng).empty());
+  for (const double bad_rate : {0.0, -500e3, kNan, kInf}) {
+    UplinkWaveformSynth::Params p;
+    p.sample_rate_hz = bad_rate;
+    EXPECT_THROW(UplinkWaveformSynth{p}, std::invalid_argument) << bad_rate;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Steady-state allocation audit (telemetry/counting_alloc):
-// CountingAllocatorGuard semantics first, then the two contracts the
-// guard exists to enforce — after warm-up, the FdmaRxChain decode loop
-// and the ReaderService session loop perform zero heap allocations per
-// block. Linking this binary pulls the counting global new/delete in
-// from the static library (see counting_alloc.hpp), so every heap
-// operation in the process is visible to the guard.
+// CountingAllocatorGuard semantics first, then the contracts the guard
+// exists to enforce — after warm-up, the FdmaRxChain decode loop and the
+// ReaderService session loop perform zero heap allocations per block,
+// and a waveform FleetEngine allocates only per delivered packet.
+// Linking this binary pulls the counting global new/delete in from the
+// static library (see counting_alloc.hpp), so every heap operation in
+// the process is visible to the guard.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,6 +18,7 @@
 
 #include "arachnet/acoustic/waveform_channel.hpp"
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
+#include "arachnet/fleet/fleet_engine.hpp"
 #include "arachnet/phy/fm0.hpp"
 #include "arachnet/phy/packet.hpp"
 #include "arachnet/phy/subcarrier.hpp"
@@ -163,6 +165,45 @@ TEST(SteadyStateAlloc, FdmaChannelizerBankDecodeLoopIsAllocationFree) {
 TEST(SteadyStateAlloc, FdmaPerChannelBankDecodeLoopIsAllocationFree) {
   expect_steady_state_clean(
       arachnet::reader::FdmaRxChain::BankPolicy::kPerChannel);
+}
+
+// ------------------------------------------------ fleet steady state
+
+TEST(SteadyStateAlloc, WarmWaveformFleetAllocatesPerDeliveredPacketOnly) {
+  // A fleet4x3-shaped waveform fleet. Its shards keep their sources, chip
+  // streams, waveforms and drain buffers across epochs, and the serial
+  // phases keep their scratch, so once warm the only heap traffic left
+  // is per delivered packet: the DedupWindow's set node for its key, the
+  // window's FIFO deque block (one per 64 keys in libstdc++), and the
+  // packet log's capacity doublings. The window is small enough to fill
+  // during the warm-up, so its set no longer rehashes.
+  arachnet::fleet::FleetEngine::Params p;
+  p.mode = arachnet::fleet::FleetEngine::Mode::kWaveform;
+  p.readers = 4;
+  p.shards = 2;
+  p.seed = 3;
+  p.channels_per_reader = 3;
+  p.dedup_window = 64;
+  arachnet::fleet::FleetEngine fleet{p};
+  fleet.run_epochs(12);
+  const std::size_t logged = fleet.packet_log().size();
+  const std::size_t capacity = fleet.packet_log().capacity();
+  ASSERT_GE(logged, std::size_t{64}) << "warm-up must fill the window";
+
+  CountingAllocatorGuard guard;
+  fleet.run_epochs(20);
+  const std::uint64_t allocations = guard.allocations();
+
+  const std::size_t delivered = fleet.packet_log().size() - logged;
+  std::size_t log_growths = 0;
+  for (std::size_t c = capacity; c < fleet.packet_log().capacity(); c *= 2) {
+    ++log_growths;
+  }
+  const std::size_t bound = delivered + delivered / 64 + 1 + log_growths;
+  EXPECT_GE(delivered, std::size_t{200}) << "the fleet must decode packets";
+  EXPECT_LE(allocations, bound)
+      << delivered << " packets delivered, " << log_growths
+      << " packet-log doublings";
 }
 
 // ---------------------------------------------- service steady state

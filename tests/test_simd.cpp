@@ -5,12 +5,14 @@
 // against the scalar FirFilter (including denormal and NaN blocks). Then
 // the parity contract, KernelParity.*: Ddc (every shape a front half runs,
 // split calls, non-finite bursts), synthesizer and channelizer outputs
-// agree to float32 tolerance, and — the load-bearing
+// agree to float32 tolerance, the block AWGN tracks Rng::normal() and
+// leaves the generator in normal()'s state, and — the load-bearing
 // guarantee — RxChain and the FDMA bank (both bank modes, 4 to 32
 // channels) decode the identical packets under both policies, on the
-// hardware tier and on the forced portable tier. Last, DecisionPin.*
-// holds the scalar reference's decodes to recorded values, which catches
-// a change to the decision chain that both policies share.
+// hardware tier and on the forced portable tier, as does a waveform
+// fleet across synthesizer policies. Last, DecisionPin.* holds the scalar
+// reference's decodes to recorded values, which catches a change to the
+// decision chain that both policies share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include <numbers>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arachnet/acoustic/deployment.hpp"
@@ -34,6 +37,7 @@
 #include "arachnet/dsp/kernels/kernel_policy.hpp"
 #include "arachnet/dsp/kernels/simd/simd_kernels.hpp"
 #include "arachnet/dsp/kernels/simd/stages.hpp"
+#include "arachnet/fleet/fleet_engine.hpp"
 #include "arachnet/phy/fm0.hpp"
 #include "arachnet/phy/packet.hpp"
 #include "arachnet/phy/subcarrier.hpp"
@@ -470,6 +474,88 @@ TEST(KernelParity, DdcRecoversFromNonFiniteBurst) {
   }
 }
 
+// ------------------------------------------------- parity: block AWGN
+
+// Runs `check` against the hardware table, then the portable one.
+template <class Check>
+void on_both_tables(Check check) {
+  struct RestoreIsa {
+    dsp::SimdIsa isa = dsp::active_simd_isa();
+    ~RestoreIsa() { dsp::force_simd_isa(isa); }
+  } restore;
+  for (const dsp::SimdIsa isa : {restore.isa, dsp::SimdIsa::kGeneric}) {
+    dsp::force_simd_isa(isa);
+    SCOPED_TRACE(dsp::simd::kernels().isa);
+    check(dsp::simd::kernels());
+  }
+}
+
+TEST(KernelParity, BlockNormalsMatchScalarDraws) {
+  // Rng::normal_block through the table's Box-Muller against one
+  // normal() per deviate, entered with and without a cached partner:
+  // every deviate within 1e-13 (standard units), and afterwards the twin
+  // generators agree bit for bit, cached partner and state words alike.
+  on_both_tables([](const dsp::simd::KernelTable& table) {
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 257u, 125000u}) {
+      for (const bool cached : {false, true}) {
+        SCOPED_TRACE("n " + std::to_string(n) +
+                     (cached ? " cached" : " clean"));
+        sim::Rng block{n + 17};
+        sim::Rng scalar{n + 17};
+        if (cached) {  // one draw of a pair leaves its partner cached
+          block.normal();
+          scalar.normal();
+        }
+        std::vector<double> z(n);
+        block.normal_block(z.data(), n, table.box_muller_f64);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_NEAR(z[i], scalar.normal(), 1e-13) << "deviate " << i;
+        }
+        EXPECT_EQ(block.normal(), scalar.normal());
+        EXPECT_EQ(block.next_u64(), scalar.next_u64());
+      }
+    }
+  });
+}
+
+TEST(KernelParity, BoxMullerEdgeUniformsMatchLibm) {
+  // The extreme uniforms the generator can draw (u1 = 2^-53 gives the
+  // largest radius, 8.57) against the grid u2 = k/8, where the reduction
+  // to an octant lands on its ties, and u2 = 1 - 2^-53. Twenty-one pairs,
+  // so the last one runs in the padded pass; each pair must also come
+  // out bit-identical when converted on its own.
+  std::vector<double> u;
+  for (const double u1 : {0x1p-53, 1.0 - 0x1p-53}) {
+    for (int k = 0; k < 8; ++k) {
+      u.push_back(u1);
+      u.push_back(k / 8.0);
+    }
+    u.push_back(u1);
+    u.push_back(1.0 - 0x1p-53);
+  }
+  u.push_back(0.5);
+  u.push_back(0.25);
+  const std::size_t pairs = u.size() / 2;
+  on_both_tables([&](const dsp::simd::KernelTable& table) {
+    std::vector<double> z = u;
+    table.box_muller_f64(z.data(), pairs);
+    for (std::size_t j = 0; j < pairs; ++j) {
+      const double u1 = u[2 * j];
+      const double u2 = u[2 * j + 1];
+      SCOPED_TRACE("u1 " + std::to_string(u1) + " u2 " + std::to_string(u2));
+      // Rng::normal()'s expressions.
+      const double r = std::sqrt(-2.0 * std::log(u1));
+      const double theta = 2.0 * kPi * u2;
+      EXPECT_NEAR(z[2 * j], r * std::cos(theta), 1e-13);
+      EXPECT_NEAR(z[2 * j + 1], r * std::sin(theta), 1e-13);
+      double alone[2] = {u1, u2};
+      table.box_muller_f64(alone, 1);
+      EXPECT_EQ(alone[0], z[2 * j]);
+      EXPECT_EQ(alone[1], z[2 * j + 1]);
+    }
+  });
+}
+
 // ------------------------------------------------------ parity: synth
 
 acoustic::UplinkWaveformSynth::Params synth_params(dsp::KernelPolicy policy) {
@@ -508,9 +594,13 @@ TEST(KernelParity, SynthesizerSimdMatchesScalar) {
   acoustic::UplinkWaveformSynth simd{synth_params(dsp::KernelPolicy::kSimd)};
   sim::Rng rng_s{42}, rng_v{42};
   const auto srcs = parity_sources();
-  for (int round = 0; round < 3; ++round) {
-    const auto w_s = scalar.synthesize(srcs, 0.08, rng_s);
-    const auto w_v = simd.synthesize(srcs, 0.08, rng_v);
+  // Odd and even windows alternate (40 001 and 40 000 samples), so the
+  // block noise path enters windows with and without a cached deviate
+  // and leaves one cached for the next.
+  for (int round = 0; round < 4; ++round) {
+    const double seconds = round % 2 == 0 ? 0.080002 : 0.08;
+    const auto w_s = scalar.synthesize(srcs, seconds, rng_s);
+    const auto w_v = simd.synthesize(srcs, seconds, rng_v);
     ASSERT_EQ(w_s.size(), w_v.size());
     for (std::size_t i = 0; i < w_s.size(); ++i) {
       ASSERT_NEAR(w_s[i], w_v[i], 1e-9) << "round " << round << " i " << i;
@@ -520,6 +610,34 @@ TEST(KernelParity, SynthesizerSimdMatchesScalar) {
   // Both paths must consume the RNG stream identically (one normal draw
   // per sample, in sample order) — the next draw from each twin agrees.
   EXPECT_DOUBLE_EQ(rng_s.normal(0.0, 1.0), rng_v.normal(0.0, 1.0));
+}
+
+TEST(KernelParity, WaveformFleetLogMatchesAcrossSynthPolicies) {
+  // The kSimd synthesizer draws each shard's AWGN a block at a time; the
+  // kScalar reference draws one normal() per sample. Both consume the
+  // shard's noise stream identically and agree to rounding, so a
+  // fleet4x3-shaped fleet logs the same packets either way. (Here, not in
+  // test_fleet: the scalar reference runs for over a minute under TSan.)
+  fleet::FleetEngine::Params p;
+  p.mode = fleet::FleetEngine::Mode::kWaveform;
+  p.readers = 4;
+  p.shards = 2;
+  p.seed = 5;
+  p.channels_per_reader = 3;
+  p.epoch_duration_s = 0.25;
+  const auto run = [&](dsp::KernelPolicy synth) {
+    auto q = p;
+    q.synth.kernels = synth;
+    fleet::FleetEngine eng{q};
+    eng.run_epochs(40);
+    eng.flush();
+    return std::pair{eng.digest(), eng.stats().packets};
+  };
+  const auto [d_simd, n_simd] = run(dsp::KernelPolicy::kSimd);
+  const auto [d_scalar, n_scalar] = run(dsp::KernelPolicy::kScalar);
+  EXPECT_GT(n_simd, 0u) << "waveform shards decoded nothing";
+  EXPECT_EQ(n_simd, n_scalar);
+  EXPECT_EQ(d_simd, d_scalar) << "synth policies logged different packets";
 }
 
 // ---------------------------------------------------- parity: RxChain
