@@ -297,12 +297,12 @@ void bank_policy_bench(benchmark::State& state,
 static void BM_FdmaBankPerChannel(benchmark::State& state) {
   bank_policy_bench(state, reader::FdmaRxChain::BankPolicy::kPerChannel);
 }
-BENCHMARK(BM_FdmaBankPerChannel)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_FdmaBankPerChannel)->Arg(4)->Arg(9)->Arg(16)->Arg(32);
 
 static void BM_FdmaBankChannelizer(benchmark::State& state) {
   bank_policy_bench(state, reader::FdmaRxChain::BankPolicy::kChannelizer);
 }
-BENCHMARK(BM_FdmaBankChannelizer)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_FdmaBankChannelizer)->Arg(4)->Arg(9)->Arg(16)->Arg(32);
 
 static void BM_BankPacketParity(benchmark::State& state) {
   // Not a timing bench: records per-channel packet parity between the two

@@ -22,6 +22,19 @@ std::size_t PolyphaseChannelizer::bin_for(double hz, double sample_rate_hz,
       hz * static_cast<double>(fft_size) / sample_rate_hz));
 }
 
+std::size_t PolyphaseChannelizer::lane_decimation(double sample_rate_hz,
+                                                  double chip_rate) noexcept {
+  // D = largest power of two with fs/D >= 16*chip_rate. The cap bounds
+  // the loop for a zero or vanishing chip rate.
+  constexpr std::size_t kMax = std::size_t{1} << 20;
+  std::size_t decim = 1;
+  while (decim < kMax && static_cast<double>(2 * decim) * 16.0 * chip_rate <=
+                             sample_rate_hz) {
+    decim *= 2;
+  }
+  return decim;
+}
+
 PolyphaseChannelizer::Plan PolyphaseChannelizer::plan(
     double sample_rate_hz, double chip_rate,
     const std::vector<double>& subcarriers_hz) {
@@ -39,15 +52,8 @@ PolyphaseChannelizer::Plan PolyphaseChannelizer::plan(
     p.reason = "no subcarriers";
     return p;
   }
-  // Lane rate: keep >= 16 samples per chip after decimation (the decision
-  // chain needs margin over the debouncer and FM0 run quantization), so
-  // D = largest power of two with fs/D >= 16*chip_rate — and decimating by
-  // less than 2 gains nothing over the mixer bank.
-  std::size_t decim = 1;
-  while (static_cast<double>(2 * decim) * 16.0 * chip_rate <=
-         sample_rate_hz) {
-    decim *= 2;
-  }
+  // Decimating by less than 2 gains nothing over the mixer bank.
+  const std::size_t decim = lane_decimation(sample_rate_hz, chip_rate);
   if (decim < 2) {
     p.reason = "IQ rate below 32 samples per chip leaves no decimation room";
     return p;

@@ -103,14 +103,22 @@ class PolyphaseChannelizer {
     double cutoff_hz = 0.0;
   };
 
+  /// The lane decimation for chips at `chip_rate` in an IQ stream at
+  /// `sample_rate_hz`: the largest power of two that keeps >= 16 samples
+  /// per chip (the decision chain needs margin over the debouncer and FM0
+  /// run quantization), or 1 when none does. Both FDMA banks decide at
+  /// this rate. Any input, NaN included, yields a factor in [1, 2^20].
+  static std::size_t lane_decimation(double sample_rate_hz,
+                                     double chip_rate) noexcept;
+
   /// Sizes a channelizer for a set of subcarriers carrying chips at
   /// `chip_rate`: C = next power of two >= fs/chip_rate (bin residual
-  /// <= chip_rate/2), D = largest power of two keeping >= 16 lane samples
-  /// per chip, prototype length ~3.3*fs/(1.1*chip_rate) (clamped odd to
-  /// [255, 1023]) with cutoff 1.4*chip_rate + fs/(2C). Not viable when a
-  /// rate is non-finite or non-positive (or fs/chip_rate exceeds 2^24),
-  /// the subcarriers collide in a bin, map outside (0, fs/2), or the IQ
-  /// rate leaves no room to decimate (D < 2); the reason string says which.
+  /// <= chip_rate/2), D = lane_decimation(), prototype length
+  /// ~3.3*fs/(1.1*chip_rate) (clamped odd to [255, 1023]) with cutoff
+  /// 1.4*chip_rate + fs/(2C). Not viable when a rate is non-finite or
+  /// non-positive (or fs/chip_rate exceeds 2^24), the subcarriers collide
+  /// in a bin, map outside (0, fs/2), or the IQ rate leaves no room to
+  /// decimate (D < 2); the reason string says which.
   /// The subcarriers need not sit on a uniform grid: every lane has its own
   /// bin and residual phasor.
   static Plan plan(double sample_rate_hz, double chip_rate,

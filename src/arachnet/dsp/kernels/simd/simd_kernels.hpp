@@ -38,10 +38,11 @@ struct KernelTable {
                         const float* lre, const float* lim, float rre,
                         float rim, float* out);
 
-  /// nout complex outputs from a contiguous interleaved window: output i
-  /// is the hd-dot over win[2i .. 2i+2*taps).
+  /// nout complex outputs from a contiguous interleaved window, one per
+  /// `stride` input samples: output i is the hd-dot over
+  /// win[2*i*stride .. 2*i*stride + 2*taps).
   void (*fir_block_cf32)(const float* win, const float* hd, std::size_t taps,
-                         std::size_t nout, float* out);
+                         std::size_t nout, std::size_t stride, float* out);
 
   /// Band-pass decimating core of the Ddc (filter, then mix). On entry
   /// hist[0, taps-1) holds past samples, oldest first, with room for n

@@ -97,39 +97,76 @@ inline std::vector<float> duplicate_reversed(
   return hd;
 }
 
-/// Streaming float32 block FIR over interleaved complex buffers — the
-/// kSimd counterpart of the scalar FirFilter<std::complex<double>>:
-/// history carries across calls, so any block split yields the same
-/// outputs. In-place operation (out == in) is allowed: the input is
-/// copied into the work buffer before any output is written.
+/// Streaming float32 decimating FIR over interleaved complex buffers —
+/// the kSimd counterpart of the scalar FirFilter<std::complex<double>>
+/// driven through feed()/push(): of every `decim` inputs only the last
+/// gets an output, so outputs sit on the grid (F+1)*decim - 1 of all
+/// inputs so far. History and the decimation phase carry across calls,
+/// so any block split yields the same outputs. The work buffer is sized
+/// at construction for `block` inputs per filter() call, so the steady
+/// state allocates nothing.
 class FirSimdFilter {
  public:
-  explicit FirSimdFilter(const std::vector<double>& coeffs)
-      : hd_(duplicate_reversed(coeffs)), taps_(coeffs.size()) {
+  explicit FirSimdFilter(const std::vector<double>& coeffs,
+                         std::size_t decim = 1, std::size_t block = 4096)
+      : hd_(duplicate_reversed(coeffs)),
+        taps_(coeffs.size()),
+        decim_(decim),
+        block_(block) {
     if (taps_ == 0) {
       throw std::invalid_argument("FirSimdFilter: empty coefficients");
     }
-    work_.assign(2 * (taps_ - 1), 0.0f);
+    if (decim_ == 0 || block_ == 0) {
+      throw std::invalid_argument(
+          "FirSimdFilter: decimation and block must be >= 1");
+    }
+    work_.assign(2 * (taps_ - 1 + block_), 0.0f);
   }
 
-  void process(const float* in, float* out, std::size_t n) {
-    work_.resize(2 * (taps_ - 1 + n));
-    std::copy(in, in + 2 * n,
-              work_.begin() + static_cast<std::ptrdiff_t>(2 * (taps_ - 1)));
-    kernels().fir_block_cf32(work_.data(), hd_.data(), taps_, n, out);
-    std::copy(work_.end() - static_cast<std::ptrdiff_t>(2 * (taps_ - 1)),
-              work_.end(), work_.begin());
-    work_.resize(2 * (taps_ - 1));
+  /// Room for the next `block` inputs, interleaved, right behind the
+  /// history: a stage ahead of the filter can write them in place.
+  float* input() noexcept { return work_.data() + 2 * (taps_ - 1); }
+
+  /// Filters the `n` <= `block` inputs written to input(), writing one
+  /// interleaved output per decim-th input to `out`; returns how many.
+  std::size_t filter(std::size_t n, float* out) {
+    if (n == 0) return 0;
+    const std::size_t count = (phase_ + n) / decim_;
+    if (count != 0) {
+      // The first output's window ends at input decim - 1 - phase_.
+      kernels().fir_block_cf32(work_.data() + 2 * (decim_ - 1 - phase_),
+                               hd_.data(), taps_, count, decim_, out);
+    }
+    phase_ = (phase_ + n) % decim_;
+    // The taps-1 newest samples become the history.
+    std::copy(work_.begin() + static_cast<std::ptrdiff_t>(2 * n),
+              work_.begin() + static_cast<std::ptrdiff_t>(2 * (n + taps_ - 1)),
+              work_.begin());
+    return count;
   }
 
-  void reset() { work_.assign(2 * (taps_ - 1), 0.0f); }
+  /// Copying form for any `n`: outputs go to `out`, and in-place operation
+  /// (out == in) is allowed, since each input is copied into the history
+  /// before any output over it is written. Returns the outputs written.
+  std::size_t process(const float* in, float* out, std::size_t n) {
+    std::size_t produced = 0;
+    for (std::size_t off = 0; off < n; off += block_) {
+      const std::size_t len = std::min(block_, n - off);
+      std::copy(in + 2 * off, in + 2 * (off + len), input());
+      produced += filter(len, out + 2 * produced);
+    }
+    return produced;
+  }
 
   std::size_t taps() const noexcept { return taps_; }
 
  private:
   std::vector<float> hd_;
   std::size_t taps_;
-  std::vector<float> work_;  ///< interleaved history between calls
+  std::size_t decim_;
+  std::size_t block_;
+  std::size_t phase_ = 0;    ///< inputs since the last output
+  std::vector<float> work_;  ///< interleaved history + one block
 };
 
 }  // namespace arachnet::dsp::simd

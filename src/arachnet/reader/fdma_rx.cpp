@@ -16,17 +16,65 @@ namespace {
 
 using telemetry::steady_now_ns;
 
+/// IQ samples per pass of a per-channel front end: bounds the filter
+/// history and the lane buffers, and the kSimd mixer reseeds its float32
+/// phasors from the double master phase once per pass.
+constexpr std::size_t kChannelBlock = 4096;
+
+/// Channels at which kAuto engages the channelizer: below this the
+/// per-channel bank decodes faster (DESIGN.md §7, bank crossover).
+constexpr std::size_t kChannelizerMinChannels = 9;
+
 /// The back end of a channel whose front end delivers `rate_hz`.
 DecisionChain::Params channel_decision(double rate_hz, double chip_rate) {
   return DecisionChain::Params{
       .rate_hz = rate_hz, .chip_rate = chip_rate, .slicer_floor = 0.001};
 }
 
+/// The caller's settings with the main DDC's cutoff and kernels resolved
+/// (see FdmaRxChain::params()).
+FdmaRxChain::Params resolved(FdmaRxChain::Params p) {
+  // Checked first: every rate below (filter cutoffs, samples per chip,
+  // the channelizer plan) divides by or scales with it.
+  if (!std::isfinite(p.chip_rate) || p.chip_rate <= 0.0) {
+    throw std::invalid_argument(
+        "FdmaRxChain: chip_rate must be finite and positive");
+  }
+  dsp::Ddc::Params& ddc = p.ddc;
+  double top = 0.0;
+  for (const auto& c : p.channels) {
+    // Non-finite specs must reach validate_subcarrier() for their proper
+    // diagnostic, not blow up the filter design here.
+    if (std::isfinite(c.subcarrier_hz)) top = std::max(top, c.subcarrier_hz);
+  }
+  // The main down-converter must pass the highest subcarrier plus its
+  // modulation sidebands, flat: the windowed-sinc cutoff is the middle of
+  // a transition band T = 3.3 * fs / taps wide, so it moves up by T/2 —
+  // but only as far as keeps the stopband edge below the lowest frequency
+  // that folds onto a channel after decimation.
+  const double edge = top + 3.0 * p.chip_rate;
+  ddc.cutoff_hz = edge;
+  if (ddc.taps != 0 && ddc.decimation != 0) {
+    const double half_band =
+        1.65 * ddc.sample_rate_hz / static_cast<double>(ddc.taps);
+    const double iq_rate =
+        ddc.sample_rate_hz / static_cast<double>(ddc.decimation);
+    const double room = iq_rate - 2.0 * edge - half_band;
+    ddc.cutoff_hz += std::max(0.0, std::min(half_band, room));
+  }
+  // One policy switch for the whole chain: the main DDC and every channel
+  // follow Params::kernels.
+  ddc.kernels = p.kernels;
+  return p;
+}
+
 }  // namespace
 
-FdmaRxChain::Channel::Channel(double hz,
-                              DecisionChain::Params decision_params)
+FdmaRxChain::Channel::Channel(double hz, DecisionChain::Params decision_params,
+                              std::size_t decim, std::int64_t delay)
     : subcarrier_hz(hz),
+      lane_decim(decim),
+      lane_delay(delay),
       decision(decision_params,
                [this](const phy::UlPacket& pkt, std::uint64_t stamp) {
                  packets.push_back(pkt);
@@ -34,90 +82,70 @@ FdmaRxChain::Channel::Channel(double hz,
                }) {}
 
 void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
-                                         std::size_t n,
-                                         std::uint64_t base_index) {
-  ARACHNET_TRACE_SPAN("fdma.channel");
-  // Stage 1 (batch): shift this channel's subcarrier band to DC. The
+                                         std::size_t n) {
+  // Shift this channel's subcarrier band to DC, low-pass and decimate. The
   // carrier leak sits at baseband DC, i.e. at -f_sc after the shift —
   // outside the channel low-pass, so no explicit leak cancellation is
   // needed here. The subcarrier fundamental flips polarity with the FM0
   // chip, so after the shift the chip value lives on a fixed line through
   // the origin: the back end's axis finds it.
-  if (kernels == dsp::KernelPolicy::kSimd) {
-    // float32 lanes through mixer and LPF; the back end reads the
-    // interleaved buffer widened back to double per sample.
-    mixed_f.resize(2 * n);
-    nco_s.mix(iq, mixed_f.data(), n);
-    slpf->process(mixed_f.data(), mixed_f.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      decision.step({static_cast<double>(mixed_f[2 * i]),
-                     static_cast<double>(mixed_f[2 * i + 1])},
-                    base_index + i);
+  for (std::size_t off = 0; off < n; off += kChannelBlock) {
+    const std::size_t len = std::min(kChannelBlock, n - off);
+    std::size_t count = 0;
+    if (kernels == dsp::KernelPolicy::kSimd) {
+      // float32 lanes through mixer and LPF, widened back to double for
+      // the back end.
+      nco_s.mix(iq + off, slpf->input(), len);
+      count = slpf->filter(len, lane_f.data());
+      for (std::size_t i = 0; i < count; ++i) {
+        lane[i] = {static_cast<double>(lane_f[2 * i]),
+                   static_cast<double>(lane_f[2 * i + 1])};
+      }
+    } else {
+      for (std::size_t i = 0; i < len; ++i) {
+        const std::complex<double> osc{std::cos(nco_phase),
+                                       std::sin(nco_phase)};
+        nco_phase += nco_step;
+        if (nco_phase < -2.0 * std::numbers::pi) {
+          nco_phase += 2.0 * std::numbers::pi;
+        }
+        // Only every lane_decim-th sample needs the filter's dot product.
+        const std::complex<double> x = iq[off + i] * osc;
+        if (++phase == lane_decim) {
+          phase = 0;
+          lane[count++] = lpf->push(x);
+        } else {
+          lpf->feed(x);
+        }
+      }
     }
-    decision.publish(n);
-    return;
+    process_lane(lane.data(), count, frames);
+    frames += count;
   }
-  mixed.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::complex<double> osc{std::cos(nco_phase), std::sin(nco_phase)};
-    nco_phase += nco_step;
-    if (nco_phase < -2.0 * std::numbers::pi) {
-      nco_phase += 2.0 * std::numbers::pi;
-    }
-    mixed[i] = iq[i] * osc;
-  }
-  // Stage 2 (batch): channel low-pass over the contiguous block.
-  lpf->process(mixed.data(), mixed.data(), n);
-  // Stage 3: the per-sample decision back end.
-  for (std::size_t i = 0; i < n; ++i) decision.step(mixed[i], base_index + i);
-  decision.publish(n);
 }
 
-void FdmaRxChain::Channel::process_lane(const std::complex<double>* lane,
+void FdmaRxChain::Channel::process_lane(const std::complex<double>* lane_in,
                                         std::size_t n,
                                         std::uint64_t frame_base) {
-  ARACHNET_TRACE_SPAN("fdma.channel");
-  // Stages 1-2 already ran in the shared channelizer; only the decision
-  // back end remains, at the lane rate. Frame F's newest full-rate IQ
-  // sample is (F+1)*decim - 1; subtracting the prototype's extra group
-  // delay dates packets like the per-channel bank (within one lane
-  // sample).
+  // Frame F's newest IQ sample is (F+1)*decim - 1; subtracting the
+  // channelizer prototype's extra group delay dates its packets like the
+  // per-channel bank's (within one lane sample).
   const auto delay = static_cast<std::uint64_t>(lane_delay);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t t =
         (frame_base + i + 1) * static_cast<std::uint64_t>(lane_decim) - 1;
-    decision.step(lane[i], t > delay ? t - delay : 0);
+    decision.step(lane_in[i], t > delay ? t - delay : 0);
   }
   decision.publish(n);
 }
 
 FdmaRxChain::FdmaRxChain(Params params)
-    : params_(params),
-      ddc_([&] {
-        // Checked first: every rate below (filter cutoffs, samples per
-        // chip, the channelizer plan) divides by or scales with it.
-        if (!std::isfinite(params.chip_rate) || params.chip_rate <= 0.0) {
-          throw std::invalid_argument(
-              "FdmaRxChain: chip_rate must be finite and positive");
-        }
-        dsp::Ddc::Params ddc = params.ddc;
-        // The main down-converter must pass the highest subcarrier plus
-        // its modulation sidebands.
-        double top = 0.0;
-        for (const auto& c : params.channels) {
-          // Non-finite specs must reach validate_subcarrier() for their
-          // proper diagnostic, not blow up the filter design here.
-          if (std::isfinite(c.subcarrier_hz)) {
-            top = std::max(top, c.subcarrier_hz);
-          }
-        }
-        ddc.cutoff_hz = top + 3.0 * params.chip_rate;
-        // One policy switch for the whole chain: the main DDC and every
-        // channel follow Params::kernels.
-        ddc.kernels = params.kernels;
-        return ddc;
-      }()),
-      iq_rate_(ddc_.output_rate_hz()) {
+    : params_(resolved(std::move(params))),
+      ddc_(params_.ddc),
+      iq_rate_(ddc_.output_rate_hz()),
+      lane_decim_(dsp::PolyphaseChannelizer::lane_decimation(
+          iq_rate_, params_.chip_rate)),
+      lane_rate_(iq_rate_ / static_cast<double>(lane_decim_)) {
   if (params_.channels.empty()) {
     throw std::invalid_argument("FdmaRxChain: no channels");
   }
@@ -185,9 +213,10 @@ FdmaRxChain::FdmaRxChain(Params params)
 }
 
 bool FdmaRxChain::engage_channelizer(const std::vector<double>& freqs) {
-  if (params_.bank == BankPolicy::kAuto && freqs.size() < 4) {
-    // Below ~4 channels the shared FFT costs about what the mixers do;
-    // stay on the reference path (silently — nothing was requested).
+  if (params_.bank == BankPolicy::kAuto &&
+      freqs.size() < kChannelizerMinChannels) {
+    // The per-channel bank is faster here; stay on it (silently — nothing
+    // was requested).
     return false;
   }
   const auto plan =
@@ -208,22 +237,12 @@ bool FdmaRxChain::engage_channelizer(const std::vector<double>& freqs) {
           .center_hz = freqs,
           .kernels = params_.kernels,
           .fold = params_.chzr_fold});
-  lane_rate_ = chzr_->lane_rate_hz();
-  const std::size_t debounce =
-      DecisionChain::rule(iq_rate_ / params_.chip_rate).debounce;
-  const std::size_t lane_debounce =
-      DecisionChain::rule(lane_rate_ / params_.chip_rate).debounce;
-  // Stamp compensation so lane packets carry per-channel-equivalent
-  // timestamps: the channelizer prototype's extra group delay, plus the
-  // debouncer-latency difference (each debouncer confirms a transition
-  // hold-1 samples late — lane samples are decimation full-rate samples
-  // wide). The residual (frame quantisation plus the differing filter
-  // transition shapes) stays within one lane sample.
-  lane_delay_ =
-      static_cast<std::int64_t>((plan.taps - 1) / 2) -
-      static_cast<std::int64_t>((channel_coeffs_.size() - 1) / 2) +
-      static_cast<std::int64_t>((lane_debounce - 1) * plan.decimation) -
-      static_cast<std::int64_t>(debounce - 1);
+  // Both banks decide on one frame grid with one debouncer, so lane
+  // packets carry per-channel-equivalent timestamps once the channelizer
+  // prototype's extra group delay is taken off. The residual (the
+  // differing filter transition shapes) stays within one lane sample.
+  lane_delay_ = static_cast<std::int64_t>((plan.taps - 1) / 2) -
+                static_cast<std::int64_t>((channel_coeffs_.size() - 1) / 2);
   ARACHNET_LOG_DEBUG("fdma", "channelizer engaged",
                      {"fft_size", plan.fft_size},
                      {"decimation", plan.decimation},
@@ -248,12 +267,18 @@ void FdmaRxChain::bind_channel_metrics(std::size_t index) {
 std::unique_ptr<FdmaRxChain::Channel> FdmaRxChain::make_channel(
     double subcarrier_hz) const {
   auto ch = std::make_unique<Channel>(
-      subcarrier_hz, channel_decision(iq_rate_, params_.chip_rate));
+      subcarrier_hz, channel_decision(lane_rate_, params_.chip_rate),
+      lane_decim_, 0);
   ch->kernels = params_.kernels;
   ch->nco_step = -2.0 * std::numbers::pi * subcarrier_hz / iq_rate_;
+  // Sized once: a block of kChannelBlock IQ samples yields at most this
+  // many lane samples.
+  const std::size_t lane_max = kChannelBlock / lane_decim_ + 1;
+  ch->lane.resize(lane_max);
   if (ch->kernels == dsp::KernelPolicy::kSimd) {
     ch->nco_s.set(0.0, ch->nco_step);
-    ch->slpf.emplace(channel_coeffs_);
+    ch->slpf.emplace(channel_coeffs_, lane_decim_, kChannelBlock);
+    ch->lane_f.resize(2 * lane_max);
   } else {
     ch->lpf.emplace(channel_coeffs_);
   }
@@ -262,11 +287,9 @@ std::unique_ptr<FdmaRxChain::Channel> FdmaRxChain::make_channel(
 
 std::unique_ptr<FdmaRxChain::Channel> FdmaRxChain::make_lane_channel(
     double subcarrier_hz) const {
-  auto ch = std::make_unique<Channel>(
-      subcarrier_hz, channel_decision(lane_rate_, params_.chip_rate));
-  ch->lane_decim = chzr_->decimation();
-  ch->lane_delay = lane_delay_;
-  return ch;
+  return std::make_unique<Channel>(
+      subcarrier_hz, channel_decision(lane_rate_, params_.chip_rate),
+      lane_decim_, lane_delay_);
 }
 
 void FdmaRxChain::validate_subcarrier(
@@ -318,6 +341,7 @@ void FdmaRxChain::process(const double* samples, std::size_t n) {
     if (frames != 0) {
       const std::uint64_t frame_base = chzr_->frames_produced() - frames;
       pool_->run(channels_.size(), [&](std::size_t c) {
+        ARACHNET_TRACE_SPAN("fdma.channel");
         channels_[c]->process_lane(chzr_->lane(c), frames, frame_base);
       });
       if (timed) {
@@ -332,15 +356,14 @@ void FdmaRxChain::process(const double* samples, std::size_t n) {
                                    1e-3);
     }
     pool_->run(channels_.size(), [&](std::size_t c) {
-      channels_[c]->process_block(iq_buf_.data(), iq_buf_.size(),
-                                  iq_index_);
+      ARACHNET_TRACE_SPAN("fdma.channel");
+      channels_[c]->process_block(iq_buf_.data(), iq_buf_.size());
     });
     if (timed) {
       h_stage_decode_us_->record(
           static_cast<double>(steady_now_ns() - t_front) * 1e-3);
     }
   }
-  iq_index_ += iq_buf_.size();
 }
 
 const std::vector<phy::UlPacket>& FdmaRxChain::packets(

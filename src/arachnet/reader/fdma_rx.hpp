@@ -24,25 +24,33 @@ namespace arachnet::reader {
 /// down-converter. Each tag mixes its FM0 chips with a distinct square
 /// subcarrier (phy::SubcarrierModulator), placing its energy at
 /// carrier +/- f_sc; each channel shifts one such band to DC, low-pass
-/// filters it against the neighbours, and runs the shared decision back end
-/// (DecisionChain, the same one RxChain runs). Tags on different
-/// subcarriers decode simultaneously — the paper's FDMA extension path
-/// (Sec. 6.3). The subcarrier set is fixed at construction.
+/// filters it against the neighbours, decimates it, and runs the shared
+/// decision back end (DecisionChain, the same one RxChain runs). Tags on
+/// different subcarriers decode simultaneously — the paper's FDMA
+/// extension path (Sec. 6.3). The subcarrier set is fixed at construction.
 ///
-/// Two front-end structures live behind Params::bank (see BankPolicy):
-///  - per-channel: C independent NCO-mix + full-rate-FIR stages,
-///    O(N * C * taps) per IQ block — the reference path;
+/// The main DDC passes the top subcarrier plus 3 chip rates of FM0
+/// sidebands in its flat passband: its cutoff sits half a transition band
+/// above that edge, as far as aliasing allows (see params()).
+///
+/// Both front-end structures behind Params::bank (see BankPolicy) hand
+/// every channel's back end a lane: the channel's band at DC, one sample
+/// per M IQ samples on the frame grid (F+1)*M - 1, where M is the
+/// channelizer planner's lane decimation
+/// (dsp::PolyphaseChannelizer::lane_decimation, >= 16 samples per chip;
+/// M = 8 at 62.5 kS/s and 375 chip/s, 20.8 samples per chip):
+///  - per-channel: C independent NCO-mix + FIR stages; each mixer writes
+///    into its filter's history and the filter runs at every M-th IQ
+///    sample only, O(N * C * (1 + taps/M)) — the reference path;
 ///  - channelizer: one shared dsp::PolyphaseChannelizer front-end,
-///    O(N * taps/C + N * logC) — it replaces every channel's mixer+LPF and
-///    feeds the same decision back-ends at the decimated lane rate. Each
-///    lane has its own FFT bin and residual phasor, so any subcarrier set
-///    the planner accepts works, uniform grid or not. Decoded packet
-///    streams are identical across bank policies: payloads, channels and
-///    CRC verdicts exactly, timestamps within 2 lane samples. A sweep of
-///    400 random subcarrier sets measured at most 1.5 lane samples on
-///    every channel but the highest, which sits on the main DDC's
-///    roll-off and can part at the decode margin (DESIGN.md §7, parity
-///    contract).
+///    O(N/M * (taps + C*logC)) — it replaces every channel's mixer+LPF.
+///    Each lane has its own FFT bin and residual phasor, so any subcarrier
+///    set the planner accepts works, uniform grid or not.
+/// The per-channel bank is faster below about 9 channels, the channelizer
+/// above (kAuto picks by that crossover). Decoded packet streams are
+/// identical across bank policies: payloads, channels and CRC verdicts
+/// exactly, timestamps within 2 lane samples (DESIGN.md §7, parity
+/// contract).
 ///
 /// Threading model: the main DDC (and, in channelizer mode, the shared
 /// filterbank) runs on the calling thread, then each sample block fans out
@@ -61,8 +69,8 @@ class FdmaRxChain {
                    ///< not viable (two subcarriers in one FFT bin, a bin
                    ///< at DC or Nyquist, no room to decimate)
     kAuto,         ///< channelizer when the plan is viable and the bank
-                   ///< has >= 4 channels (below that the shared FFT does
-                   ///< not pay for itself), else per-channel
+                   ///< has >= 9 channels (below that the per-channel
+                   ///< bank is faster), else per-channel
   };
 
   struct ChannelSpec {
@@ -73,9 +81,9 @@ class FdmaRxChain {
   /// read from any thread; values are published at block granularity.
   struct ChannelStats {
     double subcarrier_hz = 0.0;
-    /// Baseband samples through the channel's decision chain: full-rate IQ
-    /// samples on the per-channel path, decimated lane samples on the
-    /// channelizer path.
+    /// Lane samples through the channel's decision chain, one per M IQ
+    /// samples on both banks (M: the lane decimation, see the class
+    /// comment).
     std::uint64_t iq_samples = 0;
     std::uint64_t bits = 0;          ///< FM0 bits recovered (pre-framing)
     std::uint64_t frames_ok = 0;     ///< CRC-valid packets
@@ -83,7 +91,9 @@ class FdmaRxChain {
   };
 
   struct Params {
-    dsp::Ddc::Params ddc{};   ///< cutoff is set from the highest subcarrier
+    /// Sample rate, carrier, decimation and taps of the main DDC; its
+    /// cutoff_hz and kernels are replaced (see params()).
+    dsp::Ddc::Params ddc{};
     double chip_rate = phy::kDefaultUlRawBitRate;  ///< finite, > 0
     std::vector<ChannelSpec> channels;
     /// Worker threads for the per-block channel fan-out. 0 = auto (one per
@@ -167,6 +177,14 @@ class FdmaRxChain {
     return chzr_ ? BankPolicy::kChannelizer : BankPolicy::kPerChannel;
   }
 
+  /// The settings the bank runs: the caller's, with the main DDC's
+  /// kernels set to Params::kernels and its cutoff_hz resolved to
+  /// top + 3 * chip_rate + min(T/2, iq_rate - 2 * (top + 3 * chip_rate)
+  /// - T/2), at least top + 3 * chip_rate, where top is the highest
+  /// subcarrier and T = 3.3 * sample_rate / taps the filter's transition
+  /// band. So the top channel's band lies in the flat passband, and the
+  /// stopband edge stays below iq_rate - (top + 3 * chip_rate), the lowest
+  /// frequency that folds onto a channel.
   const Params& params() const noexcept { return params_; }
 
  private:
@@ -175,41 +193,43 @@ class FdmaRxChain {
   /// captures `this`, so the object is heap-allocated and must never be
   /// copied or moved (make_channel()/make_lane_channel() build it).
   ///
-  /// Two front ends feed the back end: per-channel mode owns an NCO + LPF
-  /// and consumes full-rate IQ; lane mode (lane_decim != 0) consumes one
-  /// already-filtered decimated lane of the shared channelizer.
+  /// The back end always reads a lane. On the channelizer bank the shared
+  /// filterbank makes it; on the per-channel bank the channel owns an
+  /// NCO + LPF that make it from IQ a block at a time.
   struct Channel {
-    Channel(double hz, DecisionChain::Params decision_params);
+    Channel(double hz, DecisionChain::Params decision_params,
+            std::size_t lane_decim, std::int64_t lane_delay);
     Channel(const Channel&) = delete;
     Channel& operator=(const Channel&) = delete;
 
-    /// Per-channel mode: NCO mix -> FIR -> back end over a contiguous IQ
-    /// block. `base_index` is the absolute IQ index of `iq[0]` (for packet
-    /// timestamps and the deterministic merge).
-    void process_block(const std::complex<double>* iq, std::size_t n,
-                       std::uint64_t base_index);
+    /// Per-channel bank: mixes, filters and decimates `n` IQ samples a
+    /// block at a time, each block's lane through process_lane().
+    void process_block(const std::complex<double>* iq, std::size_t n);
 
-    /// Lane mode: runs the back end over `n` channelizer frames.
-    /// `frame_base` is the absolute frame index of `lane[0]`.
-    void process_lane(const std::complex<double>* lane, std::size_t n,
+    /// Runs the back end over `n` lane samples; `frame_base` is the
+    /// absolute frame index of `lane_in[0]`.
+    void process_lane(const std::complex<double>* lane_in, std::size_t n,
                       std::uint64_t frame_base);
 
     double subcarrier_hz;
+    std::size_t lane_decim;  ///< M: IQ samples per lane sample
+    /// Extra group delay (in IQ samples) of the channelizer prototype over
+    /// the per-channel LPF, subtracted from lane packet timestamps so both
+    /// banks date packets alike (0 on the per-channel bank).
+    std::int64_t lane_delay;
+    // Per-channel front end (unused on channelizer lanes). kScalar mixes
+    // in double and steps `lpf` with feed()/push(); kSimd mixes float32
+    // lanes straight into `slpf`'s history, which decimates.
     dsp::KernelPolicy kernels = dsp::default_kernel_policy();
-    double nco_phase = 0.0;  ///< scalar-path mixer state
+    double nco_phase = 0.0;
     double nco_step = 0.0;
-    std::optional<dsp::FirFilter<std::complex<double>>> lpf;  ///< scalar LPF
-    std::vector<std::complex<double>> mixed;  ///< scalar per-block scratch
-    // Simd-path mixer state: float32 lanes end-to-end through the LPF,
-    // widened back to double at the back end.
+    std::optional<dsp::FirFilter<std::complex<double>>> lpf;
+    std::size_t phase = 0;  ///< kScalar: IQ samples since the last output
     dsp::simd::SimdNco nco_s;
     std::optional<dsp::simd::FirSimdFilter> slpf;
-    std::vector<float> mixed_f;  ///< interleaved per-block scratch
-    std::size_t lane_decim = 0;  ///< 0 = per-channel mode
-    /// Extra group delay (in full-rate IQ samples) of the channelizer
-    /// prototype over the per-channel LPF, subtracted from lane packet
-    /// timestamps so both banks date packets alike.
-    std::int64_t lane_delay = 0;
+    std::vector<float> lane_f;  ///< kSimd filter output, interleaved
+    std::vector<std::complex<double>> lane;  ///< one block's lane samples
+    std::uint64_t frames = 0;  ///< lane samples made so far
     DecisionChain decision;
     std::vector<phy::UlPacket> packets;
     std::vector<std::uint64_t> packet_iq_index;  ///< parallel to `packets`
@@ -228,15 +248,16 @@ class FdmaRxChain {
   Params params_;
   dsp::Ddc ddc_;
   double iq_rate_;
+  /// The lane decimation M and rate of both banks.
+  std::size_t lane_decim_;
+  double lane_rate_;
   std::vector<double> channel_coeffs_;
   std::size_t workers_ = 1;
   std::unique_ptr<dsp::WorkerPool> pool_;
   std::vector<std::unique_ptr<Channel>> channels_;
-  std::uint64_t iq_index_ = 0;  ///< absolute IQ samples produced so far
-  // Channelizer front-end (null = per-channel path), its lane rate and
-  // the lane packets' timestamp correction (see Channel::lane_delay).
+  // Channelizer front-end (null = per-channel path) and the lane packets'
+  // timestamp correction (see Channel::lane_delay).
   std::unique_ptr<dsp::PolyphaseChannelizer> chzr_;
-  double lane_rate_ = 0.0;
   std::int64_t lane_delay_ = 0;
   // Registry instruments (nullable; bound once in the constructor).
   telemetry::Gauge* g_bank_policy_ = nullptr;

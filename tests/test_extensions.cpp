@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <limits>
+#include <numbers>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "arachnet/acoustic/waveform_channel.hpp"
+#include "arachnet/dsp/ddc.hpp"
+#include "arachnet/dsp/kernels/fft_plan.hpp"
 #include "arachnet/energy/ambient.hpp"
 #include "arachnet/energy/harvester.hpp"
 #include "arachnet/phy/fm0.hpp"
@@ -169,6 +175,117 @@ TEST(Fdma, ValidatesConfiguration) {
                             std::numeric_limits<double>::infinity()}) {
     bad.chip_rate = chip;
     rejects(bad, "chip_rate");
+  }
+}
+
+// Gain, in dB, of `ddc` at each of `tones` baseband frequencies (Hz, on
+// the output's FFT bin grid) shifted by `fold` IQ rates: one capture of
+// unit-amplitude real tones at carrier + tone + fold * iq_rate, then a
+// Blackman-Harris-windowed FFT of the IQ, read at each tone's bin. With
+// fold != 0 the input lies outside the output band and the reading is
+// what decimation folds onto the tone's frequency.
+std::vector<double> ddc_gain_db(const dsp::Ddc::Params& shape,
+                                const std::vector<double>& tones, int fold) {
+  constexpr std::size_t kN = 4096;
+  const std::size_t skip = shape.taps / shape.decimation + 1;  // transient
+  const double fs = shape.sample_rate_hz;
+  const double iq_rate = fs / static_cast<double>(shape.decimation);
+  std::vector<double> raw((kN + skip) * shape.decimation, 0.0);
+  for (const double g : tones) {
+    const double w = 2.0 * std::numbers::pi *
+                     (shape.carrier_hz + g + fold * iq_rate) / fs;
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      raw[i] += std::cos(w * static_cast<double>(i));
+    }
+  }
+  dsp::Ddc ddc{shape};
+  std::vector<std::complex<double>> iq;
+  ddc.process(std::span<const double>{raw}, iq);
+  std::vector<std::complex<double>> spectrum(iq.begin() + skip, iq.end());
+  EXPECT_EQ(spectrum.size(), kN);
+  double window_gain = 0.0;
+  for (std::size_t n = 0; n < kN; ++n) {
+    const double x = 2.0 * std::numbers::pi * static_cast<double>(n) / kN;
+    const double w = 0.35875 - 0.48829 * std::cos(x) +
+                     0.14128 * std::cos(2.0 * x) - 0.01168 * std::cos(3.0 * x);
+    spectrum[n] *= w;
+    window_gain += w;
+  }
+  dsp::FftPlan::get(kN)->forward(spectrum);
+  std::vector<double> gains;
+  for (const double g : tones) {
+    const auto bin = static_cast<std::size_t>(std::lround(g * kN / iq_rate));
+    // A real tone of amplitude 1 mixes down to a phasor of amplitude 1/2.
+    gains.push_back(20.0 * std::log10(std::abs(spectrum[bin]) /
+                                      (0.5 * window_gain)));
+  }
+  return gains;
+}
+
+TEST(Fdma, MainDdcPassesEverySubcarrierFlatAndFoldsNothingOntoIt) {
+  // The spectrum every bank shape's main DDC hands its channels: across
+  // each subcarrier's +-1.4-chip band (the channel filter's cutoff), the
+  // passband droops <= 0.5 dB, also on the top channel, and whatever
+  // decimation folds onto the band is >= 50 dB down. Shapes: fleet4x3 (3
+  // channels from 3 kHz at D = 8), the fleet default (4 channels) and
+  // fdma32_grid (32 channels from 3375 Hz at D = 4).
+  struct Shape {
+    std::size_t channels;
+    double origin_hz;
+    std::size_t decimation;
+  };
+  for (const Shape& shape : {Shape{3, 3000.0, 8}, Shape{4, 3000.0, 8},
+                             Shape{32, 3375.0, 4}}) {
+    SCOPED_TRACE(testing::Message() << shape.channels << " channels from "
+                                    << shape.origin_hz << " Hz, D = "
+                                    << shape.decimation);
+    reader::FdmaRxChain::Params fp;
+    fp.ddc.decimation = shape.decimation;
+    for (std::size_t k = 0; k < shape.channels; ++k) {
+      fp.channels.push_back({shape.origin_hz + 1500.0 * k});
+    }
+    const reader::FdmaRxChain chain{fp};
+    const dsp::Ddc::Params ddc = chain.params().ddc;
+    const double top = fp.channels.back().subcarrier_hz;
+    EXPECT_GT(ddc.cutoff_hz, top + 3.0 * fp.chip_rate);
+    EXPECT_EQ(ddc.kernels, fp.kernels);
+    const double iq_rate =
+        ddc.sample_rate_hz / static_cast<double>(ddc.decimation);
+    const double bin_hz = iq_rate / 4096.0;
+    for (const auto& spec : fp.channels) {
+      std::vector<double> tones;
+      for (const double chips : {-1.4, -0.7, 0.0, 0.7, 1.4}) {
+        const double g = spec.subcarrier_hz + chips * fp.chip_rate;
+        tones.push_back(std::round(g / bin_hz) * bin_hz);
+      }
+      // Every fold whose input lies within the raw stream's +-fs/2. A real
+      // tone at carrier + h also mixes down to -2 * carrier - h; a fold
+      // whose tones put that image inside the output band is a passband
+      // input seen from the other side, not an alias, and is skipped.
+      const double fs = ddc.sample_rate_hz;
+      const auto in_band_image = [&](double h) {
+        const double m = -2.0 * ddc.carrier_hz - h;
+        return std::abs(m - fs * std::round(m / fs)) < iq_rate / 2;
+      };
+      for (int fold = -8; fold <= 8; ++fold) {
+        const double lo = tones.front() + fold * iq_rate;
+        const double hi = tones.back() + fold * iq_rate;
+        if (lo <= -fs / 2 || hi >= fs / 2 ||
+            (fold != 0 && (in_band_image(lo) || in_band_image(hi)))) {
+          continue;
+        }
+        const auto gains = ddc_gain_db(ddc, tones, fold);
+        for (std::size_t i = 0; i < tones.size(); ++i) {
+          if (fold == 0) {
+            EXPECT_LE(std::abs(gains[i]), 0.5)
+                << tones[i] << " Hz droops " << -gains[i] << " dB";
+          } else {
+            EXPECT_LE(gains[i], -50.0)
+                << tones[i] << " Hz from fold " << fold;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -8,14 +8,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "arachnet/fleet/bus.hpp"
 #include "arachnet/fleet/dedup.hpp"
 #include "arachnet/fleet/fleet_engine.hpp"
 #include "arachnet/fleet/planner.hpp"
+#include "arachnet/sim/rng.hpp"
 #include "arachnet/telemetry/metrics.hpp"
 
 namespace {
@@ -111,6 +114,45 @@ TEST(DedupWindow, SuppressesWithinWindowAndEvictsFifo) {
   EXPECT_EQ(w.stats().suppressed, 1u);
   EXPECT_GE(w.stats().evicted, 2u);
   EXPECT_LE(w.size(), w.capacity());
+}
+
+TEST(DedupWindow, MatchesAFifoSetModelOnRandomTraffic) {
+  // The fixed-capacity table must admit, suppress and evict exactly as a
+  // node-based set with a FIFO of its keys does, at capacities from 1 up,
+  // over traffic dense enough to repeat keys, evict them and probe long
+  // runs (keys that differ only in the tag bits share low bits).
+  for (const std::size_t capacity : {1u, 2u, 3u, 7u, 64u, 100u}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    DedupWindow w{capacity};
+    std::unordered_set<std::uint64_t> seen;
+    std::deque<std::uint64_t> order;
+    std::uint64_t evicted = 0;
+    sim::Rng rng{capacity};
+    for (int i = 0; i < 20000; ++i) {
+      const auto tag = static_cast<std::uint32_t>(rng.uniform_int(0, 40));
+      const auto seq = static_cast<std::uint32_t>(rng.uniform_int(0, 5));
+      const auto epoch = static_cast<std::uint64_t>(rng.uniform_int(0, 3));
+      const std::uint64_t key = (std::uint64_t{tag} << 44) |
+                                (std::uint64_t{seq} << 20) | epoch;
+      const bool fresh = seen.count(key) == 0;
+      if (fresh) {
+        if (order.size() == capacity) {
+          seen.erase(order.front());
+          order.pop_front();
+          ++evicted;
+        }
+        seen.insert(key);
+        order.push_back(key);
+      }
+      ASSERT_EQ(w.admit(tag, seq, epoch), fresh) << "step " << i;
+      ASSERT_EQ(w.size(), order.size()) << "step " << i;
+    }
+    EXPECT_EQ(w.stats().evicted, evicted);
+    EXPECT_GT(w.stats().suppressed, 0u);
+    EXPECT_EQ(w.stats().admitted, w.stats().evicted + w.size());
+  }
+  EXPECT_THROW(DedupWindow{DedupWindow::kMaxCapacity + 1},
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------ GridPlanner

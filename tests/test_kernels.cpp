@@ -265,6 +265,20 @@ TEST(Channelizer, PlannerSizesTheBank) {
   EXPECT_EQ(plan.decimation, 8u);
   EXPECT_GE(kChzrFs / static_cast<double>(plan.decimation),
             16.0 * kChzrChip);
+  // The lane decimation both banks share: the largest power of two that
+  // keeps >= 16 samples per chip, 1 when none does, bounded for any rate.
+  using dsp::PolyphaseChannelizer;
+  EXPECT_EQ(PolyphaseChannelizer::lane_decimation(kChzrFs, kChzrChip),
+            plan.decimation);
+  EXPECT_EQ(PolyphaseChannelizer::lane_decimation(125000.0, kChzrChip), 16u);
+  EXPECT_EQ(PolyphaseChannelizer::lane_decimation(31250.0, kChzrChip), 4u);
+  EXPECT_EQ(PolyphaseChannelizer::lane_decimation(8.0 * kChzrChip, kChzrChip),
+            1u);
+  EXPECT_EQ(PolyphaseChannelizer::lane_decimation(
+                kChzrFs, std::numeric_limits<double>::quiet_NaN()),
+            1u);
+  EXPECT_EQ(PolyphaseChannelizer::lane_decimation(kChzrFs, 0.0),
+            std::size_t{1} << 20);
   // Every lane has its own bin and residual phasor, so a set off any
   // uniform grid is viable too.
   const auto uneven = dsp::PolyphaseChannelizer::plan(
@@ -393,36 +407,74 @@ std::vector<double> fdma_capture(const std::vector<double>& subcarriers,
   return synth.synthesize(srcs, seconds, rng);
 }
 
+using Bank = reader::FdmaRxChain::BankPolicy;
+
 TEST(Channelizer, FdmaBankPacketsIdenticalAcrossSplitCalls) {
-  // Packet-level commutator continuity: the channelizer bank fed one big
-  // block decodes the same packets at the same instants as the same bank
-  // fed many small blocks.
+  // Packet-level continuity on both banks: a bank fed one big block
+  // decodes the same packets at the same instants as the same bank fed
+  // many small blocks. The channelizer carries its commutator; each
+  // per-channel front end carries its filter history, mixer phase and
+  // decimation phase.
   const auto wave = fdma_capture(chzr_centers());
+  for (const Bank bank : {Bank::kChannelizer, Bank::kPerChannel}) {
+    for (const auto policy : kPolicies) {
+      SCOPED_TRACE(testing::Message()
+                   << dsp::to_string(policy)
+                   << (bank == Bank::kChannelizer ? " channelizer"
+                                                  : " per-channel"));
+      auto params = fdma_params(policy, 1, bank);
+      reader::FdmaRxChain whole{params};
+      reader::FdmaRxChain split{params};
+      ASSERT_EQ(whole.active_bank(), bank);
+      whole.process(wave.data(), wave.size());
+      const std::size_t chunks[] = {501, 3, 12800, 7, 999, 20000};
+      std::size_t off = 0, ci = 0;
+      while (off < wave.size()) {
+        const std::size_t n =
+            std::min(chunks[ci++ % std::size(chunks)], wave.size() - off);
+        split.process(wave.data() + off, n);
+        off += n;
+      }
+      const auto a = whole.drain_packets();
+      const auto b = split.drain_packets();
+      ASSERT_GE(a.size(), 3u);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].packet, b[i].packet);
+        EXPECT_EQ(a[i].channel, b[i].channel);
+        EXPECT_DOUBLE_EQ(a[i].time_s, b[i].time_s);
+      }
+    }
+  }
+}
+
+TEST(Channelizer, BothBanksDecideOneLaneSamplePerMIqSamples) {
+  // The lane rule: both banks filter each channel down to the planner's
+  // lane decimation M before it decides, so every channel's decision
+  // chain consumes one sample per M IQ samples (M = 8 at 62.5 kS/s and
+  // 375 chip/s: 20.8 samples per chip), whichever bank and policy, and
+  // however the stream is split.
+  const std::size_t m =
+      dsp::PolyphaseChannelizer::lane_decimation(kChzrFs, kChzrChip);
+  EXPECT_EQ(m, 8u);
+  const auto wave = fdma_capture(chzr_centers());
+  const std::size_t iq = wave.size() / 8;  // the bank's main DDC: D = 8
   for (const auto policy : kPolicies) {
     SCOPED_TRACE(dsp::to_string(policy));
-    auto params = fdma_params(policy, 1,
-                              reader::FdmaRxChain::BankPolicy::kChannelizer);
-    reader::FdmaRxChain whole{params};
-    reader::FdmaRxChain split{params};
-    ASSERT_EQ(whole.active_bank(),
-              reader::FdmaRxChain::BankPolicy::kChannelizer);
-    whole.process(wave.data(), wave.size());
-    const std::size_t chunks[] = {501, 3, 12800, 7, 999, 20000};
-    std::size_t off = 0, ci = 0;
-    while (off < wave.size()) {
-      const std::size_t n =
-          std::min(chunks[ci++ % std::size(chunks)], wave.size() - off);
-      split.process(wave.data() + off, n);
-      off += n;
+    reader::FdmaRxChain per_channel{fdma_params(policy, 1, Bank::kPerChannel)};
+    reader::FdmaRxChain channelized{fdma_params(policy, 1, Bank::kChannelizer)};
+    ASSERT_EQ(channelized.active_bank(), Bank::kChannelizer);
+    for (std::size_t off = 0; off < wave.size(); off += 7777) {
+      const std::size_t n = std::min<std::size_t>(7777, wave.size() - off);
+      per_channel.process(wave.data() + off, n);
+      channelized.process(wave.data() + off, n);
     }
-    const auto a = whole.drain_packets();
-    const auto b = split.drain_packets();
-    ASSERT_GE(a.size(), 3u);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].packet, b[i].packet);
-      EXPECT_EQ(a[i].channel, b[i].channel);
-      EXPECT_DOUBLE_EQ(a[i].time_s, b[i].time_s);
+    for (std::size_t c = 0; c < per_channel.channel_count(); ++c) {
+      EXPECT_EQ(per_channel.channel_stats(c).iq_samples, iq / m)
+          << "channel " << c;
+      EXPECT_EQ(channelized.channel_stats(c).iq_samples,
+                per_channel.channel_stats(c).iq_samples)
+          << "channel " << c;
     }
   }
 }

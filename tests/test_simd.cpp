@@ -25,6 +25,7 @@
 #include <numbers>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -313,9 +314,10 @@ constexpr double kSimdTimeTol = 256e-6;
 // The DDC shapes the front halves run: RxChain's at the paper chip rates
 // up to 750 chip/s (D = 128, 64, 32 and 16, with 1025, 513, 257 and 129
 // taps; faster links differ from 750 only in cutoff), the FDMA banks'
-// main DDC on fleet4x3 (D = 8) and fdma32_grid (D = 4, the cutoff above
-// the 32nd subcarrier), and the default shape mixed down from a negative
-// carrier. RxChain's are read from the chain, so they follow its rules.
+// main DDC on fleet4x3 (3 channels from 3 kHz, D = 8) and fdma32_grid (32
+// channels from 3375 Hz, D = 4), and the default shape mixed down from a
+// negative carrier. The chains' shapes are read from the chains, so they
+// follow their rules.
 std::vector<dsp::Ddc::Params> ddc_shapes() {
   std::vector<dsp::Ddc::Params> shapes;
   for (const double chip_rate : {93.75, 187.5, 375.0, 750.0}) {
@@ -323,14 +325,14 @@ std::vector<dsp::Ddc::Params> ddc_shapes() {
     rx.chip_rate = chip_rate;
     shapes.push_back(reader::RxChain{rx}.params().ddc);
   }
+  for (const auto& [n, origin, decimation] :
+       {std::tuple{3, 3000.0, 8}, std::tuple{32, 3375.0, 4}}) {
+    reader::FdmaRxChain::Params fp;
+    fp.ddc.decimation = static_cast<std::size_t>(decimation);
+    for (int k = 0; k < n; ++k) fp.channels.push_back({origin + 1500.0 * k});
+    shapes.push_back(reader::FdmaRxChain{fp}.params().ddc);
+  }
   dsp::Ddc::Params p;
-  p.decimation = 8;
-  p.cutoff_hz = 7125.0;
-  shapes.push_back(p);
-  p.decimation = 4;
-  p.cutoff_hz = 51000.0;
-  shapes.push_back(p);
-  p = {};
   p.cutoff_hz = 6e3;
   p.carrier_hz = -90e3;
   shapes.push_back(p);
@@ -1219,13 +1221,12 @@ std::vector<double> random_subcarriers(sim::Rng& rng, std::int64_t n,
 TEST(KernelParity, RandomSubcarrierSetsDecodeAlikeOnBothBanks) {
   // The bank contract beyond the curated grids: seeded random subcarrier
   // sets, half uniform grids and half not, through the scalar per-channel
-  // reference and the production bank (kSimd, kAuto). kAuto must engage
-  // the channelizer on each; payloads, channels, packet counts and CRC
-  // failures must match exactly. Timestamps, compared in whole IQ
-  // samples (a double compare failed an offset of exactly one lane sample
-  // by 1.7e-17 s of rounding), stay within two lane samples. The highest
-  // subcarrier sits on the main DDC's roll-off; on longer sweeps it is the
-  // one channel where the banks can part (DESIGN.md, parity contract).
+  // reference and the production channelizer bank (kSimd), pinned since
+  // kAuto keeps sets below 10 channels on the per-channel bank. Payloads,
+  // channels, packet counts and CRC failures must match exactly.
+  // Timestamps, compared in whole IQ samples (a double compare failed an
+  // offset of exactly one lane sample by 1.7e-17 s of rounding), stay
+  // within two lane samples (DESIGN.md, parity contract).
   sim::Rng rng{2024};
   for (int trial = 0; trial < 10; ++trial) {
     const bool uniform = trial % 2 == 0;
@@ -1239,7 +1240,7 @@ TEST(KernelParity, RandomSubcarrierSetsDecodeAlikeOnBothBanks) {
     reader::FdmaRxChain ref{
         fdma_params(dsp::KernelPolicy::kScalar, 1, Bank::kPerChannel, freqs)};
     reader::FdmaRxChain bank{
-        fdma_params(dsp::KernelPolicy::kSimd, 1, Bank::kAuto, freqs)};
+        fdma_params(dsp::KernelPolicy::kSimd, 1, Bank::kChannelizer, freqs)};
     ASSERT_EQ(bank.active_bank(), Bank::kChannelizer);
     constexpr std::size_t kChunk = 7777;
     for (std::size_t off = 0; off < wave.size(); off += kChunk) {
@@ -1377,7 +1378,12 @@ TEST(KernelParity, ForcedPortableTierDecodesIdenticalPackets) {
 TEST(DecisionPin, FdmaBanksDecodeTheRecordedPackets) {
   // One capture per bank mode, on the scalar reference: the four-channel
   // per-channel bank, and the eight-channel channelizer bank at the low
-  // SNR where three of its eight tags decode (marginal decisions).
+  // SNR where three of its eight tags decode (marginal decisions). Both
+  // were re-recorded when the banks began deciding at the lane rate, one
+  // sample per 8 IQ samples (the per-channel bank decided on every IQ
+  // sample), with the main DDC's passband flat up to the top channel:
+  // each packet is dated 6-10 IQ samples earlier, by the shorter debouncer
+  // hold, and 1-2 more bits decode; packets and CRC verdicts did not move.
   struct Case {
     Bank bank;
     std::vector<double> freqs;
@@ -1387,10 +1393,10 @@ TEST(DecisionPin, FdmaBanksDecodeTheRecordedPackets) {
   const auto wide = bank_subcarriers(8, 3375.0);
   const Case cases[] = {
       {Bank::kPerChannel, bank_subcarriers(4, 3000.0), fdma4_capture(),
-       "bits=154 crc=0 3/4:503@15368 2/3:502@15373 1/2:501@15377 "
-       "0/1:500@15381"},
+       "bits=155 crc=0 3/4:503@15359 1/2:501@15367 2/3:502@15367 "
+       "0/1:500@15375"},
       {Bank::kChannelizer, wide, fdma_capture(wide, 0.18, 5, 0.06),
-       "bits=319 crc=0 2/3:502@15372 0/1:500@15380 1/2:501@15396"},
+       "bits=321 crc=0 2/3:502@15362 0/1:500@15370 1/2:501@15386"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(testing::Message() << "bank " << static_cast<int>(c.bank));

@@ -330,6 +330,9 @@ reader::FdmaRxChain::Params four_channel_params(
   reader::FdmaRxChain::Params fp;
   fp.ddc.decimation = 8;
   fp.workers = 2;
+  // Pinned: the test covers the channelizer's instruments, and kAuto keeps
+  // four channels on the per-channel bank.
+  fp.bank = reader::FdmaRxChain::BankPolicy::kChannelizer;
   for (int k = 0; k < 4; ++k) fp.channels.push_back({3000.0 + 1500.0 * k});
   fp.metrics = metrics;
   return fp;
@@ -382,8 +385,8 @@ TEST(TelemetryParity, InstrumentedFdmaBankMatchesBareBitExactly) {
     EXPECT_EQ(registry.counter(name).value(), st.bits);
   }
   EXPECT_GE(total, 6u) << "capture failed to decode; parity vacuous";
-  // Channelizer instrumentation: the default (auto) bank engages the
-  // shared channelizer on this uniform four-channel grid, and says so.
+  // Channelizer instrumentation: the pinned bank engages the shared
+  // channelizer on this uniform four-channel grid, and says so.
   EXPECT_EQ(instrumented.active_bank(),
             reader::FdmaRxChain::BankPolicy::kChannelizer);
   EXPECT_DOUBLE_EQ(registry.gauge("fdma.bank_policy").value(), 1.0);
