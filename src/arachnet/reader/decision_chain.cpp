@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 namespace arachnet::reader {
 
@@ -53,26 +52,35 @@ DecisionChain::Decimation DecisionChain::decimation(double sample_rate_hz,
   return Decimation{.factor = factor, .taps = 8 * factor + 1};
 }
 
-DecisionChain::DecisionChain(Params params, PacketSink on_packet)
-    : DecisionChain(params, rule(params.rate_hz / params.chip_rate),
-                    std::move(on_packet)) {}
+DecisionChain::DecisionChain(Params params)
+    : DecisionChain(params, rule(params.rate_hz / params.chip_rate)) {}
 
-DecisionChain::DecisionChain(const Params& params, const Rule& rule,
-                             PacketSink on_packet)
+DecisionChain::DecisionChain(const Params& params, const Rule& rule)
     : rate_hz_(params.rate_hz),
       axis_(rule.axis_alpha, params.axis_floor),
       slicer_(slicer_params(rule, params.slicer_floor)),
       debouncer_(rule.debounce),
       fm0_(Fm0StreamDecoder::Params{.chip_duration_s = 1.0 / params.chip_rate,
-                                    .tolerance = 0.35},
-           /*on_bit=*/
-           [this](bool bit) {
-             ++bits_;
-             framer_.push(bit);
-           },
-           /*on_desync=*/[this] { framer_.reset(); }),
-      framer_([this](const phy::UlPacket& pkt) { on_packet_(pkt, stamp_); }),
-      on_packet_(std::move(on_packet)) {}
+                                    .tolerance = 0.35}) {}
+
+std::optional<phy::UlPacket> DecisionChain::decode_run(std::size_t samples) {
+  using Symbol = Fm0StreamDecoder::Symbol;
+  switch (fm0_.push_run(static_cast<double>(samples) / rate_hz_)) {
+    case Symbol::kNone:
+      return std::nullopt;
+    case Symbol::kDesync:
+      // Silence or noise: a body in progress cannot continue across it.
+      framer_.reset();
+      return std::nullopt;
+    case Symbol::kZero:
+      ++bits_;
+      return framer_.push(false);
+    case Symbol::kOne:
+      ++bits_;
+      return framer_.push(true);
+  }
+  return std::nullopt;
+}
 
 void DecisionChain::publish(std::size_t samples) {
   iq_samples_ += samples;

@@ -4,7 +4,6 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "arachnet/dsp/axis_tracker.hpp"
@@ -37,22 +36,18 @@ struct DecisionCounts {
 /// which the FDMA extension (Sec. 6.3) runs once per subcarrier.
 ///
 /// Its dynamics follow one per-chip rule (rule()), so the chain behaves
-/// alike at every sample rate and chip rate. Each packet carries the stamp
-/// the caller passed with the sample that completed it (RxChain: the raw
-/// DAQ sample index; the FDMA bank: the absolute IQ index).
+/// alike at every sample rate and chip rate. Each stage returns what it
+/// decoded: a sample that completes a CRC-valid packet returns it, and the
+/// caller dates it from the index of that sample (RxChain: the raw DAQ
+/// sample index; the FDMA bank: the absolute IQ index).
 ///
 /// Counters are working values on the decode thread; publish() copies them
 /// once per block to relaxed atomics for readers on any thread, and adds
-/// the deltas to the registry counters bound with bind().
-///
-/// Pinned: the FM0 decoder's and the framer's callbacks capture `this`, so
-/// copy and move are deleted.
+/// the deltas to the registry counters bound with bind(). Those atomics
+/// make the chain neither copyable nor movable: its owner holds it in
+/// place.
 class DecisionChain {
  public:
-  /// Receives each CRC-valid packet with the stamp of its last sample.
-  using PacketSink =
-      std::function<void(const phy::UlPacket& packet, std::uint64_t stamp)>;
-
   /// The per-chip rule as per-sample rates.
   struct Rule {
     double axis_alpha = 0.0;   ///< ~50% axis convergence per chip
@@ -85,13 +80,11 @@ class DecisionChain {
     double axis_floor = 0.0;
   };
 
-  DecisionChain(Params params, PacketSink on_packet);
-  DecisionChain(const DecisionChain&) = delete;
-  DecisionChain& operator=(const DecisionChain&) = delete;
+  explicit DecisionChain(Params params);
 
-  /// Runs one sample through the whole chain: decide(project(s), stamp).
-  void step(std::complex<double> s, std::uint64_t stamp) {
-    decide(project(s), stamp);
+  /// Runs one sample through the whole chain: decide(project(s)).
+  std::optional<phy::UlPacket> step(std::complex<double> s) {
+    return decide(project(s));
   }
 
   /// The axis half of a step: tracks the modulation axis and returns the
@@ -102,16 +95,14 @@ class DecisionChain {
   }
 
   /// The decision half of a step: slicer -> debouncer -> run-length -> FM0
-  /// -> framer on one projected sample; `stamp` dates a packet this sample
+  /// -> framer on one projected sample; returns the packet this sample
   /// completes. nullopt (a sample that is not finite) updates no estimator:
   /// the held decision level extends the current run.
-  void decide(std::optional<double> envelope, std::uint64_t stamp) {
+  std::optional<phy::UlPacket> decide(std::optional<double> envelope) {
     const bool level = envelope ? debouncer_.push(slicer_.push(*envelope))
                                 : debouncer_.level();
-    if (const auto run = runs_.push(level)) {
-      stamp_ = stamp;
-      fm0_.push_run(static_cast<double>(run->samples) / rate_hz_);
-    }
+    if (const auto run = runs_.push(level)) return decode_run(run->samples);
+    return std::nullopt;
   }
 
   /// Counts `samples` baseband samples, then publishes every counter.
@@ -133,7 +124,11 @@ class DecisionChain {
   void reset();
 
  private:
-  DecisionChain(const Params& params, const Rule& rule, PacketSink on_packet);
+  DecisionChain(const Params& params, const Rule& rule);
+
+  /// FM0 and framer on a completed run of `samples` samples. Out of line:
+  /// runs are rare next to samples, and the per-sample loop stays small.
+  std::optional<phy::UlPacket> decode_run(std::size_t samples);
 
   double rate_hz_;
   dsp::AxisTracker axis_;
@@ -142,8 +137,6 @@ class DecisionChain {
   dsp::RunLengthEncoder runs_;
   Fm0StreamDecoder fm0_;
   phy::UlFramer framer_;
-  PacketSink on_packet_;
-  std::uint64_t stamp_ = 0;  ///< stamp of the run being decoded
   std::uint64_t iq_samples_ = 0;
   std::uint64_t bits_ = 0;
   DecisionCounts last_published_;

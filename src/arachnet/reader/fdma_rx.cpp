@@ -75,11 +75,7 @@ FdmaRxChain::Channel::Channel(double hz, DecisionChain::Params decision_params,
     : subcarrier_hz(hz),
       lane_decim(decim),
       lane_delay(delay),
-      decision(decision_params,
-               [this](const phy::UlPacket& pkt, std::uint64_t stamp) {
-                 packets.push_back(pkt);
-                 packet_iq_index.push_back(stamp);
-               }) {}
+      decision(decision_params) {}
 
 void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
                                          std::size_t n) {
@@ -127,14 +123,18 @@ void FdmaRxChain::Channel::process_block(const std::complex<double>* iq,
 void FdmaRxChain::Channel::process_lane(const std::complex<double>* lane_in,
                                         std::size_t n,
                                         std::uint64_t frame_base) {
-  // Frame F's newest IQ sample is (F+1)*decim - 1; subtracting the
-  // channelizer prototype's extra group delay dates its packets like the
-  // per-channel bank's (within one lane sample).
+  // A packet is dated by the lane sample that completed it: frame F's
+  // newest IQ sample is (F+1)*decim - 1, and subtracting the channelizer
+  // prototype's extra group delay dates its packets like the per-channel
+  // bank's (within one lane sample).
   const auto delay = static_cast<std::uint64_t>(lane_delay);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t t =
-        (frame_base + i + 1) * static_cast<std::uint64_t>(lane_decim) - 1;
-    decision.step(lane_in[i], t > delay ? t - delay : 0);
+    if (const auto pkt = decision.step(lane_in[i])) {
+      const std::uint64_t t =
+          (frame_base + i + 1) * static_cast<std::uint64_t>(lane_decim) - 1;
+      packets.push_back(*pkt);
+      packet_iq_index.push_back(t > delay ? t - delay : 0);
+    }
   }
   decision.publish(n);
 }

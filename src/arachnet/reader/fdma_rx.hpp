@@ -55,10 +55,10 @@ namespace arachnet::reader {
 /// Threading model: the main DDC (and, in channelizer mode, the shared
 /// filterbank) runs on the calling thread, then each sample block fans out
 /// across a persistent dsp::WorkerPool with one task per channel. Channels
-/// are pinned on the heap and never share mutable state, so the parallel
-/// bank is bit-identical to the sequential one (`Params::workers = 1`);
-/// decoded packets merge deterministically by (completion sample, channel
-/// index) via drain_packets().
+/// live on the heap and never share mutable state, so the parallel bank is
+/// bit-identical to the sequential one (`Params::workers = 1`); decoded
+/// packets merge deterministically by (completion sample, channel index)
+/// via drain_packets().
 class FdmaRxChain {
  public:
   /// Front-end structure for the subcarrier bank.
@@ -189,9 +189,10 @@ class FdmaRxChain {
 
  private:
   /// One subcarrier: a front end, the decision back end and the packets
-  /// decoded since the last drain. Pinned: the back end's packet sink
-  /// captures `this`, so the object is heap-allocated and must never be
-  /// copied or moved (make_channel()/make_lane_channel() build it).
+  /// decoded since the last drain, each with the IQ index it completed at.
+  /// The back end's published counters (atomics) make a channel neither
+  /// copyable nor movable, so the bank holds each on the heap
+  /// (make_channel()/make_lane_channel() build it).
   ///
   /// The back end always reads a lane. On the channelizer bank the shared
   /// filterbank makes it; on the per-channel bank the channel owns an
@@ -199,8 +200,6 @@ class FdmaRxChain {
   struct Channel {
     Channel(double hz, DecisionChain::Params decision_params,
             std::size_t lane_decim, std::int64_t lane_delay);
-    Channel(const Channel&) = delete;
-    Channel& operator=(const Channel&) = delete;
 
     /// Per-channel bank: mixes, filters and decimates `n` IQ samples a
     /// block at a time, each block's lane through process_lane().

@@ -1,54 +1,25 @@
 #include "arachnet/reader/fm0_stream_decoder.hpp"
 
 #include <cmath>
-#include <utility>
 
 namespace arachnet::reader {
 
-Fm0StreamDecoder::Fm0StreamDecoder(Params params, BitHandler on_bit,
-                                   DesyncHandler on_desync)
-    : params_(params),
-      on_bit_(std::move(on_bit)),
-      on_desync_(std::move(on_desync)) {}
-
-void Fm0StreamDecoder::push_run(double duration_s) {
+Fm0StreamDecoder::Symbol Fm0StreamDecoder::push_run(double duration_s) {
   const double chips = duration_s / params_.chip_duration_s;
-  int units = 0;
   if (std::abs(chips - 1.0) <= params_.tolerance) {
-    units = 1;
-  } else if (std::abs(chips - 2.0) <= 2.0 * params_.tolerance) {
-    units = 2;
-  } else {
-    desync();
-    return;
+    // Half a bit: the first half of a 0, or its second half.
+    pending_half_ = !pending_half_;
+    return pending_half_ ? Symbol::kNone : Symbol::kZero;
   }
-
-  if (!pending_half_) {
-    if (units == 2) {
-      if (on_bit_) on_bit_(true);  // full-bit run: FM0 bit 1
-    } else {
-      pending_half_ = true;  // first half of a 0 bit
-    }
-  } else {
-    if (units == 1) {
-      if (on_bit_) on_bit_(false);  // second half arrived: FM0 bit 0
-      pending_half_ = false;
-    } else {
-      // A 2-chip run always spans a whole bit, so it must start at a bit
-      // boundary — the pending half was a phase error (e.g. the inter-
-      // packet silence swallowed one chip). Discard it and resynchronize:
-      // this run is a complete FM0 bit 1.
-      if (on_bit_) on_bit_(true);
-      pending_half_ = false;
-    }
+  if (std::abs(chips - 2.0) <= 2.0 * params_.tolerance) {
+    // A full-bit run: FM0 bit 1. A 2-chip run always spans a whole bit, so
+    // it must start at a bit boundary; a pending half was a phase error
+    // (e.g. the inter-packet silence swallowed one chip) and is dropped.
+    pending_half_ = false;
+    return Symbol::kOne;
   }
-}
-
-void Fm0StreamDecoder::reset() { pending_half_ = false; }
-
-void Fm0StreamDecoder::desync() {
   pending_half_ = false;
-  if (on_desync_) on_desync_();
+  return Symbol::kDesync;
 }
 
 }  // namespace arachnet::reader
