@@ -799,7 +799,10 @@ TEST(DecisionPin, Fig12LinksDecodeTheRecordedPackets) {
   // column was re-recorded when the chain's decimation there went from 16
   // to 32 (DecisionChain::decimation): the 257-tap filter's longer group
   // delay dates each packet 16-64 raw samples later, and the bits,
-  // payloads and CRC verdicts did not move.
+  // payloads and CRC verdicts did not move. Tag 11 at 1500 bps read 41
+  // bits until the axis stopped training during the leak warm-up (it now
+  // starts at the first decided sample); every other cell kept its bits,
+  // packets and stamps.
   const char* const kRecorded[3][3] = {
       {"bits=245 crc=0 8:100@136960 8:101@258976 8:102@380960 8:103@502976 "
        "8:104@624960 8:105@746976",
@@ -817,7 +820,7 @@ TEST(DecisionPin, Fig12LinksDecodeTheRecordedPackets) {
        "11:103@502944 11:104@624960 11:105@746944",
        "bits=245 crc=0 11:100@83504 11:101@149504 11:102@215504 "
        "11:103@281488 11:104@347520 11:105@413504",
-       "bits=41 crc=0"},
+       "bits=39 crc=0"},
   };
   for (std::size_t t = 0; t < 3; ++t) {
     for (std::size_t r = 0; r < 3; ++r) {
