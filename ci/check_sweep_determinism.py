@@ -14,22 +14,17 @@ Usage: check_sweep_determinism.py serial/BENCH_x.json parallel/BENCH_x.json
 import json
 import sys
 
+import sidecar
+
 
 def load(path):
     records = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("schema") != "arachnet.bench.v1":
-                raise ValueError(f"unexpected schema in {path}: {rec}")
-            name = rec["name"]
-            if name.startswith("sweep."):
-                continue  # engine timing rows, not results
-            # Compare the full record minus the name key ordering.
-            records[(rec.get("kind"), name)] = json.dumps(rec, sort_keys=True)
+    for rec in sidecar.records(path):
+        name = rec["name"]
+        if name.startswith("sweep."):
+            continue  # engine timing rows, not results
+        # Compare the full record minus the name key ordering.
+        records[(rec.get("kind"), name)] = json.dumps(rec, sort_keys=True)
     return records
 
 
