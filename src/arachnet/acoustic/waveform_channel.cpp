@@ -69,14 +69,32 @@ std::size_t segment_end(const BackscatterSource& src, std::size_t i,
 /// stack chunk, however long the window.
 constexpr std::size_t kNoiseChunk = 512;
 
+/// Oscillator samples rendered per pass on the kSimd path (64 KiB of
+/// scratch, however long the window; a multiple of 4, as
+/// dsp::PhasorNco::Block requires).
+constexpr std::size_t kOscChunk = 4096;
+
 }  // namespace
 
-UplinkWaveformSynth::UplinkWaveformSynth(Params params) : params_(params) {
+UplinkWaveformSynth::UplinkWaveformSynth(Params params)
+    : params_(params), osc_buf_(kOscChunk) {
   if (!std::isfinite(params_.sample_rate_hz) ||
       params_.sample_rate_hz <= 0.0) {
     throw std::invalid_argument(
         "UplinkWaveformSynth: sample_rate_hz must be finite and positive");
   }
+}
+
+std::size_t UplinkWaveformSynth::window_samples(double duration_s) const {
+  // The sample count must be a representable size_t: NaN, negative or
+  // overflowing counts are undefined in the cast below.
+  const double count = duration_s * params_.sample_rate_hz;
+  if (!(duration_s >= 0.0) || !(count < 0x1p64)) {
+    throw std::invalid_argument(
+        "UplinkWaveformSynth: duration_s must be finite, non-negative and "
+        "span a sample count that fits size_t");
+  }
+  return static_cast<std::size_t>(count);
 }
 
 std::vector<double> UplinkWaveformSynth::synthesize(
@@ -90,15 +108,7 @@ std::vector<double> UplinkWaveformSynth::synthesize(
 void UplinkWaveformSynth::synthesize(
     const std::vector<BackscatterSource>& sources, double duration_s,
     sim::Rng& rng, std::vector<double>& out) {
-  // The sample count must be a representable size_t: NaN, negative or
-  // overflowing counts are undefined in the cast below.
-  const double count = duration_s * params_.sample_rate_hz;
-  if (!(duration_s >= 0.0) || !(count < 0x1p64)) {
-    throw std::invalid_argument(
-        "UplinkWaveformSynth: duration_s must be finite, non-negative and "
-        "span a sample count that fits size_t");
-  }
-  const auto n = static_cast<std::size_t>(count);
+  const std::size_t n = window_samples(duration_s);
   out.resize(n);
   const double dt = 1.0 / params_.sample_rate_hz;
   const double w_carrier = 2.0 * std::numbers::pi * params_.carrier_hz;
@@ -155,51 +165,57 @@ void UplinkWaveformSynth::synthesize(
   // per-sample chip lookup is hoisted into run-length segments, so the
   // inner loop is a branch-free EMA + multiply-add. The summation order
   // per sample (leak, sources in order, ambient, noise) matches the scalar
-  // path. The noise is drawn a chunk at a time: normal_block() consumes the
-  // generator exactly as one normal() per sample would, and the kernel
+  // path. The oscillators stream through osc_buf_ kOscChunk samples at a
+  // time. The noise is drawn a chunk at a time: normal_block() consumes
+  // the generator exactly as one normal() per sample would, and the kernel
   // table's Box-Muller turns the uniforms into deviates.
-  osc_buf_.resize(n);
-  dsp::PhasorNco carrier{w_carrier * t0_, w_carrier * dt};
-  carrier.fill(osc_buf_.data(), n);
-  // The leak and the sources in one pass. The sources advance together,
-  // one run at a time, where a run ends at the next chip boundary of any
-  // source: their ring recurrences are independent chains, which the pass
-  // overlaps, and each sample still adds them in order.
+  dsp::PhasorNco carrier_nco{w_carrier * t0_, w_carrier * dt};
+  dsp::PhasorNco ambient_nco{w_ambient * t0_, w_ambient * dt};
+  dsp::PhasorNco::Block carrier{carrier_nco, n};
+  dsp::PhasorNco::Block ambient{ambient_nco, n};
   const std::size_t ns = sources.size();
   lanes_.resize(ns);
   for (std::size_t s = 0; s < ns; ++s) {
     lanes_[s] = {std::cos(sources[s].phase_rad),
                  std::sin(sources[s].phase_rad), 0.0, 0};
   }
-  for (std::size_t run = 0; run < n;) {
-    std::size_t run_end = n;
-    for (std::size_t s = 0; s < ns; ++s) {
-      SourceLane& lane = lanes_[s];
-      if (lane.end == run) {  // this source's chip target changes here
-        lane.step = (1.0 - alpha) * target_at(sources[s], run, dt);
-        lane.end = segment_end(sources[s], run, n, dt);
-      }
-      run_end = std::min(run_end, lane.end);
-    }
-    for (std::size_t k = run; k < run_end; ++k) {
-      const double re = osc_buf_[k].real();
-      const double im = osc_buf_[k].imag();
-      double acc = params_.carrier_leak_amplitude * re;
+  for (std::size_t c = 0; c < n; c += kOscChunk) {
+    const std::size_t c_end = std::min(n, c + kOscChunk);
+    carrier.next(osc_buf_.data(), c_end - c);
+    // The leak and the sources in one pass. The sources advance together,
+    // one run at a time, where a run ends at the next chip boundary of any
+    // source (or at the chunk's end): their ring recurrences are
+    // independent chains, which the pass overlaps, and each sample still
+    // adds them in order.
+    for (std::size_t run = c; run < c_end;) {
+      std::size_t run_end = c_end;
       for (std::size_t s = 0; s < ns; ++s) {
-        const SourceLane& lane = lanes_[s];
-        smoothed[s] = alpha * smoothed[s] + lane.step;
-        acc += sources[s].amplitude * smoothed[s] *
-               (re * lane.rot_re - im * lane.rot_im);
+        SourceLane& lane = lanes_[s];
+        if (lane.end == run) {  // this source's chip target changes here
+          lane.step = (1.0 - alpha) * target_at(sources[s], run, dt);
+          lane.end = segment_end(sources[s], run, n, dt);
+        }
+        run_end = std::min(run_end, lane.end);
       }
-      out[k] = acc;
+      for (std::size_t k = run; k < run_end; ++k) {
+        const double re = osc_buf_[k - c].real();
+        const double im = osc_buf_[k - c].imag();
+        double acc = params_.carrier_leak_amplitude * re;
+        for (std::size_t s = 0; s < ns; ++s) {
+          const SourceLane& lane = lanes_[s];
+          smoothed[s] = alpha * smoothed[s] + lane.step;
+          acc += sources[s].amplitude * smoothed[s] *
+                 (re * lane.rot_re - im * lane.rot_im);
+        }
+        out[k] = acc;
+      }
+      run = run_end;
     }
-    run = run_end;
-  }
-  if (params_.ambient_amplitude != 0.0) {
-    dsp::PhasorNco ambient{w_ambient * t0_, w_ambient * dt};
-    ambient.fill(osc_buf_.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] += params_.ambient_amplitude * osc_buf_[i].imag();
+    if (params_.ambient_amplitude != 0.0) {
+      ambient.next(osc_buf_.data(), c_end - c);
+      for (std::size_t k = c; k < c_end; ++k) {
+        out[k] += params_.ambient_amplitude * osc_buf_[k - c].imag();
+      }
     }
   }
   const sim::Rng::BoxMuller box_muller = dsp::simd::kernels().box_muller_f64;

@@ -82,6 +82,11 @@ class UplinkWaveformSynth {
   void synthesize(const std::vector<BackscatterSource>& sources,
                   double duration_s, sim::Rng& rng, std::vector<double>& out);
 
+  /// Samples in a `duration_s` window: the size synthesize() gives `out`.
+  /// Throws std::invalid_argument for a duration that is not finite or is
+  /// negative.
+  std::size_t window_samples(double duration_s) const;
+
   /// Absolute time rendered so far.
   double now() const noexcept { return t0_; }
 
@@ -104,7 +109,7 @@ class UplinkWaveformSynth {
     std::size_t end;
   };
   std::vector<SourceLane> lanes_;
-  /// Block-path oscillator scratch, reused across synthesize() calls.
+  /// kSimd-path oscillator scratch: one fixed chunk, sized at construction.
   std::vector<std::complex<double>> osc_buf_;
 };
 

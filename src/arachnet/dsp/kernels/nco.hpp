@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstddef>
@@ -54,27 +55,10 @@ class PhasorNco {
 
   /// out[i] = e^{j*phase_i} — a raw oscillator block (waveform synthesis:
   /// cos is the real part, sin the imaginary part).
-  void fill(cplx* out, std::size_t n) noexcept {
-    const std::size_t m = lane_count(n);
-    Lanes ln;
-    if (m != 0) seed_lanes(ln);
-    for (std::size_t k = 0; k < m; k += 4) {
-      for (std::size_t l = 0; l < 4; ++l) {
-        out[k + l] = cplx{ln.pr[l], ln.pi[l]};
-      }
-      ln.advance();
-    }
-    double pr = m != 0 ? ln.pr[0] : phasor_.real();
-    double pi = m != 0 ? ln.pi[0] : phasor_.imag();
-    const double rr = rot_.real(), ri = rot_.imag();
-    for (std::size_t i = m; i < n; ++i) {
-      out[i] = cplx{pr, pi};
-      const double npr = pr * rr - pi * ri;
-      pi = pr * ri + pi * rr;
-      pr = npr;
-    }
-    store(pr, pi, n);
-  }
+  void fill(cplx* out, std::size_t n) noexcept;
+
+  /// fill() rendered in pieces (defined below).
+  class Block;
 
  private:
   static constexpr std::size_t kRenormInterval = 512;
@@ -146,5 +130,56 @@ class PhasorNco {
   cplx rot_{1.0, 0.0};
   std::size_t since_renorm_ = 0;
 };
+
+/// One fill(out, n) block rendered in pieces, so a long block can stream
+/// through a short buffer: next(out, count) writes the block's next
+/// `count` values, bit for bit those fill() writes there, provided every
+/// piece but the last is a multiple of 4 samples. The oscillator advances
+/// (and renormalizes) once the block's last value is written; it must
+/// outlive the block.
+class PhasorNco::Block {
+ public:
+  Block(PhasorNco& nco, std::size_t n) noexcept
+      : nco_(nco), n_(n), m_(lane_count(n)) {
+    nco.seed_lanes(ln_);
+  }
+
+  void next(cplx* out, std::size_t count) noexcept {
+    Lanes ln = ln_;
+    const std::size_t laned = done_ < m_ ? std::min(count, m_ - done_) : 0;
+    std::size_t k = 0;
+    for (; k < laned; k += 4) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        out[k + l] = cplx{ln.pr[l], ln.pi[l]};
+      }
+      ln.advance();
+    }
+    // Past the lanes, one sequential recurrence continues lane 0.
+    double pr = ln.pr[0], pi = ln.pi[0];
+    const double rr = nco_.rot_.real(), ri = nco_.rot_.imag();
+    for (; k < count; ++k) {
+      out[k] = cplx{pr, pi};
+      const double npr = pr * rr - pi * ri;
+      pi = pr * ri + pi * rr;
+      pr = npr;
+    }
+    ln.pr[0] = pr;
+    ln.pi[0] = pi;
+    ln_ = ln;
+    done_ += count;
+    if (count != 0 && done_ == n_) nco_.store(pr, pi, n_);
+  }
+
+ private:
+  PhasorNco& nco_;
+  std::size_t n_;
+  std::size_t m_;  ///< samples the four lanes render
+  std::size_t done_ = 0;
+  Lanes ln_{};
+};
+
+inline void PhasorNco::fill(cplx* out, std::size_t n) noexcept {
+  Block{*this, n}.next(out, n);
+}
 
 }  // namespace arachnet::dsp

@@ -99,6 +99,11 @@ FleetEngine::FleetEngine(Params params)
       shard->bank = std::make_unique<reader::FdmaRxChain>(fp);
       shard->synth =
           std::make_unique<acoustic::UplinkWaveformSynth>(params_.synth);
+      // Sized here, on the constructing thread, not by whichever pool
+      // thread first runs the shard: the window then comes from the same
+      // malloc arena every run, and the fleet's resident memory with it.
+      shard->wave.reserve(
+          shard->synth->window_samples(params_.epoch_duration_s));
       shard->noise_rng = stream(kStreamNoise);
       for (std::size_t k = 0; k < params_.channels_per_reader; ++k) {
         const auto tag = static_cast<std::uint32_t>(

@@ -67,6 +67,30 @@ TEST(PhasorNco, AmplitudeStaysUnitForMillionsOfSamples) {
   EXPECT_NEAR(std::abs(nco.phasor()), 1.0, 1e-12);
 }
 
+TEST(PhasorNco, BlockPiecesRenderFillBitForBit) {
+  // Pieces of a multiple of 4 samples, the last one ragged: the lanes and
+  // the sequential tail carry over, so every value and the phasor after
+  // the block match one fill().
+  for (std::size_t n : {0, 5, 8, 13, 4096, 4099, 10001}) {
+    dsp::PhasorNco whole{0.37, 0.0123456};
+    dsp::PhasorNco pieces{0.37, 0.0123456};
+    std::vector<cplx> want(n), got(n);
+    for (int block = 0; block < 2; ++block) {
+      whole.fill(want.data(), n);
+      dsp::PhasorNco::Block b{pieces, n};
+      const std::size_t sizes[] = {4, 8, 4092};
+      std::size_t done = 0;
+      for (std::size_t i = 0; done < n; ++i) {
+        const std::size_t count = std::min(sizes[i % 3], n - done);
+        b.next(got.data() + done, count);
+        done += count;
+      }
+      ASSERT_EQ(got, want) << "n=" << n << " block " << block;
+      ASSERT_EQ(pieces.phasor(), whole.phasor()) << "n=" << n;
+    }
+  }
+}
+
 TEST(PhasorNco, SetStepRetunesPhaseContinuously) {
   dsp::PhasorNco nco{0.0, 0.2};
   std::vector<cplx> buf(100);
