@@ -8,7 +8,7 @@
 //     worker pool. Per-reader work is constant, so ideal wall time at R
 //     readers on C cores is wall(1) * R / min(R, C); the ratio of ideal to
 //     measured is fleet.efficiency_4 (gated >= 0.7 by
-//     ci/check_fleet_bench.py, normalized to the host's core count).
+//     ci/perf_gate.rules, normalized to the host's core count).
 //  2. slot-mode coordination — a 4-reader overlapping fleet exercising
 //     handoffs, duplicate suppression and the co-channel planner. Reports
 //     the digest at shard widths 1/2/4 (fleet.shard_determinism), parity
@@ -17,7 +17,7 @@
 //  3. epoch latency — p50/p99 of per-epoch wall time at 4 readers.
 //
 // Sidecar: BENCH_fleet.json (fleet.* rows), gated by
-// ci/check_fleet_bench.py.
+// ci/perf_gate.rules.
 //
 //   bench_fleet [--epochs=4] [--slot-epochs=24]
 //   bench_fleet --replay=16 --shards=4    # print packet log + digest only

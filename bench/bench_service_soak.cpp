@@ -14,10 +14,10 @@
 // period, streaming MONITOR_service_soak.jsonl next to the bench sidecar,
 // and the saturation phase runs interleaved monitor-off/monitor-on rounds
 // so soak.monitor.overhead_pct measures what live sampling costs the hot
-// path (gated <= 3% by ci/check_monitor_overhead.py).
+// path (gated <= 3% by ci/perf_gate.rules).
 //
 // Sidecar: BENCH_service_soak.json (soak.* rows), gated in CI by
-// ci/check_service_soak.py and ci/check_monitor_overhead.py.
+// ci/perf_gate.rules.
 //
 //   bench_service_soak [--sessions=8] [--seconds=2.0] [--workers=0]
 #include <algorithm>
@@ -427,7 +427,7 @@ int main(int argc, char** argv) {
   // 11): with the monitor off and the fleet quiescent, stream one
   // session's paced schedule twice — the soak above is the warm-up for
   // everything process-wide, so the measured pass must not allocate.
-  // Gated == 0 by ci/check_alloc_gate.py.
+  // Gated == 0 by ci/perf_gate.rules.
   {
     const auto id = ids.front();
     const auto stream_once = [&]() {

@@ -60,7 +60,7 @@ struct FleetPacket {
 /// bit-exact for any `shards` value (1, 2, 4, 8, ...) and any worker
 /// interleaving. A fleet whose readers do not overlap equals the
 /// deterministic merge of per-reader single-shard engines (see
-/// Params::first_reader_id), which is what ci/check_fleet_bench.py gates.
+/// Params::first_reader_id), which is what ci/perf_gate.py gates.
 class FleetEngine {
  public:
   enum class Mode {

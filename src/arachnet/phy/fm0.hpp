@@ -1,8 +1,5 @@
 #pragma once
 
-#include <optional>
-#include <vector>
-
 #include "arachnet/phy/bits.hpp"
 
 namespace arachnet::phy {
@@ -12,7 +9,8 @@ namespace arachnet::phy {
 /// Each data bit occupies two half-bit chips. The level always transitions
 /// at a bit boundary; a data 0 carries an additional mid-bit transition, a
 /// data 1 does not. Equivalently (the paper's phrasing): chip pairs 10/01
-/// encode FM0 bit 0, chip pairs 00/11 encode FM0 bit 1.
+/// encode FM0 bit 0, chip pairs 00/11 encode FM0 bit 1. The reader
+/// decodes it from run lengths (reader::Fm0StreamDecoder).
 class Fm0Encoder {
  public:
   /// Encodes data bits into half-bit chips (each chip is one OOK level the
@@ -36,30 +34,6 @@ class Fm0Encoder {
   /// `chips` keeps its capacity, so this allocates nothing once warm).
   static void encode_frame(const BitVector& data, BitVector& chips,
                            bool initial_level = false);
-};
-
-/// Chip-level FM0 decoder with boundary-transition checking.
-class Fm0Decoder {
- public:
-  struct Result {
-    BitVector bits;
-    /// Number of bit positions whose boundary transition was missing —
-    /// a coding violation indicating chip slip or noise.
-    std::size_t violations = 0;
-  };
-
-  /// Decodes a chip stream produced by Fm0Encoder (or sliced by the reader).
-  /// `initial_level` must match the level preceding the stream.
-  static Result decode(const BitVector& chips, bool initial_level = false);
-
-  /// Decodes from level run-lengths (e.g. timestamps out of a Schmitt
-  /// trigger). `runs` holds the duration of each constant-level segment in
-  /// seconds; `half_bit` is the nominal half-bit period. Runs are quantized
-  /// to 1 or 2 half-bit units with `tolerance` (fraction of half_bit).
-  /// Returns std::nullopt when a run cannot be quantized (desync).
-  static std::optional<BitVector> decode_runs(const std::vector<double>& runs,
-                                              double half_bit,
-                                              double tolerance = 0.35);
 };
 
 }  // namespace arachnet::phy

@@ -16,9 +16,10 @@ namespace {
 
 using telemetry::steady_now_ns;
 
-/// IQ samples per pass of a per-channel front end: bounds the filter
-/// history and the lane buffers, and the kSimd mixer reseeds its float32
-/// phasors from the double master phase once per pass.
+/// IQ samples per pass of a per-channel front end, and at most per piece
+/// of process(): bounds the filter history, the lane buffers and the IQ
+/// buffer, and the kSimd mixer reseeds its float32 phasors from the double
+/// master phase once per pass.
 constexpr std::size_t kChannelBlock = 4096;
 
 /// Channels at which kAuto engages the channelizer: below this the
@@ -167,6 +168,8 @@ FdmaRxChain::FdmaRxChain(Params params)
   // The calling thread participates in run(), so the pool only needs
   // workers_ - 1 extra threads.
   pool_ = std::make_unique<dsp::WorkerPool>(workers_ - 1);
+  // One piece's IQ (see process()), sized here on the constructing thread.
+  iq_buf_.reserve(kChannelBlock);
 
   // Validate the whole spec list before building anything (each spec
   // against the ones accepted so far).
@@ -317,52 +320,60 @@ void FdmaRxChain::process(const double* samples, std::size_t n) {
   ARACHNET_TRACE_SPAN("fdma.process");
   // Stage timing (front-end = DDC + shared channelizer on the caller
   // thread; decode = per-channel fan-out) is metrics-gated so the
-  // uninstrumented path pays nothing.
+  // uninstrumented path pays nothing. Each stage records once per call,
+  // summed over the call's pieces.
   const bool timed = h_stage_frontend_us_ != nullptr;
-  const std::uint64_t t_in = timed ? steady_now_ns() : 0;
-  // Reused member scratch: the steady-state hot path allocates nothing.
-  iq_buf_.clear();
-  ddc_.process(std::span<const double>{samples, n}, iq_buf_);
-  if (iq_buf_.empty()) return;
-  if (chzr_ != nullptr) {
-    const std::uint64_t t0 =
-        (c_chzr_fft_us_ != nullptr) ? steady_now_ns() : 0;
-    const std::size_t frames =
-        chzr_->process(iq_buf_.data(), iq_buf_.size());
-    if (c_chzr_fft_us_ != nullptr) {
-      c_chzr_fft_us_->add((steady_now_ns() - t0) / 1000);
-      c_chzr_frames_->add(frames);
+  std::uint64_t front_ns = 0;
+  std::uint64_t decode_ns = 0;
+  bool fronted = false;
+  bool decoded = false;
+  // Pieces of at most kChannelBlock IQ samples keep iq_buf_ within the
+  // capacity reserved at construction. Every stage carries its state
+  // across calls, and a piece is a whole number of the DDC's and the
+  // per-channel front end's blocks, so pieces decode bit for bit as one
+  // call would.
+  const std::size_t piece = kChannelBlock * params_.ddc.decimation;
+  for (std::size_t off = 0; off < n; off += piece) {
+    const std::uint64_t t_in = timed ? steady_now_ns() : 0;
+    iq_buf_.clear();
+    ddc_.process(std::span<const double>{samples + off,
+                                         std::min(piece, n - off)},
+                 iq_buf_);
+    if (iq_buf_.empty()) continue;
+    std::size_t frames = 0;
+    if (chzr_ != nullptr) {
+      const std::uint64_t t0 =
+          (c_chzr_fft_us_ != nullptr) ? steady_now_ns() : 0;
+      frames = chzr_->process(iq_buf_.data(), iq_buf_.size());
+      if (c_chzr_fft_us_ != nullptr) {
+        c_chzr_fft_us_->add((steady_now_ns() - t0) / 1000);
+        c_chzr_frames_->add(frames);
+      }
     }
     const std::uint64_t t_front = timed ? steady_now_ns() : 0;
-    if (timed) {
-      h_stage_frontend_us_->record(static_cast<double>(t_front - t_in) *
-                                   1e-3);
-    }
-    if (frames != 0) {
+    front_ns += t_front - t_in;
+    fronted = true;
+    if (chzr_ != nullptr) {
+      if (frames == 0) continue;
       const std::uint64_t frame_base = chzr_->frames_produced() - frames;
       pool_->run(channels_.size(), [&](std::size_t c) {
         ARACHNET_TRACE_SPAN("fdma.channel");
         channels_[c]->process_lane(chzr_->lane(c), frames, frame_base);
       });
-      if (timed) {
-        h_stage_decode_us_->record(
-            static_cast<double>(steady_now_ns() - t_front) * 1e-3);
-      }
+    } else {
+      pool_->run(channels_.size(), [&](std::size_t c) {
+        ARACHNET_TRACE_SPAN("fdma.channel");
+        channels_[c]->process_block(iq_buf_.data(), iq_buf_.size());
+      });
     }
-  } else {
-    const std::uint64_t t_front = timed ? steady_now_ns() : 0;
-    if (timed) {
-      h_stage_frontend_us_->record(static_cast<double>(t_front - t_in) *
-                                   1e-3);
-    }
-    pool_->run(channels_.size(), [&](std::size_t c) {
-      ARACHNET_TRACE_SPAN("fdma.channel");
-      channels_[c]->process_block(iq_buf_.data(), iq_buf_.size());
-    });
-    if (timed) {
-      h_stage_decode_us_->record(
-          static_cast<double>(steady_now_ns() - t_front) * 1e-3);
-    }
+    decode_ns += timed ? steady_now_ns() - t_front : 0;
+    decoded = true;
+  }
+  if (timed && fronted) {
+    h_stage_frontend_us_->record(static_cast<double>(front_ns) * 1e-3);
+  }
+  if (timed && decoded) {
+    h_stage_decode_us_->record(static_cast<double>(decode_ns) * 1e-3);
   }
 }
 

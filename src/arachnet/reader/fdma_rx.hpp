@@ -266,8 +266,8 @@ class FdmaRxChain {
   // channelizer, caller thread) vs decode (per-channel pool fan-out).
   telemetry::LatencyHistogram* h_stage_frontend_us_ = nullptr;
   telemetry::LatencyHistogram* h_stage_decode_us_ = nullptr;
-  /// Per-block IQ scratch, reused across process() calls so the steady
-  /// state allocates nothing.
+  /// One piece's IQ samples (see process()), reserved at construction so
+  /// that no process() call allocates it.
   std::vector<std::complex<double>> iq_buf_;
 };
 

@@ -119,9 +119,9 @@ std::optional<SessionId> ReaderService::open_session(SessionConfig cfg) {
       return std::nullopt;
     }
   }
-  // Build the newcomer before shedding anyone: a config its RxChain
-  // rejects throws here, leaving every session, active_ and the free-slot
-  // pool as they were.
+  // Build the newcomer before shedding anyone: a config its RxChain or
+  // checked_ttl_ns() rejects throws here, leaving every session, active_
+  // and the free-slot pool as they were.
   const SessionId id = next_id_;
   std::unique_ptr<Session> slot;
   if (!free_slots_.empty()) {
@@ -174,13 +174,10 @@ bool ReaderService::submit(SessionId id, Block block) {
       return false;
     }
     s->in_flight.fetch_add(1);
-    const std::uint64_t ttl_ns =
-        s->cfg.ttl_s <= 0.0
-            ? 0
-            : static_cast<std::uint64_t>(s->cfg.ttl_s * 1e9);
     std::optional<WorkItem> displaced;
-    const auto outcome = queue_.push(WorkItem{s, std::move(block), now},
-                                     s->cfg.priority, now, ttl_ns, &displaced);
+    const auto outcome =
+        queue_.push(WorkItem{s, std::move(block), now}, s->cfg.priority, now,
+                    s->ttl_ns, &displaced);
     switch (outcome) {
       case DispatchQueue<WorkItem>::Push::kAccepted:
         break;

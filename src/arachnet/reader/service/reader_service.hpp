@@ -115,7 +115,9 @@ class ReaderService {
   /// Admits a new session. Returns its id, or nullopt when the fleet is
   /// at the admission cap and no active session has strictly lower
   /// priority to shed (the rejection is counted). Reuses a reaped slot
-  /// warm when one is available.
+  /// warm when one is available. Throws std::invalid_argument, before
+  /// anything is shed, for a chain config RxChain rejects or a TTL
+  /// checked_ttl_ns() rejects.
   std::optional<SessionId> open_session(SessionConfig cfg);
 
   /// Graceful close: no further submits; already-queued blocks still

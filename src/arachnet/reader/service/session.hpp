@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "arachnet/dsp/ring_buffer.hpp"
@@ -31,7 +32,8 @@ struct SessionConfig {
   int priority = 1;
   /// Time-to-live of a submitted block in the dispatch queue; a block
   /// still queued this long after submit() is dropped (counted per
-  /// session) instead of decoded late. 0 = blocks never expire.
+  /// session) instead of decoded late. 0 = blocks never expire. Must be
+  /// >= 0 and below 2^63 ns (see checked_ttl_ns()).
   double ttl_s = 0.0;
   /// Per-session bound on blocks in flight (queued + being processed).
   /// submit() beyond it drops the block — one overloaded session cannot
@@ -42,6 +44,20 @@ struct SessionConfig {
   /// drops the packet and counts it.
   std::size_t output_capacity = 256;
 };
+
+/// `ttl_s` in whole nanoseconds (0 = never expires). Throws
+/// std::invalid_argument for a NaN or negative TTL, or one of 2^63 ns
+/// (about 292 years) or more: casting a NaN, an infinity or a value past
+/// 2^64 is undefined, and the dispatch queue adds the result to a
+/// steady-clock time.
+inline std::uint64_t checked_ttl_ns(double ttl_s) {
+  const double ns = ttl_s * 1e9;
+  if (!(ns >= 0.0 && ns < 0x1p63)) {
+    throw std::invalid_argument(
+        "SessionConfig: ttl_s must be >= 0 and below 2^63 ns");
+  }
+  return static_cast<std::uint64_t>(ns);
+}
 
 /// Live per-session counters (monotonic since the session opened).
 struct SessionStats {
@@ -87,9 +103,10 @@ struct Session {
 
   /// Re-arms the slot for a new occupant. Requires: closed, no blocks in
   /// flight, output drained (the service's reap conditions). Throws what
-  /// the RxChain constructor throws, before the slot takes the new id or
-  /// config.
+  /// checked_ttl_ns() or the RxChain constructor throws, before the slot
+  /// takes the new id or config.
   void reset(SessionId new_id, SessionConfig new_cfg) {
+    const std::uint64_t new_ttl_ns = checked_ttl_ns(new_cfg.ttl_s);
     // Service sessions stream: no MAC collision detector, no iq_points()
     // surface. Retention would grow per-session IQ history without bound
     // and allocate in the steady state, so it is forced off here.
@@ -97,6 +114,7 @@ struct Session {
     chain.emplace(new_cfg.chain);
     id = new_id;
     cfg = new_cfg;
+    ttl_ns = new_ttl_ns;
     if (!output || output->capacity() != cfg.output_capacity) {
       output = std::make_unique<dsp::RingBuffer<RxPacket>>(
           cfg.output_capacity);
@@ -160,6 +178,7 @@ struct Session {
 
   SessionId id = 0;
   SessionConfig cfg{};
+  std::uint64_t ttl_ns = 0;  ///< cfg.ttl_s in ns (0 = never expires)
   /// The decode chain; rebuilt per occupant (optional so reset() can
   /// emplace in place).
   std::optional<RxChain> chain;

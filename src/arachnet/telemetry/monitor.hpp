@@ -96,7 +96,7 @@ SnapshotDelta compute_snapshot_delta(const MetricsSnapshot& prev,
 /// sample costs one registry snapshot (mutex + copy) plus the delta math,
 /// tens of microseconds at a few hundred instruments, amortized over the
 /// period (default 1 s). `bench_micro_telemetry` tracks the per-sample
-/// cost; `ci/check_monitor_overhead.py` gates the end-to-end soak impact.
+/// cost; `ci/perf_gate.py` gates the end-to-end soak impact.
 ///
 /// Threading: start()/stop() from one control thread; add_probe/add_*_watch
 /// are mutex-guarded and safe any time (sessions open mid-run). sample_once()

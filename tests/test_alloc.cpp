@@ -167,6 +167,19 @@ TEST(SteadyStateAlloc, FdmaPerChannelBankDecodeLoopIsAllocationFree) {
       arachnet::reader::FdmaRxChain::BankPolicy::kPerChannel);
 }
 
+TEST(SteadyStateAlloc, FdmaBankTakesItsFirstLongWindowWithoutAllocating) {
+  // A fleet builds each shard's bank on one thread and runs it on a pool
+  // thread, so a buffer grown by the first process() call would come
+  // from whichever thread ran the shard first. One fleet4x3 epoch:
+  // 125 000 samples at D = 8, four pieces of the bank's IQ buffer.
+  arachnet::reader::FdmaRxChain chain{
+      bank_params(arachnet::reader::FdmaRxChain::BankPolicy::kPerChannel)};
+  const std::vector<double> window(125000, 0.0);
+  CountingAllocatorGuard guard;
+  chain.process(window);
+  EXPECT_EQ(guard.allocations(), 0u);
+}
+
 // ------------------------------------------------ fleet steady state
 
 TEST(SteadyStateAlloc, WarmWaveformFleetAllocatesOnlyToGrowItsPacketLog) {

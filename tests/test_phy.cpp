@@ -15,11 +15,14 @@
 #include "arachnet/phy/packet.hpp"
 #include "arachnet/phy/pie.hpp"
 #include "arachnet/sim/rng.hpp"
+#include "fm0_runs.hpp"
 
 namespace {
 
 using namespace arachnet::phy;
 using arachnet::sim::Rng;
+using arachnet::test::chip_runs;
+using arachnet::test::stream_decode;
 
 BitVector random_bits(Rng& rng, std::size_t n) {
   BitVector v;
@@ -109,86 +112,45 @@ TEST(Fm0, PaperChipPairSemantics) {
   EXPECT_NE(chips[1], chips[2]);  // boundary transition between bits
 }
 
-TEST(Fm0, EncodeDecodeRoundTripRandom) {
+TEST(Fm0, StreamDecoderRoundTripsRandomBits) {
+  // The reader decodes FM0 from run lengths, whatever the level it starts
+  // from.
   Rng rng{5};
+  const double chip = 1.0 / 750.0;  // 375 bps raw chips
   for (int trial = 0; trial < 200; ++trial) {
     const auto data = random_bits(rng, 1 + rng.uniform_int(64));
-    const bool init = rng.bernoulli(0.5);
-    const auto chips = Fm0Encoder::encode(data, init);
-    const auto result = Fm0Decoder::decode(chips, init);
-    EXPECT_EQ(result.bits, data);
-    EXPECT_EQ(result.violations, 0u);
-  }
-}
-
-TEST(Fm0, BoundaryViolationDetected) {
-  const auto data = BitVector{1, 1, 1};
-  auto chips = Fm0Encoder::encode(data, false);
-  // Force a missing boundary transition by duplicating the previous level.
-  BitVector corrupted;
-  corrupted.push_back(chips[0]);
-  corrupted.push_back(chips[1]);
-  corrupted.push_back(chips[1]);  // should have inverted here
-  corrupted.push_back(chips[1]);
-  corrupted.push_back(chips[4]);
-  corrupted.push_back(chips[5]);
-  const auto result = Fm0Decoder::decode(corrupted, false);
-  EXPECT_GT(result.violations, 0u);
-}
-
-TEST(Fm0, DecodeRunsRoundTrip) {
-  Rng rng{8};
-  const double half = 1.0 / 750.0;  // 375 bps raw chips
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto data = random_bits(rng, 1 + rng.uniform_int(48));
-    const auto chips = Fm0Encoder::encode(data, false);
-    // Convert chips to run lengths.
-    std::vector<double> runs;
-    bool level = chips[0];
-    double run = half;
-    for (std::size_t i = 1; i < chips.size(); ++i) {
-      if (chips[i] == level) {
-        run += half;
-      } else {
-        runs.push_back(run);
-        run = half;
-        level = chips[i];
-      }
-    }
-    runs.push_back(run);
-    const auto decoded = Fm0Decoder::decode_runs(runs, half);
+    const auto chips = Fm0Encoder::encode(data, rng.bernoulli(0.5));
+    const auto decoded = stream_decode(chip_runs(chips, chip), chip);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, data);
   }
 }
 
-TEST(Fm0, DecodeRunsToleratesJitter) {
+TEST(Fm0, MissingBoundaryTransitionDesyncs) {
+  // Bits 1, 0 from level 0 are chips 11 01. Without the transition at
+  // the second bit's boundary they read 11 10: a 3-chip run.
+  const double chip = 1.0 / 750.0;
+  ASSERT_EQ(Fm0Encoder::encode(BitVector{1, 0}, false).to_string(), "1101");
+  EXPECT_FALSE(
+      stream_decode(chip_runs(BitVector{1, 1, 1, 0}, chip), chip).has_value());
+}
+
+TEST(Fm0, StreamDecoderToleratesJitter) {
   Rng rng{12};
-  const double half = 1.0 / 750.0;
+  const double chip = 1.0 / 750.0;
   const auto data = BitVector{1, 0, 1, 1, 0, 0, 1, 0};
-  const auto chips = Fm0Encoder::encode(data, false);
-  std::vector<double> runs;
-  bool level = chips[0];
-  double run = half;
-  for (std::size_t i = 1; i < chips.size(); ++i) {
-    if (chips[i] == level) {
-      run += half;
-    } else {
-      runs.push_back(run * rng.uniform(0.85, 1.15));
-      run = half;
-      level = chips[i];
-    }
+  auto runs = chip_runs(Fm0Encoder::encode(data, false), chip);
+  for (std::size_t i = 0; i + 1 < runs.size(); ++i) {
+    runs[i] *= rng.uniform(0.85, 1.15);
   }
-  runs.push_back(run);
-  const auto decoded = Fm0Decoder::decode_runs(runs, half);
+  const auto decoded = stream_decode(runs, chip);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, data);
 }
 
-TEST(Fm0, DecodeRunsRejectsGarbage) {
-  const double half = 1.0 / 750.0;
-  EXPECT_FALSE(
-      Fm0Decoder::decode_runs({half * 3.5, half}, half).has_value());
+TEST(Fm0, StreamDecoderRejectsGarbage) {
+  const double chip = 1.0 / 750.0;
+  EXPECT_FALSE(stream_decode({chip * 3.5, chip}, chip).has_value());
 }
 
 // ---------------------------------------------------------------------- PIE

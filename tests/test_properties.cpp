@@ -16,6 +16,7 @@
 #include "arachnet/phy/packet.hpp"
 #include "arachnet/phy/pie.hpp"
 #include "arachnet/sim/rng.hpp"
+#include "fm0_runs.hpp"
 
 namespace {
 
@@ -47,7 +48,7 @@ TEST_P(Fm0JitterSweep, RoundTripSurvivesTimingJitter) {
       }
     }
     runs.push_back(run);
-    const auto decoded = phy::Fm0Decoder::decode_runs(runs, chip);
+    const auto decoded = test::stream_decode(runs, chip);
     ASSERT_TRUE(decoded.has_value())
         << "rate " << rate << " jitter " << jitter;
     EXPECT_EQ(*decoded, data);
@@ -92,11 +93,13 @@ TEST_P(PacketSweep, SerializeParseRoundTripThroughFm0) {
     const phy::UlPacket pkt{
         .tid = static_cast<std::uint8_t>(tid),
         .payload = static_cast<std::uint16_t>(rng.uniform_int(1u << 12))};
-    // Through the line code and back.
-    const auto chips = phy::Fm0Encoder::encode(pkt.serialize());
-    const auto decoded = phy::Fm0Decoder::decode(chips);
-    ASSERT_EQ(decoded.violations, 0u);
-    const auto parsed = phy::UlPacket::parse(decoded.bits);
+    // Through the line code and the reader's FM0 decoder, and back.
+    const double chip = 1.0 / 750.0;
+    const auto decoded = test::stream_decode(
+        test::chip_runs(phy::Fm0Encoder::encode(pkt.serialize()), chip),
+        chip);
+    ASSERT_TRUE(decoded.has_value());
+    const auto parsed = phy::UlPacket::parse(*decoded);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, pkt);
   }

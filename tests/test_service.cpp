@@ -326,24 +326,39 @@ TEST(ReaderService, OpenThatThrowsShedsNothingAndKeepsTheSlotPool) {
   }  // drain to make the slot reapable
 
   // Under budget: the reaped slot is re-armed for a config its RxChain
-  // rejects. The open throws, and the slot stays in the pool.
+  // rejects, or for a TTL whose nanoseconds a uint64 cannot hold. The
+  // open throws, and the slot stays in the pool.
   SessionConfig bad_rate;
   bad_rate.priority = 9;
   bad_rate.chain.chip_rate = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(svc.open_session(bad_rate), std::invalid_argument);
-  EXPECT_EQ(svc.stats().active_sessions, 1u);
+  std::vector<SessionConfig> bad = {bad_rate};
+  for (const double ttl_s : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -1.0,
+                             1e11}) {
+    SessionConfig bad_ttl;
+    bad_ttl.priority = 9;
+    bad_ttl.ttl_s = ttl_s;
+    bad.push_back(bad_ttl);
+  }
+  for (const SessionConfig& cfg : bad) {
+    EXPECT_THROW(svc.open_session(cfg), std::invalid_argument);
+    EXPECT_EQ(svc.stats().active_sessions, 1u);
+  }
   const auto b = svc.open_session(low);
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(svc.stats().slots_reused, 1u);
 
-  // Over budget: the newcomer outranks b, but its chain throws before
-  // anything is shed.
+  // Over budget: the newcomer outranks b, but its chain or TTL throws
+  // before anything is shed.
   SessionConfig bad_ddc;
   bad_ddc.priority = 9;
   bad_ddc.chain.ddc.carrier_hz = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(svc.open_session(bad_ddc), std::invalid_argument);
-  EXPECT_EQ(svc.stats().sessions_shed, 0u);
-  EXPECT_EQ(svc.stats().active_sessions, 2u);
+  bad.front() = bad_ddc;
+  for (const SessionConfig& cfg : bad) {
+    EXPECT_THROW(svc.open_session(cfg), std::invalid_argument);
+    EXPECT_EQ(svc.stats().sessions_shed, 0u);
+    EXPECT_EQ(svc.stats().active_sessions, 2u);
+  }
   EXPECT_TRUE(svc.submit(*a, std::vector<double>(16, 0.0)));
   EXPECT_TRUE(svc.submit(*b, std::vector<double>(16, 0.0)));
 
