@@ -297,12 +297,12 @@ void bank_policy_bench(benchmark::State& state,
 static void BM_FdmaBankPerChannel(benchmark::State& state) {
   bank_policy_bench(state, reader::FdmaRxChain::BankPolicy::kPerChannel);
 }
-BENCHMARK(BM_FdmaBankPerChannel)->Arg(4)->Arg(9)->Arg(16)->Arg(32);
+BENCHMARK(BM_FdmaBankPerChannel)->DenseRange(4, 9)->Arg(16)->Arg(32);
 
 static void BM_FdmaBankChannelizer(benchmark::State& state) {
   bank_policy_bench(state, reader::FdmaRxChain::BankPolicy::kChannelizer);
 }
-BENCHMARK(BM_FdmaBankChannelizer)->Arg(4)->Arg(9)->Arg(16)->Arg(32);
+BENCHMARK(BM_FdmaBankChannelizer)->DenseRange(4, 9)->Arg(16)->Arg(32);
 
 static void BM_BankPacketParity(benchmark::State& state) {
   // Not a timing bench: records per-channel packet parity between the two
@@ -320,7 +320,12 @@ static void BM_BankPacketParity(benchmark::State& state) {
         n, reader::FdmaRxChain::BankPolicy::kChannelizer)};
     pc.process(wave);
     chzr.process(wave);
-    const double lane_dt = 8.0 / (500e3 / 8.0);  // one lane sample
+    // One lane sample at the bench's 62.5 kS/s IQ rate.
+    const double iq_rate = 500e3 / 8.0;
+    const double lane_dt =
+        static_cast<double>(
+            dsp::PolyphaseChannelizer::lane_decimation(iq_rate, 375.0)) /
+        iq_rate;
     equal = chzr.active_bank() ==
             reader::FdmaRxChain::BankPolicy::kChannelizer;
     for (std::size_t c = 0; c < pc.channel_count(); ++c) {
@@ -371,9 +376,8 @@ BENCHMARK(BM_FdmaBankSimd);
 namespace {
 
 // Timestamp tolerance for the kSimd tier: the float32 lane path can move
-// a slicer crossing by a sample or two, and the channelizer bank adds up
-// to one lane sample of grid skew — two channelizer lane samples bound
-// both at every bench channel count.
+// a slicer crossing by a sample or two. 256 us is one channelizer lane
+// sample at every bench channel count (3906.25 lane samples per second).
 constexpr double kSimdTimeTol = 256e-6;
 
 // Per-channel packet comparison between two drained captures. Payloads,

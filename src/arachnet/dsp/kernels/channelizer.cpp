@@ -24,11 +24,11 @@ std::size_t PolyphaseChannelizer::bin_for(double hz, double sample_rate_hz,
 
 std::size_t PolyphaseChannelizer::lane_decimation(double sample_rate_hz,
                                                   double chip_rate) noexcept {
-  // D = largest power of two with fs/D >= 16*chip_rate. The cap bounds
+  // D = largest power of two with fs/D >= 8*chip_rate. The cap bounds
   // the loop for a zero or vanishing chip rate.
   constexpr std::size_t kMax = std::size_t{1} << 20;
   std::size_t decim = 1;
-  while (decim < kMax && static_cast<double>(2 * decim) * 16.0 * chip_rate <=
+  while (decim < kMax && static_cast<double>(2 * decim) * 8.0 * chip_rate <=
                              sample_rate_hz) {
     decim *= 2;
   }
@@ -55,7 +55,7 @@ PolyphaseChannelizer::Plan PolyphaseChannelizer::plan(
   // Decimating by less than 2 gains nothing over the mixer bank.
   const std::size_t decim = lane_decimation(sample_rate_hz, chip_rate);
   if (decim < 2) {
-    p.reason = "IQ rate below 32 samples per chip leaves no decimation room";
+    p.reason = "IQ rate below 16 samples per chip leaves no decimation room";
     return p;
   }
   // Bin width <= chip_rate, so the worst-case residual fs/(2C) the
@@ -166,6 +166,19 @@ PolyphaseChannelizer::PolyphaseChannelizer(Params params)
     lane_f32_.push_back(lf);
   }
   lanes_.resize(bins_.size());
+}
+
+void PolyphaseChannelizer::reserve(std::size_t n) {
+  const std::size_t history = params_.prototype.size() - 1;
+  if (use_f32_) {
+    work_f_.reserve(2 * (history + n));
+  } else {
+    work_.reserve(history + n);
+  }
+  // (phase_ + n) / D frames at most, with phase_ < D.
+  const std::size_t frames = (params_.decimation - 1 + n) /
+                             params_.decimation;
+  for (auto& lane : lanes_) lane.reserve(frames);
 }
 
 std::size_t PolyphaseChannelizer::process(const cplx* in, std::size_t n) {

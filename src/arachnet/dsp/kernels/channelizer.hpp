@@ -104,10 +104,11 @@ class PolyphaseChannelizer {
   };
 
   /// The lane decimation for chips at `chip_rate` in an IQ stream at
-  /// `sample_rate_hz`: the largest power of two that keeps >= 16 samples
-  /// per chip (the decision chain needs margin over the debouncer and FM0
-  /// run quantization), or 1 when none does. Both FDMA banks decide at
-  /// this rate. Any input, NaN included, yields a factor in [1, 2^20].
+  /// `sample_rate_hz`: the largest power of two that keeps >= 8 samples
+  /// per chip (the decision chain's per-chip rule, slicer capture
+  /// included, holds delivery there; DESIGN.md §7), or 1 when none does.
+  /// Both FDMA banks decide at this rate. Any input, NaN included, yields
+  /// a factor in [1, 2^20].
   static std::size_t lane_decimation(double sample_rate_hz,
                                      double chip_rate) noexcept;
 
@@ -133,10 +134,15 @@ class PolyphaseChannelizer {
   /// Nyquist or taken by another lane.
   explicit PolyphaseChannelizer(Params params);
 
+  /// Sizes the window and every lane buffer for process() calls of up to
+  /// `n` samples, so that no such call allocates.
+  void reserve(std::size_t n);
+
   /// Consumes `n` IQ samples, producing one frame of every lane per
   /// `decimation` inputs. Lane buffers are overwritten (not appended) each
   /// call; read them via lane() before the next call. Returns the number
-  /// of frames produced.
+  /// of frames produced. A call longer than any before (and than
+  /// reserve()) grows the buffers.
   std::size_t process(const cplx* in, std::size_t n);
 
   /// Lane `k`'s output from the last process() call: frames() samples at

@@ -11,6 +11,7 @@ dsp::AdaptiveSlicer::Params slicer_params(const DecisionChain::Rule& rule,
                                           double floor) {
   dsp::AdaptiveSlicer::Params sp;
   sp.track_alpha = rule.track_alpha;
+  sp.capture_alpha = rule.capture_alpha;
   sp.leak_alpha = rule.leak_alpha;
   sp.floor = floor;
   return sp;
@@ -25,11 +26,17 @@ double per_sample_alpha(double per_chip, double samples_per_chip) {
 DecisionChain::Rule DecisionChain::rule(double samples_per_chip) noexcept {
   // The dynamics must be constant per *chip*, not per sample, or slow links
   // drain the tracked levels over their long plateaus. The axis locks
-  // within the pilot at every rate.
+  // within the pilot at every rate. Capture goes through exp2, whose
+  // exponent is exactly -1 at 125/3 samples per chip, so the single chain
+  // captures at exactly 0.5 per sample there; per_sample_alpha's pow need
+  // not round to it.
+  constexpr double kCaptureSamplesPerChip = 125.0 / 3.0;
   return Rule{
       .axis_alpha = per_sample_alpha(0.5, samples_per_chip),
       .track_alpha = per_sample_alpha(0.98, samples_per_chip),
       .leak_alpha = per_sample_alpha(0.04, samples_per_chip),
+      .capture_alpha =
+          1.0 - std::exp2(-kCaptureSamplesPerChip / samples_per_chip),
       .debounce = static_cast<std::size_t>(
           std::max(1.0, 0.12 * samples_per_chip)),
   };

@@ -53,6 +53,10 @@ class DecisionChain {
     double axis_alpha = 0.0;   ///< ~50% axis convergence per chip
     double track_alpha = 0.0;  ///< ~98% slicer level acquisition per chip
     double leak_alpha = 0.0;   ///< ~4% slicer level decay per chip
+    /// Slicer fast capture: 2^(-125/3) of a step outside the band is left
+    /// after a chip, i.e. exactly 0.5 per sample at 125/3 samples per chip
+    /// (the single chain's rate at 93.75-750 chip/s).
+    double capture_alpha = 0.0;
     std::size_t debounce = 1;  ///< hold: glitches < ~12% of a chip vanish
   };
   static Rule rule(double samples_per_chip) noexcept;

@@ -24,7 +24,7 @@ constexpr std::size_t kChannelBlock = 4096;
 
 /// Channels at which kAuto engages the channelizer: below this the
 /// per-channel bank decodes faster (DESIGN.md §7, bank crossover).
-constexpr std::size_t kChannelizerMinChannels = 9;
+constexpr std::size_t kChannelizerMinChannels = 8;
 
 /// The back end of a channel whose front end delivers `rate_hz`.
 DecisionChain::Params channel_decision(double rate_hz, double chip_rate) {
@@ -240,6 +240,8 @@ bool FdmaRxChain::engage_channelizer(const std::vector<double>& freqs) {
           .center_hz = freqs,
           .kernels = params_.kernels,
           .fold = params_.chzr_fold});
+  // process() feeds it one piece of at most kChannelBlock IQ samples.
+  chzr_->reserve(kChannelBlock);
   // Both banks decide on one frame grid with one debouncer, so lane
   // packets carry per-channel-equivalent timestamps once the channelizer
   // prototype's extra group delay is taken off. The residual (the

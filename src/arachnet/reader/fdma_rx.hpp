@@ -37,8 +37,8 @@ namespace arachnet::reader {
 /// every channel's back end a lane: the channel's band at DC, one sample
 /// per M IQ samples on the frame grid (F+1)*M - 1, where M is the
 /// channelizer planner's lane decimation
-/// (dsp::PolyphaseChannelizer::lane_decimation, >= 16 samples per chip;
-/// M = 8 at 62.5 kS/s and 375 chip/s, 20.8 samples per chip):
+/// (dsp::PolyphaseChannelizer::lane_decimation, >= 8 samples per chip;
+/// M = 16 at 62.5 kS/s and 375 chip/s, 10.4 samples per chip):
 ///  - per-channel: C independent NCO-mix + FIR stages; each mixer writes
 ///    into its filter's history and the filter runs at every M-th IQ
 ///    sample only, O(N * C * (1 + taps/M)) — the reference path;
@@ -46,8 +46,8 @@ namespace arachnet::reader {
 ///    O(N/M * (taps + C*logC)) — it replaces every channel's mixer+LPF.
 ///    Each lane has its own FFT bin and residual phasor, so any subcarrier
 ///    set the planner accepts works, uniform grid or not.
-/// The per-channel bank is faster below about 9 channels, the channelizer
-/// above (kAuto picks by that crossover). Decoded packet streams are
+/// The per-channel bank is faster below about 8 channels, the channelizer
+/// from there (kAuto picks by that crossover). Decoded packet streams are
 /// identical across bank policies: payloads, channels and CRC verdicts
 /// exactly, timestamps within 2 lane samples (DESIGN.md §7, parity
 /// contract).
@@ -69,7 +69,7 @@ class FdmaRxChain {
                    ///< not viable (two subcarriers in one FFT bin, a bin
                    ///< at DC or Nyquist, no room to decimate)
     kAuto,         ///< channelizer when the plan is viable and the bank
-                   ///< has >= 9 channels (below that the per-channel
+                   ///< has >= 8 channels (below that the per-channel
                    ///< bank is faster), else per-channel
   };
 

@@ -39,11 +39,12 @@ ROWS = {
         "BM_FdmaBankScalar.real_time": 1.4e7, "BM_FdmaBankSimd.real_time": 1.7e6,
         "BM_SynthScalar.real_time": 1.8e7, "BM_SynthSimd.real_time": 2.8e6,
         "BM_RxChainEndToEnd.packets": 528, "BM_RxChainEndToEnd.packets_fed": 528,
-        **{f"BM_FdmaBankChannelizer/{n}.channelized": 1 for n in (4, 9, 16, 32)},
+        **{f"BM_FdmaBankChannelizer/{n}.channelized": 1
+           for n in (4, 5, 6, 7, 8, 9, 16, 32)},
         **{f"BM_FdmaBankPerChannel/{n}.real_time": t
-           for n, t in ((4, 1.8e6), (9, 3.3e6), (16, 5.4e6), (32, 1.8e7))},
+           for n, t in ((4, 0.9e6), (8, 1.4e6), (16, 2.5e6), (32, 8.3e6))},
         **{f"BM_FdmaBankChannelizer/{n}.real_time": t
-           for n, t in ((4, 2.9e6), (9, 3.7e6), (16, 4.0e6), (32, 8.8e6))},
+           for n, t in ((4, 1.1e6), (8, 1.2e6), (16, 1.6e6), (32, 3.1e6))},
     },
     "ext_throughput": {
         **{f"fdma.bank.{n}.{row}": 1 for n in WIDTHS

@@ -167,17 +167,31 @@ TEST(SteadyStateAlloc, FdmaPerChannelBankDecodeLoopIsAllocationFree) {
       arachnet::reader::FdmaRxChain::BankPolicy::kPerChannel);
 }
 
-TEST(SteadyStateAlloc, FdmaBankTakesItsFirstLongWindowWithoutAllocating) {
-  // A fleet builds each shard's bank on one thread and runs it on a pool
-  // thread, so a buffer grown by the first process() call would come
-  // from whichever thread ran the shard first. One fleet4x3 epoch:
-  // 125 000 samples at D = 8, four pieces of the bank's IQ buffer.
-  arachnet::reader::FdmaRxChain chain{
-      bank_params(arachnet::reader::FdmaRxChain::BankPolicy::kPerChannel)};
+// A fleet builds each shard's bank on one thread and runs it on a pool
+// thread, so a buffer grown by the first process() call would come from
+// whichever thread ran the shard first. One fleet4x3 epoch: 125 000
+// samples at D = 8, four pieces of the bank's IQ buffer.
+void expect_first_long_window_allocation_free(
+    arachnet::reader::FdmaRxChain::BankPolicy bank) {
+  arachnet::reader::FdmaRxChain chain{bank_params(bank)};
+  ASSERT_EQ(chain.active_bank(), bank);
   const std::vector<double> window(125000, 0.0);
   CountingAllocatorGuard guard;
   chain.process(window);
   EXPECT_EQ(guard.allocations(), 0u);
+}
+
+TEST(SteadyStateAlloc, FdmaBankTakesItsFirstLongWindowWithoutAllocating) {
+  expect_first_long_window_allocation_free(
+      arachnet::reader::FdmaRxChain::BankPolicy::kPerChannel);
+}
+
+TEST(SteadyStateAlloc,
+     ChannelizerBankTakesItsFirstLongWindowWithoutAllocating) {
+  // The channelizer's window mirror and its lane buffers are sized for
+  // one piece when the bank builds it.
+  expect_first_long_window_allocation_free(
+      arachnet::reader::FdmaRxChain::BankPolicy::kChannelizer);
 }
 
 // ------------------------------------------------ fleet steady state

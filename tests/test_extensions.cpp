@@ -3,8 +3,11 @@
 // modulation, and ambient-vibration energy harvesting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <span>
@@ -13,6 +16,7 @@
 
 #include "arachnet/acoustic/waveform_channel.hpp"
 #include "arachnet/dsp/ddc.hpp"
+#include "arachnet/dsp/kernels/kernel_policy.hpp"
 #include "arachnet/dsp/kernels/fft_plan.hpp"
 #include "arachnet/energy/ambient.hpp"
 #include "arachnet/energy/harvester.hpp"
@@ -284,6 +288,86 @@ TEST(Fdma, MainDdcPassesEverySubcarrierFlatAndFoldsNothingOntoIt) {
                 << tones[i] << " Hz from fold " << fold;
           }
         }
+      }
+    }
+  }
+}
+
+// A lone tag on one subcarrier, one packet per 0.3 s window (the payload
+// is the window index) at a fixed amplitude and a phase drawn per window:
+// fdma32_grid's window shape with one tag left and its level pinned.
+std::vector<double> lone_tag_windows(double subcarrier_hz, double amplitude,
+                                     std::size_t windows, std::uint64_t seed) {
+  acoustic::UplinkWaveformSynth synth{acoustic::UplinkWaveformSynth::Params{}};
+  sim::Rng rng{seed};
+  std::vector<double> wave;
+  for (std::size_t w = 0; w < windows; ++w) {
+    const phy::UlPacket pkt{.tid = 1,
+                            .payload = static_cast<std::uint16_t>(w)};
+    phy::SubcarrierModulator mod{{375.0, subcarrier_hz}};
+    acoustic::BackscatterSource s;
+    s.chips = mod.modulate(phy::Fm0Encoder::encode_frame(pkt.serialize()));
+    s.chip_rate = mod.subchip_rate();
+    s.start_s = 0.03;
+    s.amplitude = amplitude;
+    s.phase_rad = rng.uniform(0.0, 2.0 * std::numbers::pi);
+    const auto part = synth.synthesize({s}, 0.3, rng);
+    wave.insert(wave.end(), part.begin(), part.end());
+  }
+  return wave;
+}
+
+TEST(Fdma, WeakLanesAtTheGridEdgesDecodeEveryWindowAfterTheFirst) {
+  // The lanes of the 32-lane fdma32_grid plan (125 kS/s IQ) that sit at
+  // either edge of the band, each alone and weak. The bottom lane
+  // (3375 Hz, near the transducer's resonance) at 0.02, about 3.7 dB above
+  // the 0.013 at which it decodes half its windows; the top lane
+  // (49 875 Hz, far from resonance) at 0.2, since it decodes nothing below
+  // about 0.15. Every window but the first, the warm-up, must decode on
+  // the scalar per-channel reference and on the production channelizer
+  // bank.
+  using Bank = reader::FdmaRxChain::BankPolicy;
+  constexpr std::size_t kWindows = 16;
+  struct Lane {
+    std::size_t channel;
+    double amplitude;
+  };
+  struct Front {
+    dsp::KernelPolicy kernels;
+    Bank bank;
+  };
+  for (const Lane lane : {Lane{0, 0.02}, Lane{31, 0.2}}) {
+    reader::FdmaRxChain::Params fp;
+    fp.ddc.decimation = 4;
+    fp.workers = 1;
+    for (int k = 0; k < 32; ++k) fp.channels.push_back({3375.0 + 1500.0 * k});
+    const double hz = fp.channels[lane.channel].subcarrier_hz;
+    const auto wave = lone_tag_windows(hz, lane.amplitude, kWindows, 5);
+    for (const Front front :
+         {Front{dsp::KernelPolicy::kScalar, Bank::kPerChannel},
+          Front{dsp::KernelPolicy::kSimd, Bank::kChannelizer}}) {
+      SCOPED_TRACE(testing::Message()
+                   << hz << " Hz at " << lane.amplitude << ", "
+                   << dsp::to_string(front.kernels)
+                   << (front.bank == Bank::kChannelizer ? " channelizer"
+                                                        : " per-channel"));
+      fp.kernels = front.kernels;
+      fp.bank = front.bank;
+      reader::FdmaRxChain chain{fp};
+      ASSERT_EQ(chain.active_bank(), front.bank);
+      constexpr std::size_t kBlock = 10000;
+      for (std::size_t off = 0; off < wave.size(); off += kBlock) {
+        chain.process(wave.data() + off, std::min(kBlock, wave.size() - off));
+      }
+      std::vector<bool> decoded(kWindows, false);
+      for (const auto& p : chain.drain_packets()) {
+        if (p.channel == lane.channel && p.packet.tid == 1 &&
+            p.packet.payload < kWindows) {
+          decoded[p.packet.payload] = true;
+        }
+      }
+      for (std::size_t w = 1; w < kWindows; ++w) {
+        EXPECT_TRUE(decoded[w]) << "window " << w;
       }
     }
   }

@@ -284,18 +284,20 @@ TEST(Channelizer, PlannerSizesTheBank) {
   const auto plan = dsp::PolyphaseChannelizer::plan(kChzrFs, kChzrChip,
                                                     chzr_centers());
   ASSERT_TRUE(plan.viable) << plan.reason;
-  // C = next power of two >= fs/chip (166.7), D keeps >= 16 samples/chip.
+  // C = next power of two >= fs/chip (166.7), D keeps >= 8 samples/chip.
   EXPECT_EQ(plan.fft_size, 256u);
-  EXPECT_EQ(plan.decimation, 8u);
+  EXPECT_EQ(plan.decimation, 16u);
   EXPECT_GE(kChzrFs / static_cast<double>(plan.decimation),
-            16.0 * kChzrChip);
+            8.0 * kChzrChip);
   // The lane decimation both banks share: the largest power of two that
-  // keeps >= 16 samples per chip, 1 when none does, bounded for any rate.
+  // keeps >= 8 samples per chip, 1 when none does, bounded for any rate.
   using dsp::PolyphaseChannelizer;
   EXPECT_EQ(PolyphaseChannelizer::lane_decimation(kChzrFs, kChzrChip),
             plan.decimation);
-  EXPECT_EQ(PolyphaseChannelizer::lane_decimation(125000.0, kChzrChip), 16u);
-  EXPECT_EQ(PolyphaseChannelizer::lane_decimation(31250.0, kChzrChip), 4u);
+  EXPECT_EQ(PolyphaseChannelizer::lane_decimation(125000.0, kChzrChip), 32u);
+  EXPECT_EQ(PolyphaseChannelizer::lane_decimation(31250.0, kChzrChip), 8u);
+  EXPECT_EQ(PolyphaseChannelizer::lane_decimation(16.0 * kChzrChip, kChzrChip),
+            2u);
   EXPECT_EQ(PolyphaseChannelizer::lane_decimation(8.0 * kChzrChip, kChzrChip),
             1u);
   EXPECT_EQ(PolyphaseChannelizer::lane_decimation(
@@ -475,12 +477,12 @@ TEST(Channelizer, FdmaBankPacketsIdenticalAcrossSplitCalls) {
 TEST(Channelizer, BothBanksDecideOneLaneSamplePerMIqSamples) {
   // The lane rule: both banks filter each channel down to the planner's
   // lane decimation M before it decides, so every channel's decision
-  // chain consumes one sample per M IQ samples (M = 8 at 62.5 kS/s and
-  // 375 chip/s: 20.8 samples per chip), whichever bank and policy, and
+  // chain consumes one sample per M IQ samples (M = 16 at 62.5 kS/s and
+  // 375 chip/s: 10.4 samples per chip), whichever bank and policy, and
   // however the stream is split.
   const std::size_t m =
       dsp::PolyphaseChannelizer::lane_decimation(kChzrFs, kChzrChip);
-  EXPECT_EQ(m, 8u);
+  EXPECT_EQ(m, 16u);
   const auto wave = fdma_capture(chzr_centers());
   const std::size_t iq = wave.size() / 8;  // the bank's main DDC: D = 8
   for (const auto policy : kPolicies) {

@@ -132,14 +132,27 @@ TEST(Fm0Stream, ToleratesTimingJitter) {
 // ---------------------------------------------------------- DecisionChain
 
 TEST(DecisionChain, RuleMeetsThePerChipTargets) {
-  for (const double spc : {2.5, 50.0, 200.0}) {
+  for (const double spc : {2.5, 125.0 / 3.0, 50.0, 200.0}) {
     const auto r = DecisionChain::rule(spc);
     // What is left after one chip of samples: 2% of a level step, 96% of
-    // a held level, half the axis error.
+    // a held level, half the axis error, 2^(-125/3) of a step captured
+    // from outside the slicer's band.
     EXPECT_NEAR(std::pow(1.0 - r.track_alpha, spc), 0.02, 1e-12);
     EXPECT_NEAR(std::pow(1.0 - r.leak_alpha, spc), 0.96, 1e-12);
     EXPECT_NEAR(std::pow(1.0 - r.axis_alpha, spc), 0.5, 1e-12);
+    EXPECT_NEAR(std::pow(1.0 - r.capture_alpha, spc) /
+                    std::exp2(-125.0 / 3.0),
+                1.0, 1e-9);
   }
+  // The single chain decides at 125/3 samples per chip at 93.75-750
+  // chip/s (15625 / 375 at 375 chip/s); its recorded decodes (DecisionPin)
+  // need capture at exactly 0.5 per sample there.
+  EXPECT_EQ(DecisionChain::rule(125.0 / 3.0).capture_alpha, 0.5);
+  EXPECT_EQ(DecisionChain::rule(15625.0 / 375.0).capture_alpha, 0.5);
+  EXPECT_NEAR(DecisionChain::rule(31250.0 / 1500.0).capture_alpha, 0.75,
+              1e-12);
+  EXPECT_NEAR(DecisionChain::rule(3906.25 / 375.0).capture_alpha, 0.9375,
+              1e-12);
   EXPECT_EQ(DecisionChain::rule(2.5).debounce, 1u);  // never below one
   EXPECT_EQ(DecisionChain::rule(50.0).debounce, 6u);
   EXPECT_EQ(DecisionChain::rule(200.0).debounce, 24u);

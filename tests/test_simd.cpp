@@ -307,8 +307,9 @@ TEST(FirSimd, NanBlockFlushesInsteadOfPoisoningState) {
 // ------------------------------------------------------- parity: Ddc
 
 // Packet timestamp tolerance for kSimd decodes: float32 can move a slicer
-// crossing by a decimated sample or two, and two channelizer lane samples
-// bound that with an order of magnitude to spare.
+// crossing by a decimated sample or two. 256 us is four of the single
+// chain's IQ samples at 375 chip/s and one FDMA lane sample (3906.25 lane
+// samples per second on every bank shape here).
 constexpr double kSimdTimeTol = 256e-6;
 
 // The DDC shapes the front halves run: RxChain's at the paper chip rates
@@ -801,8 +802,11 @@ TEST(DecisionPin, Fig12LinksDecodeTheRecordedPackets) {
   // delay dates each packet 16-64 raw samples later, and the bits,
   // payloads and CRC verdicts did not move. Tag 11 at 1500 bps read 41
   // bits until the axis stopped training during the leak warm-up (it now
-  // starts at the first decided sample); every other cell kept its bits,
-  // packets and stamps.
+  // starts at the first decided sample), then 39 until the slicer's fast
+  // capture joined the per-chip rule: 1500 bps decides at 20.8 samples per
+  // chip, where capture is 0.75 per sample instead of 0.5. Every other
+  // cell decides at 125/3 samples per chip, where capture stayed exactly
+  // 0.5, and kept its bits, packets and stamps.
   const char* const kRecorded[3][3] = {
       {"bits=245 crc=0 8:100@136960 8:101@258976 8:102@380960 8:103@502976 "
        "8:104@624960 8:105@746976",
@@ -820,7 +824,7 @@ TEST(DecisionPin, Fig12LinksDecodeTheRecordedPackets) {
        "11:103@502944 11:104@624960 11:105@746944",
        "bits=245 crc=0 11:100@83504 11:101@149504 11:102@215504 "
        "11:103@281488 11:104@347520 11:105@413504",
-       "bits=39 crc=0"},
+       "bits=77 crc=0"},
   };
   for (std::size_t t = 0; t < 3; ++t) {
     for (std::size_t r = 0; r < 3; ++r) {
@@ -922,7 +926,8 @@ TEST(KernelParity, ChannelizerFloat32LaneTracksScalarToFloatTolerance) {
     auto simd = fx.make(dsp::KernelPolicy::kSimd);
     EXPECT_TRUE(simd.float32_path());
     sim::Rng rng{39};
-    std::vector<cplx> in(40000);
+    // 5 000 frames at the plan's D = 16: past the reseed with room.
+    std::vector<cplx> in(80000);
     for (auto& v : in) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
     const std::size_t frames_a = scalar.process(in.data(), in.size());
     const std::size_t frames_b = simd.process(in.data(), in.size());
@@ -1225,7 +1230,7 @@ TEST(KernelParity, RandomSubcarrierSetsDecodeAlikeOnBothBanks) {
   // The bank contract beyond the curated grids: seeded random subcarrier
   // sets, half uniform grids and half not, through the scalar per-channel
   // reference and the production channelizer bank (kSimd), pinned since
-  // kAuto keeps sets below 10 channels on the per-channel bank. Payloads,
+  // kAuto keeps sets below 8 channels on the per-channel bank. Payloads,
   // channels, packet counts and CRC failures must match exactly.
   // Timestamps, compared in whole IQ samples (a double compare failed an
   // offset of exactly one lane sample by 1.7e-17 s of rounding), stay
@@ -1387,6 +1392,11 @@ TEST(DecisionPin, FdmaBanksDecodeTheRecordedPackets) {
   // sample), with the main DDC's passband flat up to the top channel:
   // each packet is dated 6-10 IQ samples earlier, by the shorter debouncer
   // hold, and 1-2 more bits decode; packets and CRC verdicts did not move.
+  // They were re-recorded again when the lane rate halved to one sample
+  // per 16 IQ samples (10.4 samples per chip) and the slicer's capture
+  // rate joined the per-chip rule: the same packets, bits and CRC
+  // verdicts, with stamps 0-8 IQ samples earlier; packets whose stamps
+  // now tie drain in channel order.
   struct Case {
     Bank bank;
     std::vector<double> freqs;
@@ -1396,10 +1406,10 @@ TEST(DecisionPin, FdmaBanksDecodeTheRecordedPackets) {
   const auto wide = bank_subcarriers(8, 3375.0);
   const Case cases[] = {
       {Bank::kPerChannel, bank_subcarriers(4, 3000.0), fdma4_capture(),
-       "bits=155 crc=0 3/4:503@15359 1/2:501@15367 2/3:502@15367 "
+       "bits=155 crc=0 1/2:501@15359 2/3:502@15359 3/4:503@15359 "
        "0/1:500@15375"},
       {Bank::kChannelizer, wide, fdma_capture(wide, 0.18, 5, 0.06),
-       "bits=321 crc=0 2/3:502@15362 0/1:500@15370 1/2:501@15386"},
+       "bits=321 crc=0 0/1:500@15362 2/3:502@15362 1/2:501@15378"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(testing::Message() << "bank " << static_cast<int>(c.bank));
